@@ -11,15 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from typing import TYPE_CHECKING
 
 from .errors import (
     BasisMismatch,
     InvalidMetric,
     OmegaNotClosed,
+    ParamModeUnsupported,
     StructureError,
 )
 from .exterior import Basis, Form, VectorField, frame_field, interior
 from .scalar import ParamScalar, Scalar, ScalarMode
+
+if TYPE_CHECKING:
+    from .hodge import TwistedComplex
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,20 @@ class BracketTable:
         return out
 
 
+def _sqrt_fraction(q: Fraction) -> Fraction | None:
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 class Algebra:
     """Invariant complex data: basis, d on generators, diagonal metric, mode.
 
     Instances are immutable after construction; derived data (d*d check,
-    bracket table, closedness of twists) is memoized, and recomputation is
-    idempotent so concurrent reads are safe.
+    bracket table, metric weights, closedness of twists, the matrices and
+    reductions of each twisted complex) is memoized, and recomputation is idempotent so concurrent
+    reads are safe.
     """
 
     def __init__(
@@ -99,7 +113,9 @@ class Algebra:
         self.mode = mode
         self._d2: D2Result | None = None
         self._brackets: BracketTable | None = None
+        self._weights: tuple[Scalar, ...] | None = None
         self._closed_cache: set[Form] = set()
+        self._twisted: dict[Form, dict] = {}
 
     @property
     def dim(self) -> int:
@@ -142,10 +158,46 @@ class Algebra:
             raise OmegaNotClosed(f"twist {omega} is not closed: d = {dw}")
         self._closed_cache.add(omega)
 
+    def require_rational(self, what: str):
+        if self.mode.is_param:
+            raise ParamModeUnsupported(
+                f"{what} needs exact ranks; instantiate the parameters first"
+            )
+
     def brackets(self) -> BracketTable:
         if self._brackets is None:
             self._brackets = brackets_from_d(self)
         return self._brackets
+
+    def metric_weights(self) -> tuple[Scalar, ...]:
+        """Rational square roots of the metric entries, in the algebra's mode."""
+        if self._weights is None:
+            weights = []
+            for name, g in zip(self.basis.names, self.metric):
+                r = _sqrt_fraction(g.as_fraction() if isinstance(g, ParamScalar) else g)
+                if r is None:
+                    raise InvalidMetric(
+                        f"metric entry for {name} must be the square of a rational "
+                        "for exact Hodge duality"
+                    )
+                weights.append(self.mode.from_fraction(r))
+            self._weights = tuple(weights)
+        return self._weights
+
+    def twisted_complex(self, omega: Form) -> TwistedComplex:
+        """The complex of d_w and delta_w for a closed twist.
+
+        The structure data and the twist are checked on the first call for
+        a twist; later calls reuse the matrices and reductions already made.
+        """
+        from .hodge import TwistedComplex
+
+        store = self._twisted.get(omega)
+        if store is None:
+            self.require_valid()
+            self.require_closed(omega)
+            store = self._twisted[omega] = {}
+        return TwistedComplex(self, omega, store)
 
 
 def d(alg: Algebra, a: Form) -> Form:

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cohomology, hodge, lcs, presets
+from . import cohomology, lcs, presets
 from .cecomplex import Algebra, is_unimodular, jacobi_check
 from .errors import Degenerate, InputError, MathError
 from .exterior import Form, form_str
@@ -121,10 +121,11 @@ def cmd_cohomology(args) -> int:
         "omega": form_str(omega),
         "unimodular": uni,
     }
+    cx = alg.twisted_complex(omega)
     if not uni:
         # kernel/image dimensions stay meaningful; the harmonic description
         # needs the adjointness identity and is reported as not applicable
-        dims = [cohomology.betti(alg, omega, deg) for deg in range(alg.dim + 1)]
+        dims = [cx.betti(deg) for deg in range(alg.dim + 1)]
         lines.append("dims: " + " ".join(str(d) for d in dims))
         lines.append("harmonic bases: not applicable (non-unimodular)")
         payload["dims"] = dims
@@ -136,7 +137,7 @@ def cmd_cohomology(args) -> int:
     payload["dims"] = list(report.dims)
     payload["degrees"] = []
     for degree, space in enumerate(report.harmonic_bases):
-        h, im_d, im_delta = hodge.decomposition_dims(alg, omega, degree)
+        h, im_d, im_delta = cx.decomposition(degree)
         basis_strs = [form_str(f) for f in space.basis]
         shown = "; ".join(basis_strs) if basis_strs else "(none)"
         lines.append(
@@ -195,7 +196,7 @@ def cmd_lcs(args) -> int:
         }
     else:
         coords = cohomology.class_coords(alg, cert.lee, form)
-        space = cohomology.harmonic_space(alg, cert.lee, form.degree)
+        space = alg.twisted_complex(cert.lee).harmonic(form.degree)
         lines.append("class: not exact")
         lines.append("class coords: " + " ".join(scalar_str(c) for c in coords))
         lines.append(

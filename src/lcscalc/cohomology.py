@@ -12,30 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cecomplex import Algebra, d_omega
-from .errors import CrossCheckError, NotClosed, ParamModeUnsupported
+from .errors import CrossCheckError, NotClosed
 from .exterior import Form
-from .hodge import HarmonicSpace, harmonic_space, inner, twisted_matrix
-from .linalg import rank, solve
+from .hodge import HarmonicSpace, inner
+from .linalg import solve
 from .scalar import Scalar
 
 
 def betti(alg: Algebra, omega: Form, degree: int) -> int:
     """dim ker d_w - dim im d_w in the given degree."""
-    alg.require_valid()
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "twisted cohomology dimensions need exact ranks; "
-            "instantiate the parameters first"
-        )
-    alg.require_closed(omega)
-    n_l = len(list(alg.basis.monomials(degree)))
-    rank_out = rank(twisted_matrix(alg, omega, degree), n_l)
-    dim_ker = n_l - rank_out
-    if degree == 0:
-        return dim_ker
-    n_below = len(list(alg.basis.monomials(degree - 1)))
-    rank_in = rank(twisted_matrix(alg, omega, degree - 1), n_below)
-    return dim_ker - rank_in
+    return alg.twisted_complex(omega).betti(degree)
 
 
 @dataclass(frozen=True)
@@ -56,8 +42,7 @@ def _require_d_closed(alg: Algebra, omega: Form, theta: Form):
 
 def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
     """Solve d_w(x) = theta exactly, or certify the class is nonzero."""
-    alg.require_valid()
-    alg.require_closed(omega)
+    cx = alg.twisted_complex(omega)
     _require_d_closed(alg, omega, theta)
     degree = theta.degree
     zero = alg.zero_scalar()
@@ -66,20 +51,15 @@ def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
     if degree == 0:
         sol = None
     else:
-        rows = twisted_matrix(alg, omega, degree - 1)
         rhs = [theta.coefficient(m) or zero for m in alg.basis.monomials(degree)]
-        sol = solve(rows, rhs, len(list(alg.basis.monomials(degree - 1))), zero)
+        sol = solve(cx.d_matrix(degree - 1), rhs, cx.size(degree - 1), zero)
     if sol is not None:
         terms = {m: c for m, c in zip(alg.basis.monomials(degree - 1), sol) if c}
         prim = Form(alg.basis, degree - 1, terms)
         if d_omega(alg, omega, prim) != theta:
             raise CrossCheckError("primitive verification failed")
         return ExactnessCertificate(True, primitive=prim)
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "class coordinates need exact ranks; instantiate the parameters first"
-        )
-    space = harmonic_space(alg, omega, degree)
+    space = cx.harmonic(degree)
     coords = _projection_coords(alg, space, theta)
     if all(not c for c in coords):
         raise CrossCheckError(
@@ -105,14 +85,9 @@ def class_coords(alg: Algebra, omega: Form, theta: Form) -> tuple[Scalar, ...]:
 
     The residue theta minus its projection is certified d_w-exact.
     """
-    alg.require_valid()
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "class coordinates need exact ranks; instantiate the parameters first"
-        )
-    alg.require_closed(omega)
+    cx = alg.twisted_complex(omega)
     _require_d_closed(alg, omega, theta)
-    space = harmonic_space(alg, omega, theta.degree)
+    space = cx.harmonic(theta.degree)
     coords = _projection_coords(alg, space, theta)
     residue = theta
     for c, h in zip(coords, space.basis):
@@ -135,12 +110,12 @@ class CohomologyReport:
 
 def cohomology_report(alg: Algebra, omega: Form) -> CohomologyReport:
     """Dimensions by rank counting, cross-checked against harmonic bases."""
-    alg.require_valid()
+    cx = alg.twisted_complex(omega)
     dims = []
     spaces = []
     for degree in range(alg.dim + 1):
-        b = betti(alg, omega, degree)
-        space = harmonic_space(alg, omega, degree)
+        b = cx.betti(degree)
+        space = cx.harmonic(degree)
         if b != space.dimension:
             raise CrossCheckError(
                 f"rank and harmonic dimensions disagree in degree {degree} "

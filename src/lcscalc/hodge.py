@@ -17,50 +17,13 @@ from the metric weights and never needs square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import comb
 
-from .cecomplex import Algebra, d, d_omega
-from .errors import (
-    BasisMismatch,
-    DegreeMismatch,
-    InvalidMetric,
-    ParamModeUnsupported,
-)
-from .exterior import Form
+from .cecomplex import Algebra, d
+from .errors import BasisMismatch, DegreeMismatch
+from .exterior import Form, _merge_sign, _sort_sign
 from .linalg import nullspace, operator_matrix, rank
-from .scalar import ParamScalar, Scalar
-
-
-def _perm_sign(seq: tuple[int, ...]) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _metric_weights(alg: Algebra) -> list[Scalar]:
-    """Rational square roots of the metric entries, in the algebra's mode."""
-    weights = []
-    for name, g in zip(alg.basis.names, alg.metric):
-        q = g.as_fraction() if isinstance(g, ParamScalar) else g
-        r = _sqrt_fraction(q) if q is not None else None
-        if r is None:
-            raise InvalidMetric(
-                f"metric entry for {name} must be the square of a rational "
-                "for exact Hodge duality"
-            )
-        weights.append(alg.mode.from_fraction(r))
-    return weights
+from .scalar import Scalar
 
 
 def star(alg: Algebra, a: Form) -> Form:
@@ -68,11 +31,11 @@ def star(alg: Algebra, a: Form) -> Form:
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     n = alg.dim
-    weights = _metric_weights(alg)
+    weights = alg.metric_weights()
     out: dict = {}
     for idx, c in a.terms.items():
         comp = tuple(i for i in range(n) if i not in idx)
-        sign = _perm_sign(idx + comp)
+        sign = _sort_sign(idx + comp)[1]
         coeff = c
         for i in comp:
             coeff = coeff * weights[i]
@@ -147,67 +110,171 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _require_rational(alg: Algebra, what: str):
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            f"{what} needs exact ranks; instantiate the parameters first"
-        )
-
-
-def _monomial_forms(alg: Algebra, degree: int) -> list[Form]:
-    return [alg.basis.monomial_form(m) for m in alg.basis.monomials(degree)]
-
-
 def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of d_w from degree l to l+1 in the monomial bases."""
+    """Matrix of d_w from degree l to l+1 in the monomial bases.
+
+    Assembled straight from the structure constants: on a monomial e_I,
+    d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}, and w ^ e_I adds
+    one generator; both pieces merge ascending tuples, so no form is built.
+    The twist must be a closed 1-form (`Algebra.twisted_complex` checks it).
+    """
     if degree >= alg.dim:
         return []
-    images = [d_omega(alg, omega, f) for f in _monomial_forms(alg, degree)]
-    target = list(alg.basis.monomials(degree + 1))
-    return operator_matrix(images, target, alg.zero_scalar())
+    zero = alg.zero_scalar()
+    row_of = {m: r for r, m in enumerate(alg.basis.monomials(degree + 1))}
+    sources = list(alg.basis.monomials(degree))
+    rows = [[zero] * len(sources) for _ in row_of]
+    for col, idx in enumerate(sources):
+        image: dict = {}
+        pieces = [
+            (alg.dgen[i].terms, idx[:m] + idx[m + 1 :], m % 2 == 1)
+            for m, i in enumerate(idx)
+        ]
+        pieces.append((omega.terms, idx, False))
+        for terms, rest, odd in pieces:
+            for head, c in terms.items():
+                mono, sign = _merge_sign(head, rest)
+                if mono is None:
+                    continue
+                if (sign < 0) != odd:
+                    c = -c
+                prev = image.get(mono)
+                image[mono] = c if prev is None else prev + c
+        for mono, c in image.items():
+            if c:
+                rows[row_of[mono]][col] = c
+    return rows
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     """Matrix of delta_w from degree l to l-1 in the monomial bases."""
     if degree <= 0:
         return []
-    images = [delta_omega(alg, omega, f) for f in _monomial_forms(alg, degree)]
+    images = [
+        delta_omega(alg, omega, alg.basis.monomial_form(m))
+        for m in alg.basis.monomials(degree)
+    ]
     target = list(alg.basis.monomials(degree - 1))
     return operator_matrix(images, target, alg.zero_scalar())
 
 
+class TwistedComplex:
+    """d_w and delta_w of one algebra and closed twist, filled in lazily.
+
+    Per degree it holds the two matrices, the kernel of d_w (whose size
+    gives the rank), the rank of delta_w and the harmonic basis; each is
+    computed at most once.  Obtain one from `Algebra.twisted_complex`, which
+    checks the structure data and the twist once per twist and hands every
+    complex of that twist the same store.  The store refers back to neither
+    the algebra nor the complex, so dropping the algebra frees it at once.
+    delta_w is assembled from its definition, never from d_w, so the
+    harmonic dimensions stay an independent check on the ranks.  Matrices
+    are available in parameter mode; ranks are not.
+    """
+
+    def __init__(self, alg: Algebra, omega: Form, store: dict[str, dict]):
+        self.alg = alg
+        self.omega = omega
+        self._d: dict[int, list[list]] = store.setdefault("d", {})
+        self._delta: dict[int, list[list]] = store.setdefault("delta", {})
+        self._kernel: dict[int, list[list]] = store.setdefault("kernel", {})
+        self._delta_rank: dict[int, int] = store.setdefault("delta_rank", {})
+        self._harmonic: dict[int, HarmonicSpace] = store.setdefault("harmonic", {})
+
+    def size(self, degree: int) -> int:
+        """Number of monomials of a degree (0 outside 0..N)."""
+        return comb(self.alg.dim, degree) if degree >= 0 else 0
+
+    def d_matrix(self, degree: int) -> list[list]:
+        if degree not in self._d:
+            self._d[degree] = twisted_matrix(self.alg, self.omega, degree)
+        return self._d[degree]
+
+    def delta_matrix(self, degree: int) -> list[list]:
+        if degree not in self._delta:
+            self._delta[degree] = cotwisted_matrix(self.alg, self.omega, degree)
+        return self._delta[degree]
+
+    def kernel(self, degree: int) -> list[list]:
+        """Reduced kernel basis of d_w: a unit entry at each free column."""
+        if degree not in self._kernel:
+            self.alg.require_rational("twisted cohomology")
+            self._kernel[degree] = nullspace(
+                self.d_matrix(degree),
+                self.size(degree),
+                self.alg.zero_scalar(),
+                self.alg.one_scalar(),
+            )
+        return self._kernel[degree]
+
+    def d_rank(self, degree: int) -> int:
+        """Rank of d_w leaving a degree (0 below degree 0)."""
+        if degree < 0:
+            return 0
+        return self.size(degree) - len(self.kernel(degree))
+
+    def delta_rank(self, degree: int) -> int:
+        """Rank of delta_w leaving a degree (0 outside 1..N)."""
+        if degree not in self._delta_rank:
+            self.alg.require_rational("twisted cohomology")
+            n = self.size(degree)
+            self._delta_rank[degree] = rank(self.delta_matrix(degree), n) if n else 0
+        return self._delta_rank[degree]
+
+    def betti(self, degree: int) -> int:
+        """dim ker d_w - dim im d_w in one degree."""
+        return len(self.kernel(degree)) - self.d_rank(degree - 1)
+
+    def harmonic(self, degree: int) -> HarmonicSpace:
+        """Kernel of delta_w inside the kernel K of d_w, as K*c.
+
+        c runs over the reduced kernel basis of delta_w*K.  A reduced kernel
+        basis depends only on the subspace (its unit entries sit where the
+        basis vectors end), so K*c is the reduced kernel basis of the
+        stacked matrix [d_w; delta_w].
+        """
+        if degree not in self._harmonic:
+            zero = self.alg.zero_scalar()
+            kernel = self.kernel(degree)
+            delta = self.delta_matrix(degree)
+            vectors = kernel
+            if kernel and delta:
+                support = [[i for i, x in enumerate(k) if x] for k in kernel]
+                image = [
+                    [sum((row[i] * k[i] for i in s), zero) for k, s in zip(kernel, support)]
+                    for row in delta
+                ]
+                coords = nullspace(image, len(kernel), zero, self.alg.one_scalar())
+                vectors = []
+                for c in coords:
+                    vec = [zero] * self.size(degree)
+                    for cj, k, s in zip(c, kernel, support):
+                        if cj:
+                            for i in s:
+                                vec[i] = vec[i] + cj * k[i]
+                    vectors.append(vec)
+            monos = list(self.alg.basis.monomials(degree))
+            basis_forms = tuple(
+                Form(self.alg.basis, degree, {m: c for m, c in zip(monos, vec) if c})
+                for vec in vectors
+            )
+            self._harmonic[degree] = HarmonicSpace(degree, basis_forms, self.omega)
+        return self._harmonic[degree]
+
+    def decomposition(self, degree: int) -> tuple[int, int, int]:
+        """Dimensions of the harmonic, twisted-exact and twisted-coexact parts."""
+        return (
+            self.harmonic(degree).dimension,
+            self.d_rank(degree - 1),
+            self.delta_rank(degree + 1),
+        )
+
+
 def harmonic_space(alg: Algebra, omega: Form, degree: int) -> HarmonicSpace:
     """Exact kernel intersection of d_w and delta_w in one degree."""
-    alg.require_valid()
-    _require_rational(alg, "harmonic space computation")
-    alg.require_closed(omega)
-    monos = list(alg.basis.monomials(degree))
-    stacked = twisted_matrix(alg, omega, degree) + cotwisted_matrix(alg, omega, degree)
-    vectors = nullspace(stacked, len(monos), alg.zero_scalar(), alg.one_scalar())
-    basis_forms = []
-    for vec in vectors:
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        basis_forms.append(Form(alg.basis, degree, terms))
-    return HarmonicSpace(degree, tuple(basis_forms), omega)
+    return alg.twisted_complex(omega).harmonic(degree)
 
 
 def decomposition_dims(alg: Algebra, omega: Form, degree: int) -> tuple[int, int, int]:
     """Dimensions of the harmonic, twisted-exact and twisted-coexact parts."""
-    alg.require_valid()
-    _require_rational(alg, "decomposition dimensions")
-    alg.require_closed(omega)
-    h = harmonic_space(alg, omega, degree).dimension
-    from_below = twisted_matrix(alg, omega, degree - 1) if degree > 0 else []
-    ncols_below = len(list(alg.basis.monomials(degree - 1))) if degree > 0 else 0
-    im_d = rank(from_below, ncols_below) if ncols_below else 0
-    from_above = cotwisted_matrix(alg, omega, degree + 1) if degree < alg.dim else []
-    ncols_above = len(list(alg.basis.monomials(degree + 1))) if degree < alg.dim else 0
-    im_delta = rank(from_above, ncols_above) if ncols_above else 0
-    return (h, im_d, im_delta)
-
-
-def adjointness_applicable(alg: Algebra) -> bool:
-    """Integration by parts for (d_w, delta_w) holds on unimodular data."""
-    from .cecomplex import is_unimodular
-
-    return is_unimodular(alg)
+    return alg.twisted_complex(omega).decomposition(degree)

@@ -26,7 +26,6 @@ from .errors import (
     NoSolution,
     NotAutomorphism,
     OddDimension,
-    ParamModeUnsupported,
     ZeroForm,
 )
 from .exterior import (
@@ -109,10 +108,7 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
 def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
     """Solve L_X(Omega) = mu * Omega jointly in (X, mu)."""
     alg.require_valid()
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "automorphism algebras need exact ranks; instantiate the parameters first"
-        )
+    alg.require_rational("automorphism algebra computation")
     omega2 = lcs.omega_form
     images = [
         lie_derivative(alg, frame_field(alg.basis, i), omega2) for i in range(alg.dim)
@@ -174,10 +170,7 @@ class LeeExactnessReport:
 
 def exactness_via_lee(alg: Algebra, lcs: LcsForm) -> LeeExactnessReport:
     """Cross-check: exactness holds iff some automorphism has l(X) != 0."""
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "exactness cross-check needs exact ranks; instantiate the parameters first"
-        )
+    alg.require_rational("exactness cross-check")
     certificate = primitive(alg, lcs.lee, lcs.omega_form)
     autos = automorphism_algebra(alg, lcs)
     values = tuple(
@@ -215,10 +208,7 @@ def verify_moser_family(alg: Algebra, family: list[Form]) -> MoserReport:
     Hypotheses are checked in order (membership, shared Lee form, exact
     differences) and the first violation is reported with its index.
     """
-    if alg.mode.is_param:
-        raise ParamModeUnsupported(
-            "family verification needs exact ranks; instantiate the parameters first"
-        )
+    alg.require_rational("family verification")
     if not family:
         raise InvalidParams("family must be nonempty")
     members: list[MoserMember] = []

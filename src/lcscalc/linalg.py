@@ -8,8 +8,6 @@ relies on for reproducible kernels, primitives and reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _rref(rows: list[list], ncols: int):
     """In-place reduced row echelon form; returns the pivot column list."""
@@ -89,6 +87,3 @@ def operator_matrix(images: list, target_monomials: list, zero) -> list[list]:
         for mono in target_monomials
     ]
 
-
-def identity_rows(n: int, zero=Fraction(0), one=Fraction(1)) -> list[list]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -306,6 +306,10 @@ class ParamScalar:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant equals the matching Fraction, so it must hash like one
+        q = self.as_fraction()
+        if q is not None:
+            return hash(q)
         return hash(
             (self.symbols, frozenset(self.num.items()), frozenset(self.den.items()))
         )

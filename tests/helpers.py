@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from lcscalc.cecomplex import Algebra
+from lcscalc.cecomplex import Algebra, d_omega
 from lcscalc.exterior import Basis, Form, VectorField, frame_field
 from lcscalc.specfile import parse_form_expr
 
@@ -74,6 +74,26 @@ def interior_oracle(v: VectorField, theta: Form) -> Form:
         if value:
             out[rest] = value
     return Form(basis, theta.degree - 1, out)
+
+
+# ---------------------------------------------------------------------------
+# twisted differential, one monomial form at a time
+# ---------------------------------------------------------------------------
+
+
+def monomial_twisted_matrix(alg: Algebra, omega: Form, degree: int):
+    """Matrix of d_w from degree l to l+1: d_omega applied to each monomial form."""
+    if degree >= alg.dim:
+        return []
+    zero = alg.zero_scalar()
+    images = [
+        d_omega(alg, omega, alg.basis.monomial_form(m))
+        for m in alg.basis.monomials(degree)
+    ]
+    return [
+        [img.coefficient(m) or zero for img in images]
+        for m in alg.basis.monomials(degree + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""The per-twist complex against independent oracles.
+
+(a) the d_w matrix assembled from the structure constants equals the one
+    built by applying d_omega to one monomial form at a time;
+(b) every harmonic basis equals the kernel of the stacked [d_w; delta_w]
+    matrix under the Fraction-only row reduction of `helpers`;
+(c) a cohomology report assembles each matrix once and stays within 3N+1
+    rank/nullspace calls on N generators.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from helpers import (
+    change_of_basis,
+    fraction_nullspace,
+    invert_matrix,
+    monomial_twisted_matrix,
+    random_good_algebra,
+    random_invertible,
+)
+from lcscalc import hodge, linalg
+from lcscalc.cecomplex import Algebra
+from lcscalc.cli import main
+from lcscalc.cohomology import cohomology_report
+from lcscalc.exterior import Basis, Form
+from lcscalc.hodge import cotwisted_matrix, harmonic_space, twisted_matrix
+from lcscalc.scalar import ScalarMode
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def dense_preset_product(seed: int, n: int, mode: ScalarMode):
+    """Preset x R^(n-4) in a random dense frame, with a nonzero closed twist.
+
+    In the original frame gamma and the R generators are the closed 1-forms;
+    the twist is a random combination of them rewritten in the new frame.
+    """
+    rng = random.Random(seed)
+    basis = Basis(tuple(f"e{i + 1}" for i in range(n)))
+    if mode.is_param:
+        k, nlam = mode.symbol("k"), mode.symbol("n") * mode.symbol("lambda")
+    else:
+        k, nlam = Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+    dgen = [
+        Form(basis, 2, {(0, 2): -k}),
+        Form(basis, 2, {(1, 2): k}),
+        basis.zero(2),
+        Form(basis, 2, {(0, 1): nlam}),
+    ] + [basis.zero(2)] * (n - 4)
+    frame = random_invertible(rng, n)
+    alg = change_of_basis(Algebra(basis, dgen, mode=mode), frame)
+    inverse = invert_matrix(frame)
+    twist = basis.zero(1)
+    for a in [2] + list(range(4, n)):
+        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        if mode.is_param:
+            c = c * k
+        twist = twist + c * Form(basis, 1, {(b,): inverse[a][b] for b in range(n)})
+    assert not twist.is_zero()
+    return alg, twist
+
+
+RATIONAL_CASES = [(1, 5), (2, 6), (3, 6)]
+
+
+@pytest.mark.parametrize("seed,n", RATIONAL_CASES)
+def test_assembled_matrix_matches_monomial_route(seed, n):
+    alg, w = dense_preset_product(seed, n, ScalarMode.rational())
+    for degree in range(n + 1):
+        assert twisted_matrix(alg, w, degree) == monomial_twisted_matrix(alg, w, degree)
+
+
+def test_assembled_matrix_matches_monomial_route_in_param_mode():
+    alg, w = dense_preset_product(4, 5, ScalarMode.params("n", "k", "lambda"))
+    for degree in range(6):
+        assert twisted_matrix(alg, w, degree) == monomial_twisted_matrix(alg, w, degree)
+
+
+def _stacked_oracle(alg, omega, degree):
+    rows = monomial_twisted_matrix(alg, omega, degree) + cotwisted_matrix(alg, omega, degree)
+    return fraction_nullspace(rows, len(list(alg.basis.monomials(degree))))
+
+
+def _cases_for_harmonic():
+    for seed, n in RATIONAL_CASES:
+        yield dense_preset_product(seed, n, ScalarMode.rational())
+    rng = random.Random(5)
+    for n in (3, 4, 5, 5):
+        alg = random_good_algebra(rng, n)
+        yield alg, alg.basis.zero(1)
+
+
+def test_harmonic_bases_match_stacked_kernel():
+    for alg, w in _cases_for_harmonic():
+        for degree in range(alg.dim + 1):
+            monos = list(alg.basis.monomials(degree))
+            got = [
+                [f.coefficient(m) or Fraction(0) for m in monos]
+                for f in harmonic_space(alg, w, degree).basis
+            ]
+            assert got == _stacked_oracle(alg, w, degree)
+
+
+def _count_calls(monkeypatch) -> list:
+    """Log every call of rank, nullspace and the two matrix builders.
+
+    Each function is wrapped under every lcscalc name bound to it, so a
+    call through any module alias is counted.
+    """
+    log = []
+    for fn in (linalg.rank, linalg.nullspace, hodge.twisted_matrix, hodge.cotwisted_matrix):
+
+        def counted(*args, _fn=fn, **kwargs):
+            log.append((_fn.__name__, args))
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "lcscalc" or name.startswith("lcscalc."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return log
+
+
+def _reductions(log) -> int:
+    return sum(1 for name, _ in log if name in ("rank", "nullspace"))
+
+
+def _most_builds_of_one_matrix(log) -> int:
+    builds = Counter((name, args[2]) for name, args in log if name.endswith("twisted_matrix"))
+    return max(builds.values())
+
+
+@pytest.mark.parametrize("omega", ["0", "1 e1 - 1 e6"])
+def test_report_builds_each_matrix_once(omega, monkeypatch, capsys):
+    log = _count_calls(monkeypatch)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["cohomology", "dense6.alg", "--omega", omega]) == 0
+    capsys.readouterr()
+    assert 0 < _reductions(log) <= 3 * 6 + 1
+    assert _most_builds_of_one_matrix(log) == 1
+
+
+def test_library_calls_share_the_complex(monkeypatch):
+    alg, w = dense_preset_product(2, 6, ScalarMode.rational())
+    log = _count_calls(monkeypatch)
+    report = cohomology_report(alg, w)
+    for degree in range(alg.dim + 1):
+        assert hodge.decomposition_dims(alg, w, degree)[0] == report.dims[degree]
+    assert cohomology_report(alg, w) == report
+    assert _reductions(log) <= 3 * alg.dim + 1
+    assert _most_builds_of_one_matrix(log) == 1

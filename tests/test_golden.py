@@ -1,0 +1,65 @@
+"""Byte-for-byte comparison of CLI reports against a captured corpus.
+
+Every case runs in text and in `--json` form from inside `tests/golden/`,
+so the echoed input path is the bare file name.  `<case>.txt` and
+`<case>.json` hold the expected stdout; the exit code is part of the case.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from lcscalc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
+    "cohomology_dense6_twisted": (
+        ["cohomology", "dense6.alg", "--omega", "1 e1 - 1 e6"],
+        0,
+    ),
+    "cohomology_nonunimodular": (
+        ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
+        0,
+    ),
+    "lcs_exact": (
+        ["lcs", "acfm.alg", "--form", "3 alpha^beta - 2 gamma^eta + 1 beta^gamma"],
+        0,
+    ),
+    "lcs_not_exact": (["lcs", "acfm.alg", "--form", "2 alpha^eta + 1 beta^gamma"], 0),
+    "moser_pass": (
+        [
+            "moser",
+            "acfm.alg",
+            "--family",
+            "2 alpha^eta + 1 beta^gamma; 2 alpha^eta + 2 beta^gamma",
+        ],
+        0,
+    ),
+    "moser_fail": (
+        [
+            "moser",
+            "acfm.alg",
+            "--family",
+            "2 alpha^eta + 1 beta^gamma; 3 alpha^eta + 1 beta^gamma",
+        ],
+        2,
+    ),
+    "acfm_theorem1": (["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--theorem1"], 0),
+    "check_d2_failure": (["check", "broken.alg"], 2),
+}
+
+
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case, suffix, capsys, monkeypatch):
+    argv, code = CASES[case]
+    monkeypatch.chdir(GOLDEN)
+    flags = ["--json"] if suffix == "json" else []
+    assert main(argv + flags) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / f"{case}.{suffix}").read_text(encoding="utf-8")

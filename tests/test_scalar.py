@@ -151,3 +151,17 @@ def test_param_hash_consistency():
     b = sym("t1") * sym("k")
     assert a == b
     assert hash(a) == hash(b)
+
+
+@given(scalars, param_scalars())
+def test_equal_scalars_hash_alike_across_modes(q, p):
+    # a == b must imply hash(a) == hash(b), whichever mode each side is in
+    constant = PMODE.from_fraction(q)
+    assert constant == q and hash(constant) == hash(q)
+    assert q in {constant} and constant in {q}
+    for a, b in ((p, p * PMODE.one()), (p, q), (p, PMODE.from_fraction(q))):
+        if a == b:
+            assert hash(a) == hash(b)
+    as_fraction = p.as_fraction()
+    if as_fraction is not None:
+        assert hash(p) == hash(as_fraction)
