@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import comb, gcd
 from typing import Iterator, Union
 
 from .errors import (
@@ -90,6 +90,16 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
     """Exact division a/b; raises ArithmeticError if b does not divide a."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(b) == 1:
+        # one-term divisor: divide term by term, no remainder loop
+        ((eb, cb),) = b.items()
+        q = {}
+        for ea, ca in a.items():
+            e = tuple(x - y for x, y in zip(ea, eb))
+            if ca % cb or any(x < 0 for x in e):
+                raise ArithmeticError("inexact polynomial division")
+            q[e] = ca // cb
+        return q
     q: dict = {}
     r = dict(a)
     eb = max(b, key=_grlex)
@@ -152,15 +162,18 @@ def _pgcd(a: dict, b: dict) -> dict:
         return _psign_norm(dict(b))
     if not b:
         return _psign_norm(dict(a))
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a one-term operand c*x^e divides only monomials, so the gcd is
+        # gcd(c, content) times x to the componentwise minimum exponent
+        ((e, c),) = a.items()
+        for eb in b:
+            e = tuple(map(min, e, eb))
+        return {e: gcd(c, _pcontent_int(b))}
+    # both operands have two or more terms, so some variable occurs
     nvars = len(next(iter(a)))
-    v = next(
-        (i for i in range(nvars) if _deg_in(a, i) > 0 or _deg_in(b, i) > 0),
-        None,
-    )
-    if v is None:
-        za = a[(0,) * nvars]
-        zb = b[(0,) * nvars]
-        return _pconst(nvars, gcd(za, zb))
+    v = next(i for i in range(nvars) if _deg_in(a, i) > 0 or _deg_in(b, i) > 0)
     ca, cb = _content_in(a, v), _content_in(b, v)
     f, g = _pdiv_exact(a, ca), _pdiv_exact(b, cb)
     if _deg_in(f, v) < _deg_in(g, v):
@@ -291,10 +304,16 @@ class ParamScalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = ParamScalar.from_fraction(self.symbols, 1)
+        # no gcd needed: coprime factors stay coprime in a UFD, and the
+        # lowest term of a product under the monomial order _grlex is the
+        # product of lowest terms, so the denominator's stays positive.
+        # Multiplying by the small base n times is cheaper than squaring
+        # ever larger dense multivariate polynomials.
+        num = den = _pconst(len(self.symbols), 1)
         for _ in range(n):
-            out = out * self
-        return out
+            num = _pmul(num, self.num)
+            den = _pmul(den, self.den)
+        return ParamScalar(self.symbols, num, den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -493,6 +512,12 @@ def needs_parens(s: str) -> bool:
 
 _PUNCT = "+-*/^()="
 
+# input limits: a '^' exponent (chained ones multiply), the number of terms
+# a power may reach, and parenthesis nesting, which recurses in the parser
+MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 10**6
+MAX_NESTING = 100
+
 
 class Token:
     __slots__ = ("kind", "value", "line", "col")
@@ -543,6 +568,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -593,15 +619,42 @@ def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode) -> Scalar:
     while cur.peek().kind in "+-":
         if cur.next().kind == "-":
             sign = -sign
-    value = _parse_scalar_atom(cur, mode)
-    while cur.peek().kind == "^":
-        t = cur.next()
-        e = cur.peek()
-        if e.kind != "int":
-            raise ExprSyntaxError("exponent must be a nonnegative integer", t.line, t.col)
-        cur.next()
-        value = value ** e.value
+    value = _parse_exponent(cur, _parse_scalar_atom(cur, mode))
     return -value if sign < 0 else value
+
+
+def _parse_exponent(cur: _Cursor, base: Scalar) -> Scalar:
+    """Raise base to the '^' exponents that follow it, within the input limits.
+
+    The largest power of a polynomial with t terms has C(t+e-1, e) terms
+    (the monomials of degree e in t unknowns), so that bounds its size.
+    """
+    if cur.peek().kind != "^":
+        return base
+    e = 1
+    while cur.peek().kind == "^":
+        caret = cur.next()
+        t = cur.peek()
+        if t.kind != "int":
+            raise ExprSyntaxError(
+                "exponent must be a nonnegative integer", caret.line, caret.col
+            )
+        cur.next()
+        e *= t.value
+        if e > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent {e} is above the limit of {MAX_EXPONENT}", t.line, t.col
+            )
+    if isinstance(base, ParamScalar):
+        terms = max(len(base.num), len(base.den))
+        if comb(terms + e - 1, e) > MAX_POWER_TERMS:
+            raise ExprSyntaxError(
+                f"power of a {terms}-term polynomial to {e} may exceed "
+                f"{MAX_POWER_TERMS} terms",
+                t.line,
+                t.col,
+            )
+    return base ** e
 
 
 def _parse_scalar_atom(cur: _Cursor, mode: ScalarMode) -> Scalar:
@@ -617,9 +670,15 @@ def _parse_scalar_atom(cur: _Cursor, mode: ScalarMode) -> Scalar:
         cur.next()
         return mode.symbol(t.value)
     if t.kind == "(":
+        if cur.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col
+            )
         cur.next()
+        cur.depth += 1
         value = _parse_scalar_expr(cur, mode)
         cur.expect(")")
+        cur.depth -= 1
         return value
     raise ExprSyntaxError(
         "expected a number, parameter or '('"
@@ -636,6 +695,8 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     Grammar: sums/differences of terms; terms multiply/divide factors; a
     factor is an optionally signed atom with optional integer '^' powers;
     atoms are integers, declared parameters, or parenthesized expressions.
+    Powers and nesting are bounded by MAX_EXPONENT, MAX_POWER_TERMS and
+    MAX_NESTING; input beyond them raises ExprSyntaxError.
     """
     cur = _Cursor(tokenize(text))
     value = _parse_scalar_expr(cur, mode)

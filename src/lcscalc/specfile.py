@@ -23,6 +23,7 @@ from .exterior import Basis, Form, form_str
 from .scalar import (
     ScalarMode,
     _Cursor,
+    _parse_exponent,
     _parse_scalar_atom,
     scalar_str,
     tokenize,
@@ -30,17 +31,8 @@ from .scalar import (
 
 
 def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode):
-    value = _parse_scalar_atom(cur, mode)
-    while cur.peek().kind == "^":
-        caret = cur.next()
-        e = cur.peek()
-        if e.kind != "int":
-            raise ExprSyntaxError(
-                "exponent must be a nonnegative integer", caret.line, caret.col
-            )
-        cur.next()
-        value = value ** e.value
-    return value
+    # unlike the scalar grammar's factor, no sign: signs join form terms
+    return _parse_exponent(cur, _parse_scalar_atom(cur, mode))
 
 
 def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
@@ -227,8 +219,16 @@ def parse_algebra_text(text: str) -> Algebra:
 
 
 def parse_algebra_file(path: str) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        col = len(data[start : exc.start].decode("utf-8")) + 1
+        raise ExprSyntaxError("file is not valid UTF-8", line, col) from None
+    return parse_algebra_text(text)
 
 
 def algebra_to_text(alg: Algebra) -> str:

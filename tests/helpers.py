@@ -8,12 +8,23 @@ package internals they cross-check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 
 from lcscalc.cecomplex import Algebra, d_omega
 from lcscalc.exterior import Basis, Form, VectorField, frame_field
+from lcscalc.scalar import (
+    _coeffs_in,
+    _deg_in,
+    _grlex,
+    _pmul,
+    _prem,
+    _psign_norm,
+    _psub,
+)
 from lcscalc.specfile import parse_form_expr
 
 
@@ -181,6 +192,59 @@ def invert_matrix(rows):
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         r += 1
     return [row[n:] for row in work]
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcd by primitive PRS alone (no one-term shortcuts)
+# ---------------------------------------------------------------------------
+
+
+def general_pdiv_exact(a: dict, b: dict) -> dict:
+    """Exact division by repeated leading-term elimination, for any divisor."""
+    q: dict = {}
+    r = dict(a)
+    eb = max(b, key=_grlex)
+    cb = b[eb]
+    while r:
+        er = max(r, key=_grlex)
+        cr = r[er]
+        e = tuple(x - y for x, y in zip(er, eb))
+        if any(x < 0 for x in e) or cr % cb:
+            raise ArithmeticError("inexact polynomial division")
+        q[e] = c = cr // cb
+        r = _psub(r, _pmul({e: c}, b))
+    return q
+
+
+def _prs_content(p: dict, v: int) -> dict:
+    return reduce(prs_gcd, _coeffs_in(p, v).values())
+
+
+def _prs_primitive(p: dict, v: int) -> dict:
+    return general_pdiv_exact(p, _prs_content(p, v)) if p else p
+
+
+def prs_gcd(a: dict, b: dict) -> dict:
+    """Sign-normalized gcd over the integers, recursing on every variable."""
+    if not a:
+        return _psign_norm(dict(b))
+    if not b:
+        return _psign_norm(dict(a))
+    nvars = len(next(iter(a)))
+    v = next(
+        (i for i in range(nvars) if _deg_in(a, i) > 0 or _deg_in(b, i) > 0), None
+    )
+    if v is None:
+        zero = (0,) * nvars
+        return {zero: math.gcd(a[zero], b[zero])}
+    ca, cb = _prs_content(a, v), _prs_content(b, v)
+    f, g = general_pdiv_exact(a, ca), general_pdiv_exact(b, cb)
+    if _deg_in(f, v) < _deg_in(g, v):
+        f, g = g, f
+    while g:
+        r = _prem(f, g, v)
+        f, g = g, (_prs_primitive(r, v) if r else {})
+    return _psign_norm(_pmul(prs_gcd(ca, cb), _prs_primitive(f, v)))
 
 
 # ---------------------------------------------------------------------------

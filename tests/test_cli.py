@@ -141,6 +141,34 @@ def test_check_parse_error(tmp_path, capsys):
     assert "input error" in err
 
 
+def _assert_one_line_input_error(err: str):
+    assert err.count("\n") == 1 and err.startswith("lcscalc: input error:")
+    assert "Traceback" not in err
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.alg"
+    path.write_text("generators a b\nd a = " + "(" * 3000 + "1" + ")" * 3000 + " a^b\n")
+    assert main(["check", str(path)]) == 1
+    _assert_one_line_input_error(capsys.readouterr().err)
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes("generators a b\nd a = 1 a^b  # café\n".encode("latin-1"))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert "not valid UTF-8 (line 2, column 19)" in err
+
+
+def test_oversized_power_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "power.alg"
+    path.write_text("params k\ngenerators a b\nd a = k^100000000 a^b\n")
+    assert main(["check", str(path)]) == 1
+    _assert_one_line_input_error(capsys.readouterr().err)
+
+
 def test_cohomology_report(acfm_path, capsys):
     assert main(["cohomology", acfm_path, "--omega", "-1 gamma"]) == 0
     out = capsys.readouterr().out

@@ -11,12 +11,19 @@ from lcscalc.errors import (
     UndeclaredParameter,
 )
 from lcscalc.scalar import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     ParamScalar,
     ScalarMode,
+    _pdiv_exact,
+    _pgcd,
+    _pmul,
     parse_scalar,
     scalar_arith,
     scalar_str,
 )
+
+from helpers import general_pdiv_exact, prs_gcd
 
 RATIONAL = ScalarMode.rational()
 PMODE = ScalarMode.params("n", "k", "lambda", "t1", "t2", "t3")
@@ -165,3 +172,93 @@ def test_equal_scalars_hash_alike_across_modes(q, p):
     as_fraction = p.as_fraction()
     if as_fraction is not None:
         assert hash(p) == hash(as_fraction)
+
+
+# ---------------------------------------------------------------------------
+# one-term fast paths against the PRS gcd and the general division
+# ---------------------------------------------------------------------------
+
+NV = 3
+exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * NV)
+nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+polys = st.dictionaries(exponents, nonzero, min_size=1, max_size=5)
+monomials = st.dictionaries(exponents, nonzero, min_size=1, max_size=1)
+
+
+def _constant(c):
+    return {(0,) * NV: c}
+
+
+@given(polys, st.one_of(monomials, nonzero.map(_constant)))
+def test_one_term_gcd_matches_prs(p, m):
+    expected = prs_gcd(p, m)
+    assert _pgcd(p, m) == expected
+    assert _pgcd(m, p) == expected
+
+
+@given(polys, monomials)
+def test_one_term_division_matches_general_path(p, m):
+    product = _pmul(p, m)
+    assert _pdiv_exact(product, m) == general_pdiv_exact(product, m) == p
+    try:
+        expected = general_pdiv_exact(p, m)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(p, m)
+    else:
+        assert _pdiv_exact(p, m) == expected
+
+
+def test_one_term_division_raises_when_inexact():
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact({(1, 0, 0): 3}, {(0, 1, 0): 1})
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact({(1, 0, 0): 3, (0, 0, 0): 1}, _constant(3))
+
+
+@st.composite
+def rational_functions(draw):
+    k, t1 = sym("k"), sym("t1")
+    num = draw(param_scalars())
+    den = draw(param_scalars()) + draw(st.sampled_from([k, t1, k * t1 + 1]))
+    if not den:
+        den = k
+    return num / den
+
+
+@given(rational_functions(), st.integers(min_value=0, max_value=6))
+def test_power_equals_repeated_product(x, n):
+    # __pow__ skips the gcd; the n-fold product runs it at every step
+    product = PMODE.one()
+    for _ in range(n):
+        product = product * x
+    power = x ** n
+    assert (power.num, power.den) == (product.num, product.den)
+
+
+# ---------------------------------------------------------------------------
+# input limits on '^' and nesting
+# ---------------------------------------------------------------------------
+
+
+def test_exponent_limits():
+    k = sym("k")
+    assert parse_scalar(f"k^{MAX_EXPONENT}", PMODE) == k ** MAX_EXPONENT
+    assert parse_scalar("(k+1)^2^3", PMODE) == (k + 1) ** 6
+    for text in (
+        f"k^{MAX_EXPONENT + 1}",
+        "k^100000000",
+        "2^40^40",  # chained exponents multiply
+        "(k + t1 + t2 + 1)^200",  # up to C(203, 200) terms
+    ):
+        with pytest.raises(ExprSyntaxError):
+            parse_scalar(text, PMODE)
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar(f"2^{MAX_EXPONENT + 1}", RATIONAL)
+
+
+def test_nesting_limit():
+    ok = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_scalar(ok, RATIONAL) == 1
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar("(" + ok + ")", RATIONAL)
