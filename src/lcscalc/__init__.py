@@ -82,7 +82,7 @@ from .presets import (
     omega_t,
     twist_form,
 )
-from .scalar import ParamScalar, ScalarMode, parse_scalar, scalar_arith, scalar_str
+from .scalar import ParamScalar, ScalarMode, parse_scalar, scalar_str
 from .specfile import (
     algebra_to_text,
     parse_algebra_file,
@@ -154,7 +154,6 @@ __all__ = [
     "primitive",
     "restricted_gram",
     "restricted_rank",
-    "scalar_arith",
     "scalar_str",
     "star",
     "top_power",

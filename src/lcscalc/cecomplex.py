@@ -21,7 +21,7 @@ from .errors import (
     ParamModeUnsupported,
     StructureError,
 )
-from .exterior import Basis, Form, VectorField, frame_field, interior
+from .exterior import Basis, Form, VectorField, _merge_sign, frame_field, interior
 from .scalar import ParamScalar, Scalar, ScalarMode
 
 if TYPE_CHECKING:
@@ -75,9 +75,9 @@ class Algebra:
     """Invariant complex data: basis, d on generators, diagonal metric, mode.
 
     Instances are immutable after construction; derived data (d*d check,
-    bracket table, metric weights, closedness of twists, the matrices and
-    reductions of each twisted complex) is memoized, and recomputation is idempotent so concurrent
-    reads are safe.
+    bracket table, metric weights, and one store per closed twist for the
+    matrices and reductions of its complex) is memoized, and recomputation
+    is idempotent so concurrent reads are safe.
     """
 
     def __init__(
@@ -114,7 +114,6 @@ class Algebra:
         self._d2: D2Result | None = None
         self._brackets: BracketTable | None = None
         self._weights: tuple[Scalar, ...] | None = None
-        self._closed_cache: set[Form] = set()
         self._twisted: dict[Form, dict] = {}
 
     @property
@@ -147,16 +146,17 @@ class Algebra:
             )
 
     def require_closed(self, omega: Form):
+        """Check a twist is a closed 1-form; a closed twist gets its store."""
         if omega.basis != self.basis:
             raise BasisMismatch("twist form over a different basis")
         if not omega.is_zero() and omega.degree != 1:
             raise OmegaNotClosed("twist must be a 1-form")
-        if omega in self._closed_cache:
+        if omega in self._twisted:
             return
         dw = d(self, omega)
         if not dw.is_zero():
             raise OmegaNotClosed(f"twist {omega} is not closed: d = {dw}")
-        self._closed_cache.add(omega)
+        self._twisted[omega] = {}
 
     def require_rational(self, what: str):
         if self.mode.is_param:
@@ -187,36 +187,40 @@ class Algebra:
     def twisted_complex(self, omega: Form) -> TwistedComplex:
         """The complex of d_w and delta_w for a closed twist.
 
-        The structure data and the twist are checked on the first call for
-        a twist; later calls reuse the matrices and reductions already made.
+        Both checks are memoized, so only the first call for a twist does
+        work; later calls reuse the matrices and reductions already made.
         """
         from .hodge import TwistedComplex
 
-        store = self._twisted.get(omega)
-        if store is None:
-            self.require_valid()
-            self.require_closed(omega)
-            store = self._twisted[omega] = {}
-        return TwistedComplex(self, omega, store)
+        self.require_valid()
+        self.require_closed(omega)
+        return TwistedComplex(self, omega, self._twisted[omega])
 
 
 def d(alg: Algebra, a: Form) -> Form:
-    """Exterior differential extended from the generators as an antiderivation."""
+    """Exterior differential extended from the generators as an antiderivation.
+
+    On a monomial, d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}; each
+    piece merges ascending tuples into one dict, so only the result is a Form.
+    """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero() or a.degree >= alg.dim:
         return alg.basis.zero(min(a.degree + 1, alg.dim))
-    out = alg.basis.zero(a.degree + 1)
+    out: dict = {}
     for idx, c in a.terms.items():
         for m, i in enumerate(idx):
-            dg = alg.dgen[i]
-            if dg.is_zero():
-                continue
-            rest = alg.basis.monomial_form(idx[:m] + idx[m + 1 :])
-            piece = dg.wedge(rest)
-            coeff = c if m % 2 == 0 else -c
-            out = out + coeff * piece
-    return out
+            rest = idx[:m] + idx[m + 1 :]
+            for head, h in alg.dgen[i].terms.items():
+                mono, sign = _merge_sign(head, rest)
+                if mono is None:
+                    continue
+                term = c * h
+                if (sign < 0) != (m % 2 == 1):
+                    term = -term
+                prev = out.get(mono)
+                out[mono] = term if prev is None else prev + term
+    return Form(alg.basis, a.degree + 1, out)
 
 
 def check_d2(alg: Algebra) -> D2Result:

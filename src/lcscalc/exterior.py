@@ -53,9 +53,6 @@ class Basis:
     def gen(self, i: int) -> "Form":
         return self.monomial_form((i,))
 
-    def gen_by_name(self, name: str) -> "Form":
-        return self.gen(self.index(name))
-
     def zero(self, degree: int = 0) -> "Form":
         return Form(self, degree, {})
 

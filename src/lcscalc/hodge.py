@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cecomplex import Algebra, d
+from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, DegreeMismatch
-from .exterior import Form, _merge_sign, _sort_sign
+from .exterior import Form, _sort_sign
 from .linalg import nullspace, operator_matrix, rank
 from .scalar import Scalar
 
@@ -111,39 +111,15 @@ class HarmonicSpace:
 
 
 def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of d_w from degree l to l+1 in the monomial bases.
-
-    Assembled straight from the structure constants: on a monomial e_I,
-    d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}, and w ^ e_I adds
-    one generator; both pieces merge ascending tuples, so no form is built.
-    The twist must be a closed 1-form (`Algebra.twisted_complex` checks it).
-    """
+    """Matrix of d_w from degree l to l+1 in the monomial bases."""
     if degree >= alg.dim:
         return []
-    zero = alg.zero_scalar()
-    row_of = {m: r for r, m in enumerate(alg.basis.monomials(degree + 1))}
-    sources = list(alg.basis.monomials(degree))
-    rows = [[zero] * len(sources) for _ in row_of]
-    for col, idx in enumerate(sources):
-        image: dict = {}
-        pieces = [
-            (alg.dgen[i].terms, idx[:m] + idx[m + 1 :], m % 2 == 1)
-            for m, i in enumerate(idx)
-        ]
-        pieces.append((omega.terms, idx, False))
-        for terms, rest, odd in pieces:
-            for head, c in terms.items():
-                mono, sign = _merge_sign(head, rest)
-                if mono is None:
-                    continue
-                if (sign < 0) != odd:
-                    c = -c
-                prev = image.get(mono)
-                image[mono] = c if prev is None else prev + c
-        for mono, c in image.items():
-            if c:
-                rows[row_of[mono]][col] = c
-    return rows
+    images = [
+        d_omega(alg, omega, alg.basis.monomial_form(m))
+        for m in alg.basis.monomials(degree)
+    ]
+    target = list(alg.basis.monomials(degree + 1))
+    return operator_matrix(images, target, alg.zero_scalar())
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:

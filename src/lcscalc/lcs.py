@@ -75,9 +75,18 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
 def lee_form(alg: Algebra, omega2: Form) -> Form:
     """The unique 1-form w with d(Omega) = -w ^ Omega, verified closed."""
     alg.require_valid()
+    return is_lcs(alg, omega2).lee
+
+
+def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
+    """Certify nondegeneracy, recover the Lee form, check it closed and closing.
+
+    -d(Omega) from the solve is reused to check d(Omega) + w ^ Omega = 0.
+    """
     pf = top_power(alg, omega2)
     if not pf:
         raise Degenerate("top wedge power vanishes")
+    alg.require_valid()
     gens = [alg.basis.gen(i) for i in range(alg.dim)]
     images = [g.wedge(omega2) for g in gens]
     target = list(alg.basis.monomials(3))
@@ -91,16 +100,7 @@ def lee_form(alg: Algebra, omega2: Form) -> Form:
     dlee = d(alg, lee)
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")
-    return lee
-
-
-def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
-    """Bundle nondegeneracy, recovery of the Lee form and closedness."""
-    pf = top_power(alg, omega2)
-    if not pf:
-        raise Degenerate("top wedge power vanishes")
-    lee = lee_form(alg, omega2)
-    if d(alg, omega2) + lee.wedge(omega2) != alg.basis.zero(3):
+    if lee.wedge(omega2) != rhs_form:
         raise CrossCheckError("certified Lee form does not close the 2-form")
     return LcsForm(omega2, lee, pf)
 

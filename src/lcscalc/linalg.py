@@ -83,7 +83,7 @@ def operator_matrix(images: list, target_monomials: list, zero) -> list[list]:
     of source element j.
     """
     return [
-        [img.coefficient(mono) if img.coefficient(mono) else zero for img in images]
+        [img.coefficient(mono) or zero for img in images]
         for mono in target_monomials
     ]
 

@@ -11,6 +11,7 @@ Equality and zero tests are therefore structural and exact.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
@@ -423,24 +424,14 @@ class ScalarMode:
         return f"ScalarMode.params{self.symbols}"
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact arithmetic dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def _int_str(n: int) -> str:
+    """Decimal text of an integer of any size; str() refuses above 4300 digits."""
+    return str(Decimal(n))
 
 
 def _monomial_str(symbols: tuple[str, ...], e: tuple[int, ...]) -> str:
@@ -449,7 +440,7 @@ def _monomial_str(symbols: tuple[str, ...], e: tuple[int, ...]) -> str:
         if p == 1:
             parts.append(name)
         elif p > 1:
-            parts.append(f"{name}^{p}")
+            parts.append(f"{name}^{_int_str(p)}")
     return "*".join(parts)
 
 
@@ -461,9 +452,9 @@ def _poly_str(symbols: tuple[str, ...], p: dict) -> str:
         c = p[e]
         mon = _monomial_str(symbols, e)
         if mon:
-            body = mon if abs(c) == 1 else f"{abs(c)}*{mon}"
+            body = mon if abs(c) == 1 else f"{_int_str(abs(c))}*{mon}"
         else:
-            body = str(abs(c))
+            body = _int_str(abs(c))
         if not out:
             out.append(f"-{body}" if c < 0 else body)
         else:
@@ -472,11 +463,13 @@ def _poly_str(symbols: tuple[str, ...], p: dict) -> str:
 
 
 def scalar_str(x: Scalar) -> str:
-    """Canonical text form; `parse_scalar` reads it back verbatim."""
+    """Canonical text form; `parse_scalar` reads it back verbatim while every
+    integer in it has at most MAX_DIGITS digits."""
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        num = _int_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
     q = x.as_fraction()
     if q is not None:
         return scalar_str(q)
@@ -488,7 +481,7 @@ def scalar_str(x: Scalar) -> str:
                 c = -c
             if abs(c) != 1:
                 prim = _pdiv_exact(x.num, _pconst(len(x.symbols), c))
-                return f"{c}*({_poly_str(x.symbols, prim)})"
+                return f"{_int_str(c)}*({_poly_str(x.symbols, prim)})"
         return _poly_str(x.symbols, x.num)
     return f"({_poly_str(x.symbols, x.num)})/({_poly_str(x.symbols, x.den)})"
 
@@ -513,10 +506,12 @@ def needs_parens(s: str) -> bool:
 _PUNCT = "+-*/^()="
 
 # input limits: a '^' exponent (chained ones multiply), the number of terms
-# a power may reach, and parenthesis nesting, which recurses in the parser
+# a power may reach, parenthesis nesting, which recurses in the parser, and
+# the digits of an integer literal (int() refuses longer text)
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 10**6
 MAX_NESTING = 100
+MAX_DIGITS = 4300
 
 
 class Token:
@@ -532,8 +527,11 @@ class Token:
         return f"Token({self.kind!r}, {self.value!r})"
 
 
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    """Split an expression into tokens, tracking 1-based positions."""
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """Split an expression into tokens, tracking 1-based positions.
+
+    `line` and `col` place the first character of the text in its file.
+    """
     out: list[Token] = []
     i = 0
     n = len(text)
@@ -542,25 +540,32 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
         if ch in " \t\r":
             i += 1
             continue
-        col = i + 1
+        pos = col + i
         if ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            out.append(Token("int", int(text[i:j]), line, col))
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer literal of {j - i} digits is above the limit of "
+                    f"{MAX_DIGITS}",
+                    line,
+                    pos,
+                )
+            out.append(Token("int", int(text[i:j]), line, pos))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            out.append(Token("ident", text[i:j], line, col))
+            out.append(Token("ident", text[i:j], line, pos))
             i = j
         elif ch in _PUNCT:
-            out.append(Token(ch, ch, line, col))
+            out.append(Token(ch, ch, line, pos))
             i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("end", None, line, len(text) + 1))
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, pos)
+    out.append(Token("end", None, line, col + len(text)))
     return out
 
 
@@ -643,7 +648,9 @@ def _parse_exponent(cur: _Cursor, base: Scalar) -> Scalar:
         e *= t.value
         if e > MAX_EXPONENT:
             raise ExprSyntaxError(
-                f"exponent {e} is above the limit of {MAX_EXPONENT}", t.line, t.col
+                f"exponent {_int_str(e)} is above the limit of {MAX_EXPONENT}",
+                t.line,
+                t.col,
             )
     if isinstance(base, ParamScalar):
         terms = max(len(base.num), len(base.den))
@@ -695,8 +702,9 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     Grammar: sums/differences of terms; terms multiply/divide factors; a
     factor is an optionally signed atom with optional integer '^' powers;
     atoms are integers, declared parameters, or parenthesized expressions.
-    Powers and nesting are bounded by MAX_EXPONENT, MAX_POWER_TERMS and
-    MAX_NESTING; input beyond them raises ExprSyntaxError.
+    Powers, nesting and integer literals are bounded by MAX_EXPONENT,
+    MAX_POWER_TERMS, MAX_NESTING and MAX_DIGITS; input beyond them raises
+    ExprSyntaxError.
     """
     cur = _Cursor(tokenize(text))
     value = _parse_scalar_expr(cur, mode)

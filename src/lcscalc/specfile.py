@@ -106,9 +106,14 @@ def _parse_form(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
     return total
 
 
-def parse_form_expr(text: str, basis: Basis, mode: ScalarMode, line: int = 1) -> Form:
-    """Parse a form expression against a basis and coefficient mode."""
-    cur = _Cursor(tokenize(text, line))
+def parse_form_expr(
+    text: str, basis: Basis, mode: ScalarMode, line: int = 1, col: int = 1
+) -> Form:
+    """Parse a form expression against a basis and coefficient mode.
+
+    `line` and `col` place the text in its file for diagnostics.
+    """
+    cur = _Cursor(tokenize(text, line, col))
     form = _parse_form(cur, basis, mode)
     t = cur.peek()
     if t.kind != "end":
@@ -128,10 +133,11 @@ def parse_algebra_text(text: str) -> Algebra:
     """
     params: tuple[str, ...] | None = None
     generators: tuple[str, ...] | None = None
-    dlines: dict[str, tuple[str, int]] = {}
-    metric_line: tuple[str, int] | None = None
+    dlines: dict[str, tuple[str, int, int]] = {}
+    metric_line: tuple[str, int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
+        line = code.lstrip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -173,7 +179,8 @@ def parse_algebra_text(text: str) -> Algebra:
                 raise ExprSyntaxError(f"unknown generator {gen!r}", lineno, 1)
             if gen in dlines:
                 raise ExprSyntaxError(f"duplicate d line for {gen!r}", lineno, 1)
-            dlines[gen] = (expr.strip(), lineno)
+            expr = expr.strip()
+            dlines[gen] = (expr, lineno, len(code) - len(expr) + 1)
         elif head == "metric":
             if generators is None:
                 raise ExprSyntaxError("metric line before generators", lineno, 1)
@@ -182,7 +189,8 @@ def parse_algebra_text(text: str) -> Algebra:
             kind, _, entries = rest.partition(" ")
             if kind != "diag":
                 raise ExprSyntaxError("only 'metric diag' is supported", lineno, 1)
-            metric_line = (entries.strip(), lineno)
+            entries = entries.strip()
+            metric_line = (entries, lineno, len(code) - len(entries) + 1)
         else:
             raise ExprSyntaxError(f"unknown directive {head!r}", lineno, 1)
     if generators is None:
@@ -194,8 +202,8 @@ def parse_algebra_text(text: str) -> Algebra:
         if name not in dlines:
             dgen.append(basis.zero(2))
             continue
-        expr, lineno = dlines[name]
-        form = parse_form_expr(expr, basis, mode, line=lineno)
+        expr, lineno, col = dlines[name]
+        form = parse_form_expr(expr, basis, mode, line=lineno, col=col)
         if not form.is_zero() and form.degree != 2:
             raise ExprSyntaxError(
                 f"d {name} must be a 2-form, got degree {form.degree}", lineno, 1
@@ -205,8 +213,8 @@ def parse_algebra_text(text: str) -> Algebra:
         dgen.append(form)
     metric = None
     if metric_line is not None:
-        entries, lineno = metric_line
-        cur = _Cursor(tokenize(entries, lineno))
+        entries, lineno, col = metric_line
+        cur = _Cursor(tokenize(entries, lineno, col))
         scalars = []
         while cur.peek().kind != "end":
             scalars.append(_parse_scalar_atom(cur, mode))

@@ -12,9 +12,9 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
-from lcscalc.cecomplex import Algebra, d_omega
+from lcscalc.cecomplex import Algebra
 from lcscalc.exterior import Basis, Form, VectorField, frame_field
 from lcscalc.scalar import (
     _coeffs_in,
@@ -77,8 +77,6 @@ def interior_oracle(v: VectorField, theta: Form) -> Form:
     if theta.degree == 0:
         return basis.zero(0)
     out = {}
-    from itertools import combinations
-
     for rest in combinations(range(basis.dim), theta.degree - 1):
         vectors = [v] + [frame_field(basis, j) for j in rest]
         value = eval_form(theta, vectors)
@@ -88,22 +86,75 @@ def interior_oracle(v: VectorField, theta: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# twisted differential, one monomial form at a time
+# differential by the invariant-form Koszul formula (Chevalley-Eilenberg)
 # ---------------------------------------------------------------------------
 
 
-def monomial_twisted_matrix(alg: Algebra, omega: Form, degree: int):
-    """Matrix of d_w from degree l to l+1: d_omega applied to each monomial form."""
+def oracle_brackets(alg: Algebra):
+    """[X_i, X_j] = -sum_k A^k_ij X_k, read off d e^k = sum_{i<j} A^k_ij e^i^e^j."""
+    n = alg.dim
+    coeffs = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for k, dg in enumerate(alg.dgen):
+        for (i, j), a in dg.terms.items():
+            coeffs[i][j][k] = -a
+            coeffs[j][i][k] = a
+    return [[VectorField(alg.basis, tuple(coeffs[i][j])) for j in range(n)] for i in range(n)]
+
+
+def koszul_d_value(alg: Algebra, brackets, theta: Form, slots) -> Fraction:
+    """(d theta)(X_0..X_l) = sum_{i<j} (-1)^(i+j) theta([X_i,X_j], X_0..^i..^j..X_l).
+
+    The slots are frame-field indices; an invariant form is constant on
+    frame fields, so the derivative terms of the formula vanish.
+    """
+    total = Fraction(0)
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            rest = [frame_field(alg.basis, s) for m, s in enumerate(slots) if m not in (i, j)]
+            value = eval_form(theta, [brackets[slots[i]][slots[j]]] + rest)
+            total += value if (i + j) % 2 == 0 else -value
+    return total
+
+
+def wedge_value(omega: Form, theta: Form, slots) -> Fraction:
+    """(w^theta)(X_0..X_l) = sum_i (-1)^i w(X_i) theta(X_0..^i..X_l) for a 1-form w."""
+    basis = theta.basis
+    total = Fraction(0)
+    for i, s in enumerate(slots):
+        rest = [frame_field(basis, t) for m, t in enumerate(slots) if m != i]
+        value = eval_form(omega, [frame_field(basis, s)]) * eval_form(theta, rest)
+        total += value if i % 2 == 0 else -value
+    return total
+
+
+def koszul_d(alg: Algebra, theta: Form) -> Form:
+    """d theta from its values on every ascending tuple of frame fields."""
+    degree = theta.degree + 1
+    if degree > alg.dim:
+        return alg.basis.zero(alg.dim)
+    brackets = oracle_brackets(alg)
+    return Form(
+        alg.basis,
+        degree,
+        {J: koszul_d_value(alg, brackets, theta, J) for J in combinations(range(alg.dim), degree)},
+    )
+
+
+def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
+    """Matrix of d_w from degree l to l+1: entry (J, I) is (d_w e_I)(X_J)."""
     if degree >= alg.dim:
         return []
-    zero = alg.zero_scalar()
-    images = [
-        d_omega(alg, omega, alg.basis.monomial_form(m))
-        for m in alg.basis.monomials(degree)
+    brackets = oracle_brackets(alg)
+    sources = [
+        Form(alg.basis, degree, {I: Fraction(1)})
+        for I in combinations(range(alg.dim), degree)
     ]
     return [
-        [img.coefficient(m) or zero for img in images]
-        for m in alg.basis.monomials(degree + 1)
+        [
+            koszul_d_value(alg, brackets, e, J) + wedge_value(omega, e, J)
+            for e in sources
+        ]
+        for J in combinations(range(alg.dim), degree + 1)
     ]
 
 

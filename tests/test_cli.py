@@ -169,6 +169,61 @@ def test_oversized_power_is_an_input_error(tmp_path, capsys):
     _assert_one_line_input_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "generators a b\nd a = k^100000000 a^b\n",
+            "parameter 'k' is not declared (line 2, column 7)",
+        ),
+        (
+            "generators a b c d\nmetric diag 1 1 1 x\n",
+            "parameter 'x' is not declared (line 2, column 19)",
+        ),
+        (
+            "generators a b\nd a = " + "7" * 5000 + " a^b\n",
+            "literal of 5000 digits is above the limit of 4300 (line 2, column 7)",
+        ),
+    ],
+    ids=["d-line-column", "metric-line-column", "overlong-literal"],
+)
+def test_file_errors_give_the_line_and_column(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert message in err
+
+
+def _decimal_digits(n: int) -> str:
+    """Decimal text of a positive integer by chunked divmod, so str() is not used."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**100)
+        chunks.append(f"{r:0100d}")
+    return "".join(reversed(chunks)).lstrip("0")
+
+
+def test_integers_beyond_the_str_limit_render(tmp_path, capsys):
+    path = tmp_path / "torus.alg"
+    path.write_text(TORUS_FILE)
+    assert main(["lcs", str(path), "--form", "99999^1000 e1^e2 + 1 e3^e4"]) == 0
+    out = capsys.readouterr().out
+    power = _decimal_digits(99999**1000)
+    assert len(power) == 5000
+    assert f"form: {power} e1^e2 + 1 e3^e4\n" in out
+    assert f"pfaffian: {_decimal_digits(2 * 99999**1000)}\n" in out
+
+
+def test_lcs_on_two_generators(tmp_path, capsys):
+    path = tmp_path / "plane.alg"
+    path.write_text("generators a b\n")
+    assert main(["lcs", str(path), "--form", "1 a^b"]) == 0
+    out = capsys.readouterr().out
+    assert "lee form: 0" in out
+
+
 def test_cohomology_report(acfm_path, capsys):
     assert main(["cohomology", acfm_path, "--omega", "-1 gamma"]) == 0
     out = capsys.readouterr().out

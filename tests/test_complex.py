@@ -1,7 +1,9 @@
-"""The per-twist complex against independent oracles.
+"""The differential and the per-twist complex against independent oracles.
 
-(a) the d_w matrix assembled from the structure constants equals the one
-    built by applying d_omega to one monomial form at a time;
+(a) d, and the d_w matrix built from it, equal the invariant-form Koszul
+    formula evaluated on frame fields (`helpers.koszul_d`), with brackets
+    read straight off the structure constants; this holds also for
+    structure data with d*d != 0, since d is an antiderivation either way;
 (b) every harmonic basis equals the kernel of the stacked [d_w; delta_w]
     matrix under the Fraction-only row reduction of `helpers`;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
@@ -14,6 +16,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,12 +25,14 @@ from helpers import (
     change_of_basis,
     fraction_nullspace,
     invert_matrix,
-    monomial_twisted_matrix,
+    koszul_d,
+    koszul_twisted_matrix,
+    perturb_algebra,
     random_good_algebra,
     random_invertible,
 )
 from lcscalc import hodge, linalg
-from lcscalc.cecomplex import Algebra
+from lcscalc.cecomplex import Algebra, d
 from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report
 from lcscalc.exterior import Basis, Form
@@ -69,23 +74,65 @@ def dense_preset_product(seed: int, n: int, mode: ScalarMode):
 
 
 RATIONAL_CASES = [(1, 5), (2, 6), (3, 6)]
+PARAM_MODE = ScalarMode.params("n", "k", "lambda")
 
 
 @pytest.mark.parametrize("seed,n", RATIONAL_CASES)
 def test_assembled_matrix_matches_monomial_route(seed, n):
+    """d_w equals the Koszul formula evaluated on each monomial and frame tuple."""
     alg, w = dense_preset_product(seed, n, ScalarMode.rational())
     for degree in range(n + 1):
-        assert twisted_matrix(alg, w, degree) == monomial_twisted_matrix(alg, w, degree)
+        assert twisted_matrix(alg, w, degree) == koszul_twisted_matrix(alg, w, degree)
 
 
 def test_assembled_matrix_matches_monomial_route_in_param_mode():
-    alg, w = dense_preset_product(4, 5, ScalarMode.params("n", "k", "lambda"))
+    alg, w = dense_preset_product(4, 5, PARAM_MODE)
     for degree in range(6):
-        assert twisted_matrix(alg, w, degree) == monomial_twisted_matrix(alg, w, degree)
+        assert twisted_matrix(alg, w, degree) == koszul_twisted_matrix(alg, w, degree)
+
+
+def _random_form(rng: random.Random, alg: Algebra, degree: int) -> Form:
+    """A form with a random coefficient (zero included) on every monomial."""
+    coeffs = [Fraction(c) for c in range(-3, 4)]
+    if alg.mode.is_param:
+        k, n = alg.mode.symbol("k"), alg.mode.symbol("n")
+        coeffs += [k, 2 * k - n, k * n / 3]
+    terms = {m: rng.choice(coeffs) for m in combinations(range(alg.dim), degree)}
+    return Form(alg.basis, degree, terms)
+
+
+def _assert_d_matches_koszul(alg: Algebra, rng: random.Random):
+    for degree in range(alg.dim + 1):
+        theta = _random_form(rng, alg, degree)
+        assert d(alg, theta) == koszul_d(alg, theta)
+
+
+@pytest.mark.parametrize("seed,n", RATIONAL_CASES)
+def test_d_matches_koszul_formula_on_dense_algebras(seed, n):
+    rng = random.Random(seed)
+    alg, _ = dense_preset_product(seed, n, ScalarMode.rational())
+    _assert_d_matches_koszul(alg, rng)
+    _assert_d_matches_koszul(random_good_algebra(rng, n), rng)
+
+
+def test_d_matches_koszul_formula_in_param_mode():
+    alg, _ = dense_preset_product(4, 5, PARAM_MODE)
+    _assert_d_matches_koszul(alg, random.Random(4))
+
+
+def test_d_matches_koszul_formula_without_jacobi():
+    rng = random.Random(7)
+    broken = 0
+    for n in (4, 5, 5):
+        alg, _ = dense_preset_product(rng.randrange(100), n, ScalarMode.rational())
+        alg = perturb_algebra(rng, alg)
+        broken += not alg.check_d2().ok
+        _assert_d_matches_koszul(alg, rng)
+    assert broken
 
 
 def _stacked_oracle(alg, omega, degree):
-    rows = monomial_twisted_matrix(alg, omega, degree) + cotwisted_matrix(alg, omega, degree)
+    rows = koszul_twisted_matrix(alg, omega, degree) + cotwisted_matrix(alg, omega, degree)
     return fraction_nullspace(rows, len(list(alg.basis.monomials(degree))))
 
 

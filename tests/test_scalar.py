@@ -11,6 +11,7 @@ from lcscalc.errors import (
     UndeclaredParameter,
 )
 from lcscalc.scalar import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_NESTING,
     ParamScalar,
@@ -19,7 +20,6 @@ from lcscalc.scalar import (
     _pgcd,
     _pmul,
     parse_scalar,
-    scalar_arith,
     scalar_str,
 )
 
@@ -34,7 +34,7 @@ def sym(name):
 
 
 def test_rational_addition():
-    assert scalar_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 def test_param_product_normalizes():
@@ -47,14 +47,14 @@ def test_param_product_normalizes():
 
 def test_param_division_gives_rational_function():
     k = sym("k")
-    value = scalar_arith(PMODE.one(), 2 * k, "div")
+    value = PMODE.one() / (2 * k)
     assert scalar_str(value) == "(1)/(2*k)"
     assert value * (2 * k) == PMODE.one()
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(PMODE.one(), PMODE.zero(), "div")
+        PMODE.one() / PMODE.zero()
     with pytest.raises(DivisionByZero):
         parse_scalar("1/0", RATIONAL)
 
@@ -117,7 +117,7 @@ def param_scalars(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         piece = draw(st.sampled_from([k, t1, PMODE.from_fraction(draw(small_ints))]))
         op = draw(st.sampled_from(["add", "mul", "sub"]))
-        value = scalar_arith(value, piece, op)
+        value = {"add": value + piece, "mul": value * piece, "sub": value - piece}[op]
     return value
 
 
@@ -237,7 +237,7 @@ def test_power_equals_repeated_product(x, n):
 
 
 # ---------------------------------------------------------------------------
-# input limits on '^' and nesting
+# input limits on '^', nesting and integer literals
 # ---------------------------------------------------------------------------
 
 
@@ -262,3 +262,10 @@ def test_nesting_limit():
     assert parse_scalar(ok, RATIONAL) == 1
     with pytest.raises(ExprSyntaxError):
         parse_scalar("(" + ok + ")", RATIONAL)
+
+
+def test_integer_literal_limit():
+    assert parse_scalar("7" * MAX_DIGITS, RATIONAL) == int("7" * MAX_DIGITS)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_scalar("1 + " + "7" * (MAX_DIGITS + 1), RATIONAL)
+    assert info.value.col == 5
