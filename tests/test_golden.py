@@ -2,7 +2,8 @@
 
 Every case runs in text and in `--json` form from inside `tests/golden/`,
 so the echoed input path is the bare file name.  `<case>.txt` and
-`<case>.json` hold the expected stdout; the exit code is part of the case.
+`<case>.json` hold the expected stdout; the exit code is part of the case,
+and so is stderr, which is empty unless `STDERR` names the one line expected.
 """
 
 from __future__ import annotations
@@ -50,6 +51,25 @@ CASES = {
     ),
     "acfm_theorem1": (["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--theorem1"], 0),
     "check_d2_failure": (["check", "broken.alg"], 2),
+    "check_acfm": (["check", "acfm.alg"], 0),
+    "check_params": (["check", "params.alg"], 0),
+    "acfm_pfaffians_symbolic": (
+        ["acfm", "--param-mode", "--pfaffian-t", "--pfaffian-s"],
+        0,
+    ),
+    "acfm_pfaffians_numeric": (
+        ["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--pfaffian-t", "--pfaffian-s"],
+        0,
+    ),
+    "moser_fail_first": (
+        ["moser", "acfm.alg", "--family", "1 alpha^beta; 2 alpha^eta + 1 beta^gamma"],
+        2,
+    ),
+    "lcs_degenerate": (["lcs", "acfm.alg", "--form", "1 alpha^beta"], 2),
+}
+
+STDERR = {
+    "lcs_degenerate": "lcscalc: failure: Degenerate: top wedge power vanishes\n",
 }
 
 
@@ -61,5 +81,5 @@ def test_golden_report(case, suffix, capsys, monkeypatch):
     flags = ["--json"] if suffix == "json" else []
     assert main(argv + flags) == code
     out, err = capsys.readouterr()
-    assert err == ""
+    assert err == STDERR.get(case, "")
     assert out == (GOLDEN / f"{case}.{suffix}").read_text(encoding="utf-8")
