@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     BasisMismatch,
+    DegreeMismatch,
     InvalidMetric,
     OmegaNotClosed,
     ParamModeUnsupported,
@@ -150,7 +151,7 @@ class Algebra:
         if omega.basis != self.basis:
             raise BasisMismatch("twist form over a different basis")
         if not omega.is_zero() and omega.degree != 1:
-            raise OmegaNotClosed("twist must be a 1-form")
+            raise DegreeMismatch("twist must be a 1-form")
         if omega in self._twisted:
             return
         dw = d(self, omega)

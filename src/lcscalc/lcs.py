@@ -65,6 +65,8 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
         raise OddDimension(f"top power needs an even number of generators, got {alg.dim}")
     if omega2.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
+    if not omega2.is_zero() and omega2.degree != 2:
+        raise DegreeMismatch("top power needs a 2-form")
     power = alg.basis.one(alg.one_scalar())
     for _ in range(alg.dim // 2):
         power = power.wedge(omega2)

@@ -8,7 +8,8 @@ The `acfm` preset uses generators (alpha, beta, gamma, eta) with
 the identity metric, and nonzero parameters n (an integer), k and lambda.
 The named 2-form families and the exact twisted forms are assembled through
 the public algebra operations, never hard-coded, so every identity they
-satisfy is recomputed by the calculus itself.
+satisfy is recomputed by the calculus itself.  `theorem1` certifies the
+Lee forms and twisted classes of both families on a sampled grid.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cecomplex import Algebra, d_omega
-from .errors import CrossCheckError, InvalidParams
+from .cohomology import class_coords
+from .errors import CrossCheckError, InvalidParams, MathError
 from .exterior import Basis, Form
+from .lcs import is_lcs, top_power
 from .scalar import ParamScalar, Scalar, ScalarMode
 
 ACFM_GENERATORS = ("alpha", "beta", "gamma", "eta")
@@ -161,3 +164,82 @@ def exact_lcs(alg: Algebra, sign: int) -> Form:
     if result != expected:
         raise CrossCheckError("twisted differential of eta has unexpected value")
     return result
+
+
+# form maker, twist sign and class representative of each 2-form family
+FAMILIES = {"t": (omega_t, -1, (0, 3)), "s": (omega_s, 1, (1, 3))}
+FAMILY_SYMBOLS = ("t1", "t2", "t3", "s1", "s2", "s3")
+
+# coefficient triples (c1, c2, c3) at which `theorem1` samples each family
+THEOREM1_GRID = (
+    (Fraction(1), Fraction(1), Fraction(0)),
+    (Fraction(2), Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(2), Fraction(0)),
+    (Fraction(3), Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(3), Fraction(0)),
+    (Fraction(2), Fraction(3), Fraction(0)),
+    (Fraction(1, 2), Fraction(3), Fraction(0)),
+    (Fraction(2), Fraction(1), Fraction(1)),
+    (Fraction(5), Fraction(2), Fraction(1)),
+    (Fraction(7), Fraction(1), Fraction(2)),
+    (Fraction(2), Fraction(5), Fraction(3)),
+    (Fraction(-2), Fraction(-1), Fraction(0)),
+)
+
+
+def family_pfaffian(family: str, params: AcfmParams | None = None) -> Scalar:
+    """Top power of the t or s family with formal coefficients t1..s3.
+
+    Without `params`, n, k and lambda are formal symbols as well.
+    """
+    if family not in FAMILIES:
+        raise InvalidParams(f"unknown family {family!r}; expected 't' or 's'")
+    maker = FAMILIES[family][0]
+    if params is None:
+        alg = acfm_symbolic(FAMILY_SYMBOLS)
+    else:
+        alg = acfm(params, ScalarMode.params(*FAMILY_SYMBOLS))
+    coeffs = (alg.mode.symbol(f"{family}{i}") for i in (1, 2, 3))
+    return top_power(alg, maker(alg, *coeffs))
+
+
+@dataclass(frozen=True)
+class Theorem1Family:
+    """What `theorem1` certified for one family on a rational preset."""
+
+    family: str
+    pfaffian: Scalar  # `family_pfaffian` at the preset's n, k, lambda
+    lee: Form  # the Lee form shared by every nondegenerate member
+    representative: Form  # each class is c1 times the class of this form
+    instances_checked: int  # nondegenerate grid points, each a nonzero class
+
+
+def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
+    """Certify the t and s families of the preset with these parameters.
+
+    At every nondegenerate point of THEOREM1_GRID the Lee form must be the
+    family's twist and the class coordinates c1 times the representative's,
+    not all zero; otherwise MathError is raised.
+    """
+    params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
+    alg = acfm(params)
+    results = []
+    for family, (maker, twist_sign, harmonic_rep) in FAMILIES.items():
+        pfaffian = family_pfaffian(family, params)
+        twist = twist_form(alg, twist_sign)
+        rep = alg.basis.monomial_form(harmonic_rep)
+        rep_coords = class_coords(alg, twist, rep)
+        checked = 0
+        for c1, c2, c3 in THEOREM1_GRID:
+            form = maker(alg, c1, c2, c3)
+            if not top_power(alg, form):
+                continue
+            cert = is_lcs(alg, form)
+            if cert.lee != twist:
+                raise MathError(f"family {family}: unexpected Lee form {cert.lee}")
+            coords = class_coords(alg, twist, form)
+            if coords != tuple(c1 * c for c in rep_coords) or not any(coords):
+                raise MathError(f"family {family}: unexpected class coordinates")
+            checked += 1
+        results.append(Theorem1Family(family, pfaffian, twist, rep, checked))
+    return tuple(results)

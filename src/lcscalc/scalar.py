@@ -541,9 +541,9 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
             i += 1
             continue
         pos = col + i
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ExprSyntaxError(

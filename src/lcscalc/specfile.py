@@ -88,6 +88,9 @@ def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
         )
     if not gens:
         return Form(basis, 0, {(): coeff})
+    if len(gens) > basis.dim:
+        # a longer chain repeats a generator, so it is zero (as in `Form.wedge`)
+        return basis.zero(basis.dim)
     return Form(basis, len(gens), {tuple(gens): coeff})
 
 
@@ -167,7 +170,7 @@ def parse_algebra_text(text: str) -> Algebra:
                 raise ExprSyntaxError(
                     f"names used as both parameter and generator: {clash}", lineno, 1
                 )
-            generators = names
+            generators, generators_line = names, lineno
         elif head == "d":
             if generators is None:
                 raise ExprSyntaxError("d line before generators", lineno, 1)
@@ -196,11 +199,16 @@ def parse_algebra_text(text: str) -> Algebra:
     if generators is None:
         raise ExprSyntaxError("missing generators line", 1, 1)
     mode = ScalarMode.params(*params) if params else ScalarMode.rational()
-    basis = Basis(generators)
+    try:
+        basis = Basis(generators)
+    except ValueError as exc:
+        raise ExprSyntaxError(str(exc), generators_line, 1) from None
+    # with one generator there are no 2-forms; the zero form stands for any degree
+    zero = basis.zero(min(2, basis.dim))
     dgen = []
     for name in generators:
         if name not in dlines:
-            dgen.append(basis.zero(2))
+            dgen.append(zero)
             continue
         expr, lineno, col = dlines[name]
         form = parse_form_expr(expr, basis, mode, line=lineno, col=col)
@@ -208,9 +216,7 @@ def parse_algebra_text(text: str) -> Algebra:
             raise ExprSyntaxError(
                 f"d {name} must be a 2-form, got degree {form.degree}", lineno, 1
             )
-        if form.is_zero():
-            form = basis.zero(2)
-        dgen.append(form)
+        dgen.append(zero if form.is_zero() else form)
     metric = None
     if metric_line is not None:
         entries, lineno, col = metric_line

@@ -14,7 +14,7 @@ from lcscalc.cecomplex import (
     jacobi_check,
     lie_derivative,
 )
-from lcscalc.errors import OmegaNotClosed
+from lcscalc.errors import DegreeMismatch, OmegaNotClosed
 from lcscalc.exterior import Basis, Form, frame_field
 from lcscalc.presets import acfm_rational, acfm_symbolic, twist_form
 from lcscalc.specfile import parse_algebra_text
@@ -105,6 +105,11 @@ def test_d_omega_examples(acfm111):
 def test_d_omega_requires_closed(acfm111):
     with pytest.raises(OmegaNotClosed):
         d_omega(acfm111, acfm111.basis.gen(3), acfm111.basis.gen(0))
+
+
+def test_twist_of_another_degree_is_an_input_error(acfm111):
+    with pytest.raises(DegreeMismatch):
+        acfm111.require_closed(F(acfm111, "1 alpha^beta"))
 
 
 def test_d_omega_squares_to_zero(acfm111):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from lcscalc import cli
+from lcscalc.cecomplex import JacobiResult
 from lcscalc.cli import main
 from lcscalc.errors import ExprSyntaxError, InvalidMetric, UndeclaredParameter
 from lcscalc.specfile import (
@@ -96,6 +98,12 @@ def test_file_errors_carry_lines():
         parse_algebra_text("generators a b\nd c = 1 a^b\n")
     with pytest.raises(ExprSyntaxError):
         parse_algebra_text("params a\ngenerators a b\n")
+
+
+def test_chains_longer_than_the_dimension_are_zero():
+    assert parse_algebra_text("generators a\nd a = 1 a^a\n").dgen[0].is_zero()
+    alg = parse_algebra_text("generators a b\nd a = 2 a^b^a + 1 a^b\n")
+    assert alg.dgen[0] == alg.basis.monomial_form((0, 1))
 
 
 def test_form_expression_grammar():
@@ -196,6 +204,71 @@ def test_file_errors_give_the_line_and_column(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "names,message",
+    [
+        ("a a", "generator names must be distinct"),
+        ("1a", "invalid generator name '1a'"),
+        (" ".join(f"e{i}" for i in range(17)), "need 1..16 generators, got 17"),
+    ],
+    ids=["duplicate", "invalid", "seventeen"],
+)
+def test_bad_generator_lines_are_input_errors(tmp_path, capsys, names, message):
+    path = tmp_path / "gens.alg"
+    path.write_text(f"# names\ngenerators {names}\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert f"ExprSyntaxError: {message} (line 2, column 1)" in err
+
+
+def test_one_generator_reports(tmp_path, capsys):
+    path = tmp_path / "line.alg"
+    path.write_text("generators a\nd a = 0\n")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "d2: pass\njacobi: pass\nunimodular: true\n" in out
+    # the real line: untwisted cohomology is that of R, any nonzero twist kills it
+    assert main(["cohomology", str(path), "--omega", "0"]) == 0
+    assert "dims: 1 1\n" in capsys.readouterr().out
+    assert main(["cohomology", str(path), "--omega", "3 a"]) == 0
+    assert "dims: 0 0\n" in capsys.readouterr().out
+
+
+def test_only_decimal_digits_are_numbers(tmp_path, capsys):
+    path = tmp_path / "digits.alg"
+    path.write_text("generators a b\nd a = 2\u00b2 a^b\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert "unexpected character '\u00b2' (line 2, column 8)" in err
+    # decimal digits of other scripts still read as numbers
+    alg = parse_algebra_text("generators a b\nd a = \u0663 a^b\n")
+    assert alg.dgen[0] == 3 * alg.basis.monomial_form((0, 1))
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["7" * 5000, "1e1000000000", "0.5"],
+    ids=["5000-digits", "exponent", "decimal"],
+)
+def test_acfm_parameters_are_exact_scalars(capsys, value):
+    assert main(["acfm", "--n", value, "--k", "1", "--lambda", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 160
+    assert err.startswith("lcscalc acfm: error: argument --n: ExprSyntaxError: ")
+
+
+def test_acfm_parameters_take_scalar_expressions(capsys):
+    assert main(["acfm", "--n", "(2)^3", "--k=-3/2", "--lambda", "1/3"]) == 0
+    assert "params: n=8 k=-3/2 lambda=1/3\n" in capsys.readouterr().out
+
+
+def test_unrecognized_arguments_stay_on_one_line(capsys):
+    assert main(["check", "x.alg", "a\nb"]) == 1
+    assert capsys.readouterr().err == "lcscalc: error: unrecognized arguments: a b\n"
+
+
 def _decimal_digits(n: int) -> str:
     """Decimal text of a positive integer by chunked divmod, so str() is not used."""
     chunks = []
@@ -237,6 +310,21 @@ def test_cohomology_omega_not_closed(acfm_path, capsys):
     assert "OmegaNotClosed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,option,text",
+    [
+        ("cohomology", "--omega", "1 alpha^beta"),
+        ("lcs", "--form", "1 alpha"),
+        ("moser", "--family", "2 alpha^eta + 1 beta^gamma; 1 alpha"),
+    ],
+)
+def test_wrong_degree_is_an_input_error(acfm_path, capsys, command, option, text):
+    assert main([command, acfm_path, option, text]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert "DegreeMismatch" in err
+
+
 def test_cohomology_torus(tmp_path, capsys):
     path = tmp_path / "torus.alg"
     path.write_text(TORUS_FILE)
@@ -276,6 +364,18 @@ def test_lcs_degenerate(acfm_path, capsys):
     captured = capsys.readouterr()
     assert "pfaffian: 0" in captured.out
     assert "Degenerate" in captured.err
+
+
+def test_jacobi_failure_after_d2_is_a_cross_check_error(acfm_path, capsys, monkeypatch):
+    # d*d = 0 is equivalent to the Jacobi identity, so the second route must agree
+    failing = JacobiResult(False, (0, 1, 2))
+    monkeypatch.setattr(cli, "jacobi_check", lambda brackets: failing)
+    assert main(["check", acfm_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lcscalc: failure: CrossCheckError: Jacobi identity fails although d*d = 0\n"
+    )
 
 
 def test_moser_pass(acfm_path, capsys):

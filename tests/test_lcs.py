@@ -5,6 +5,7 @@ import pytest
 from helpers import F, V, fraction_nullspace
 from lcscalc.cecomplex import d, d_omega, lie_derivative
 from lcscalc.errors import (
+    DegreeMismatch,
     Degenerate,
     LeeNotClosed,
     NoSolution,
@@ -80,6 +81,13 @@ def test_lee_form_errors(acfm111):
     # solvable but with a non-closed solution
     with pytest.raises(LeeNotClosed):
         lee_form(acfm111, F(acfm111, "1 alpha^eta + 1 gamma^eta + 1 beta^gamma"))
+
+
+def test_top_power_needs_a_2_form(acfm111):
+    for text in ("1 alpha", "1 alpha^beta^gamma", "2"):
+        with pytest.raises(DegreeMismatch):
+            top_power(acfm111, F(acfm111, text))
+    assert top_power(acfm111, F(acfm111, "0")) == 0
 
 
 def test_lee_form_no_solution_in_dim_six():

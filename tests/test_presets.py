@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,19 +6,24 @@ import pytest
 from helpers import F
 from lcscalc.cecomplex import check_d2, d
 from lcscalc.cohomology import primitive
-from lcscalc.errors import InvalidParams
+from lcscalc import presets
+from lcscalc.errors import InvalidParams, MathError
 from lcscalc.lcs import is_lcs, top_power
 from lcscalc.presets import (
+    FAMILY_SYMBOLS,
+    THEOREM1_GRID,
     AcfmParams,
     acfm,
     acfm_rational,
     acfm_symbolic,
     exact_lcs,
+    family_pfaffian,
     omega_s,
     omega_t,
+    theorem1,
     twist_form,
 )
-from lcscalc.scalar import ScalarMode
+from lcscalc.scalar import ScalarMode, parse_scalar
 
 
 def test_rational_structure(acfm111):
@@ -110,3 +116,73 @@ def test_param_mode_n_symbolic():
     mode = ScalarMode.params("n", "k", "lambda")
     alg = acfm(AcfmParams(mode.symbol("n"), mode.symbol("k"), mode.symbol("lambda")), mode)
     assert check_d2(alg).ok
+
+
+# Top powers by hand: Omega^2 = 2 Pf(Omega) alpha^beta^gamma^eta, with
+# Pf = a01 a23 - a02 a13 + a03 a12 on the coefficients a_ij of e_i^e_j.
+# t family: a03 = t1, a12 = t2, a01 = n*lambda*t3, a23 = -k*t3.
+# s family: a13 = s1, a02 = s2, a01 = n*lambda*s3, a23 = k*s3.
+PFAFFIANS = {
+    "t": "2*(t1*t2 - n*k*lambda*t3^2)",
+    "s": "2*(n*k*lambda*s3^2 - s1*s2)",
+}
+
+
+@pytest.mark.parametrize("family", ["t", "s"])
+def test_family_pfaffian_symbolic(family):
+    mode = ScalarMode.params("n", "k", "lambda", *FAMILY_SYMBOLS)
+    assert family_pfaffian(family) == parse_scalar(PFAFFIANS[family], mode)
+
+
+@pytest.mark.parametrize("family", ["t", "s"])
+def test_family_pfaffian_numeric(family):
+    mode = ScalarMode.params(*FAMILY_SYMBOLS)
+    expected = PFAFFIANS[family].replace("n*k*lambda", "(2*3*5)")
+    value = family_pfaffian(family, AcfmParams(Fraction(2), Fraction(3), Fraction(5)))
+    assert value == parse_scalar(expected, mode)
+
+
+def test_family_pfaffian_rejects_unknown_families_and_params():
+    with pytest.raises(InvalidParams):
+        family_pfaffian("u")
+    with pytest.raises(InvalidParams):
+        family_pfaffian("t", AcfmParams(Fraction(1), Fraction(0), Fraction(1)))
+
+
+# (1, 1, 2) makes the grid point (2, 1, 1) degenerate: c1*c2 = n*k*lambda*c3^2
+@pytest.mark.parametrize("n,k,lam", [(1, 2, 3), (1, 1, 2)])
+def test_theorem1_certifies_both_families(n, k, lam):
+    results = theorem1(n, k, lam)
+    alg = acfm_rational(n, k, lam)
+    assert [r.family for r in results] == ["t", "s"]
+    for r, sign, rep in zip(results, (-1, 1), ("1 alpha^eta", "1 beta^eta")):
+        assert r.lee == twist_form(alg, sign)
+        assert r.representative == F(alg, rep)
+        assert r.pfaffian == family_pfaffian(r.family, AcfmParams(n, k, lam))
+        # the grid points where the hand-computed Pfaffian is nonzero
+        sampled = [c1 * c2 - n * k * lam * c3**2 for c1, c2, c3 in THEOREM1_GRID]
+        assert r.instances_checked == sum(1 for pf in sampled if pf)
+    assert results[0].instances_checked == (12 if (n, k, lam) == (1, 2, 3) else 11)
+
+
+def test_theorem1_raises_on_a_wrong_lee_form(monkeypatch):
+    real = presets.is_lcs
+
+    def shifted(alg, form):
+        cert = real(alg, form)
+        return dataclasses.replace(cert, lee=cert.lee + alg.basis.gen(0))
+
+    monkeypatch.setattr(presets, "is_lcs", shifted)
+    with pytest.raises(MathError, match="family t: unexpected Lee form"):
+        theorem1(1, 2, 3)
+
+
+def test_theorem1_raises_on_wrong_class_coordinates(monkeypatch):
+    real = presets.class_coords
+
+    def zeros(alg, w, form):
+        return tuple(0 * c for c in real(alg, w, form))
+
+    monkeypatch.setattr(presets, "class_coords", zeros)
+    with pytest.raises(MathError, match="family t: unexpected class coordinates"):
+        theorem1(1, 2, 3)
