@@ -22,7 +22,7 @@ from .errors import (
     ParamModeUnsupported,
     StructureError,
 )
-from .exterior import Basis, Form, VectorField, _merge_sign, frame_field, interior
+from .exterior import Basis, Form, VectorField, frame_field, interior
 from .scalar import ParamScalar, Scalar, ScalarMode
 
 if TYPE_CHECKING:
@@ -202,26 +202,24 @@ def d(alg: Algebra, a: Form) -> Form:
     """Exterior differential extended from the generators as an antiderivation.
 
     On a monomial, d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}; each
-    piece merges ascending tuples into one dict, so only the result is a Form.
+    piece is a raw pair `(head + rest, coefficient)`, so only the result is a Form.
     """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero() or a.degree >= alg.dim:
         return alg.basis.zero(min(a.degree + 1, alg.dim))
-    out: dict = {}
-    for idx, c in a.terms.items():
-        for m, i in enumerate(idx):
-            rest = idx[:m] + idx[m + 1 :]
-            for head, h in alg.dgen[i].terms.items():
-                mono, sign = _merge_sign(head, rest)
-                if mono is None:
-                    continue
-                term = c * h
-                if (sign < 0) != (m % 2 == 1):
-                    term = -term
-                prev = out.get(mono)
-                out[mono] = term if prev is None else prev + term
-    return Form(alg.basis, a.degree + 1, out)
+
+    def pairs():
+        for idx, c in a.terms.items():
+            for m, i in enumerate(idx):
+                rest = idx[:m] + idx[m + 1 :]
+                c_m = c if m % 2 == 0 else -c
+                # heads are ascending pairs: d of a generator is a 2-form
+                for head, h in alg.dgen[i].terms.items():
+                    if head[0] not in rest and head[1] not in rest:
+                        yield head + rest, c_m * h
+
+    return Form(alg.basis, a.degree + 1, pairs())
 
 
 def check_d2(alg: Algebra) -> D2Result:

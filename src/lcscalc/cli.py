@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -239,9 +240,9 @@ def cmd_moser(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_theorem1(report: _Report, n, k, lam) -> None:
+def _add_theorem1(report: _Report, results) -> None:
     families, lines = {}, []
-    for result in presets.theorem1(n, k, lam):
+    for result in results:
         f, checked = result.family, result.instances_checked
         pf, lee = scalar_str(result.pfaffian), form_str(result.lee)
         rep = form_str(result.representative)
@@ -266,6 +267,8 @@ def cmd_acfm(args) -> int:
         raise InputError("--theorem1 needs numeric parameters, not --param-mode")
     if args.param_mode and not wants_pfaffian:
         raise InputError("--param-mode supports only --pfaffian-t / --pfaffian-s")
+    if args.param_mode and (args.n, args.k, args.lam) != (None, None, None):
+        raise InputError("--param-mode takes no --n, --k or --lambda")
     if not args.param_mode:
         if args.n is None or args.k is None or args.lam is None:
             raise InputError("--n, --k and --lambda are required without --param-mode")
@@ -279,17 +282,21 @@ def cmd_acfm(args) -> int:
         shown = {name: scalar_str(value) for name, value in shown.items()}
         text = " ".join(f"{name}={value}" for name, value in shown.items())
         report.add("params", shown, [f"params: {text}"])
+    theorem1 = presets.theorem1(args.n, args.k, args.lam) if args.theorem1 else ()
+    # reuse the family Pfaffians that theorem 1 has computed
+    pfaffians = {result.family: result.pfaffian for result in theorem1}
     for family, wanted in (("t", args.pfaffian_t), ("s", args.pfaffian_s)):
         if wanted:
-            value = presets.family_pfaffian(family, params)
-            report.add(f"pfaffian_{family}", scalar_str(value))
+            if family not in pfaffians:
+                pfaffians[family] = presets.family_pfaffian(family, params)
+            report.add(f"pfaffian_{family}", scalar_str(pfaffians[family]))
     if args.param_mode:
         report.emit(args.json)
         return 0
     structure, code = _structure_report(presets.acfm(params), "(preset)")
     report.add("structure", structure.payload(), structure.lines()[1:])
-    if args.theorem1:
-        _add_theorem1(report, args.n, args.k, args.lam)
+    if theorem1:
+        _add_theorem1(report, theorem1)
     report.emit(args.json)
     return code
 
@@ -346,6 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # a report still in the buffer meets a closed reader here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the rest goes to devnull, as in
+        # the SIGPIPE note of Python's signal docs, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -353,6 +373,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout is not an input-file error
     except OSError as exc:
         print(f"lcscalc: error: {exc}", file=sys.stderr)
         return 1

@@ -54,8 +54,7 @@ def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
         rhs = [theta.coefficient(m) or zero for m in alg.basis.monomials(degree)]
         sol = solve(cx.d_matrix(degree - 1), rhs, cx.size(degree - 1), zero)
     if sol is not None:
-        terms = {m: c for m, c in zip(alg.basis.monomials(degree - 1), sol) if c}
-        prim = Form(alg.basis, degree - 1, terms)
+        prim = Form(alg.basis, degree - 1, zip(alg.basis.monomials(degree - 1), sol))
         if d_omega(alg, omega, prim) != theta:
             raise CrossCheckError("primitive verification failed")
         return ExactnessCertificate(True, primitive=prim)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import BasisMismatch, DegreeMismatch
@@ -79,27 +79,6 @@ def _sort_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two ascending tuples counting crossings; None on repeats."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 def _coerce_coeff(c):
     if isinstance(c, int):
         return Fraction(c)
@@ -111,11 +90,23 @@ class Form:
 
     __slots__ = ("basis", "degree", "terms")
 
-    def __init__(self, basis: Basis, degree: int, terms: dict):
+    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple]):
+        """Canonical terms from a dict or any `(index tuple, coefficient)` pairs.
+
+        Pairs with the same raw tuple are added up; each distinct tuple is
+        then sorted once and signed, tuples with a repeated index are dropped,
+        and terms that sort to the same tuple are combined, dropping zeros.
+        """
         if not 0 <= degree <= basis.dim:
             raise ValueError(f"degree {degree} out of range for dim {basis.dim}")
+        if isinstance(terms, dict):
+            terms = terms.items()
+        raw: dict = {}
+        for idx, c in terms:
+            prev = raw.get(idx)
+            raw[idx] = c if prev is None else prev + c
         clean: dict = {}
-        for idx, c in terms.items():
+        for idx, c in raw.items():
             c = _coerce_coeff(c)
             if not c:
                 continue
@@ -165,15 +156,8 @@ class Form:
             raise DegreeMismatch(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s:
-                out[idx] = s
-            elif idx in out:
-                del out[idx]
-        return Form(self.basis, self.degree, out)
+        pairs = chain(self.terms.items(), other.terms.items())
+        return Form(self.basis, self.degree, pairs)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -197,22 +181,15 @@ class Form:
         deg = self.degree + other.degree
         if deg > self.basis.dim:
             return Form(self.basis, self.basis.dim, {})
-        out: dict = {}
+        return Form(self.basis, deg, self._products(other))
+
+    def _products(self, other: "Form"):
+        """Raw `(ia + ib, ca * cb)` pairs; overlapping tuples skip the product."""
         for ia, ca in self.terms.items():
+            seen = set(ia)
             for ib, cb in other.terms.items():
-                idx, sign = _merge_sign(ia, ib)
-                if idx is None:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = out.get(idx)
-                s = c if s is None else s + c
-                if s:
-                    out[idx] = s
-                elif idx in out:
-                    del out[idx]
-        return Form(self.basis, deg, out)
+                if seen.isdisjoint(ib):
+                    yield ia + ib, ca * cb
 
     # comparison -------------------------------------------------------------
 
@@ -299,23 +276,13 @@ def interior(v: VectorField, a: Form) -> Form:
         raise BasisMismatch("vector field and form over different bases")
     if a.degree == 0:
         return Form(a.basis, 0, {})
-    out: dict = {}
-    for idx, c in a.terms.items():
-        for m, i in enumerate(idx):
-            vi = v.coeffs[i]
-            if not vi:
-                continue
-            coeff = c * vi
-            if m % 2:
-                coeff = -coeff
-            rest = idx[:m] + idx[m + 1 :]
-            s = out.get(rest)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[rest] = s
-            elif rest in out:
-                del out[rest]
-    return Form(a.basis, a.degree - 1, out)
+    pairs = (
+        (idx[:m] + idx[m + 1 :], c * vi if m % 2 == 0 else -(c * vi))
+        for idx, c in a.terms.items()
+        for m, i in enumerate(idx)
+        if (vi := v.coeffs[i])
+    )
+    return Form(a.basis, a.degree - 1, pairs)
 
 
 def evaluate_one_form(theta: Form, v: VectorField) -> Scalar:

@@ -231,7 +231,7 @@ class TwistedComplex:
                     vectors.append(vec)
             monos = list(self.alg.basis.monomials(degree))
             basis_forms = tuple(
-                Form(self.alg.basis, degree, {m: c for m, c in zip(monos, vec) if c})
+                Form(self.alg.basis, degree, zip(monos, vec))
                 for vec in vectors
             )
             self._harmonic[degree] = HarmonicSpace(degree, basis_forms, self.omega)

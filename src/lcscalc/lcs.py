@@ -98,7 +98,7 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     sol = solve(rows, rhs, alg.dim, alg.zero_scalar())
     if sol is None:
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
-    lee = Form(alg.basis, 1, {(i,): c for i, c in enumerate(sol) if c})
+    lee = Form(alg.basis, 1, zip(alg.basis.monomials(1), sol))
     dlee = d(alg, lee)
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")
@@ -343,5 +343,6 @@ def restricted_gram(alg: Algebra, omega2: Form, fields) -> list[list]:
 
 
 def restricted_rank(alg: Algebra, omega2: Form, fields) -> int:
+    alg.require_rational("restricted rank")
     gram = restricted_gram(alg, omega2, fields)
     return rank(gram, len(gram))

@@ -71,18 +71,39 @@ def eval_form(theta: Form, vectors) -> Fraction:
     return total
 
 
-def interior_oracle(v: VectorField, theta: Form) -> Form:
-    """Contraction computed by pairing against all frame-field tuples."""
+def interior_oracle(v: VectorField, theta: Form) -> dict:
+    """Terms of the contraction, by pairing against all frame-field tuples.
+
+    The nonzero coefficients come back as a plain dict keyed by ascending
+    tuples, so a comparison with `interior(v, theta).terms` does not pass
+    the expected side through the Form constructor as well.
+    """
     basis = theta.basis
-    if theta.degree == 0:
-        return basis.zero(0)
     out = {}
+    if theta.degree == 0:
+        return out
     for rest in combinations(range(basis.dim), theta.degree - 1):
         vectors = [v] + [frame_field(basis, j) for j in rest]
         value = eval_form(theta, vectors)
         if value:
             out[rest] = value
-    return Form(basis, theta.degree - 1, out)
+    return out
+
+
+def shuffle_wedge_value(a: Form, b: Form, slots) -> Fraction:
+    """(a^b)(X_s..) = sum over (p,q)-shuffles of sign * a(first p) * b(last q).
+
+    The slots are frame-field indices; the shuffle sign is the permutation
+    sign of the chosen slot positions followed by the remaining ones.
+    """
+    fields = [frame_field(a.basis, s) for s in slots]
+    total = Fraction(0)
+    for first in combinations(range(len(slots)), a.degree):
+        last = [m for m in range(len(slots)) if m not in first]
+        value = eval_form(a, [fields[m] for m in first])
+        value *= eval_form(b, [fields[m] for m in last])
+        total += value if perm_sign(list(first) + last) > 0 else -value
+    return total
 
 
 # ---------------------------------------------------------------------------

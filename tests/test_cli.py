@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lcscalc import cli
+import lcscalc
+from lcscalc import cli, presets
 from lcscalc.cecomplex import JacobiResult
 from lcscalc.cli import main
 from lcscalc.errors import ExprSyntaxError, InvalidMetric, UndeclaredParameter
@@ -418,6 +423,34 @@ def test_acfm_preset_reports(capsys):
     capsys.readouterr()
 
 
+def test_acfm_theorem1_reuses_its_pfaffians(capsys, monkeypatch):
+    calls = []
+    pfaffian = presets.family_pfaffian
+
+    def counted(family, params=None):
+        calls.append(family)
+        return pfaffian(family, params)
+
+    monkeypatch.setattr(presets, "family_pfaffian", counted)
+    argv = ["acfm", "--n", "1", "--k", "-2", "--lambda", "1", "--theorem1"]
+    assert main(argv + ["--pfaffian-t", "--pfaffian-s"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(calls) == ["s", "t"]
+    assert "pfaffian t: 2*(t1*t2 + 2*t3^2)\n" in out
+    assert "pfaffian s: -2*(s1*s2 + 2*s3^2)\n" in out
+    assert "family t pfaffian: 2*(t1*t2 + 2*t3^2)\n" in out
+
+
+@pytest.mark.parametrize("option", ["--n", "--k", "--lambda"])
+def test_acfm_param_mode_refuses_numeric_parameters(capsys, option):
+    assert main(["acfm", "--param-mode", "--pfaffian-t", option, "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lcscalc: input error: InputError: --param-mode takes no --n, --k or --lambda\n"
+    )
+
+
 def test_json_reports_parse(acfm_path, capsys):
     assert main(["cohomology", acfm_path, "--omega", "-1 gamma", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -436,3 +469,42 @@ def test_reports_are_deterministic(acfm_path, capsys):
         assert main(["lcs", acfm_path, "--form", "2 alpha^eta + 1 beta^gamma"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+# ---------------------------------------------------------------------------
+
+
+def _lcscalc(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(lcscalc.__file__).parents[1]))
+    # buffered stdout: a small report reaches the pipe only when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "lcscalc.cli", *args], env=env, **kwargs)
+
+
+def test_small_report_into_a_closed_pipe_is_quiet(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(tmp_path / "err", "wb") as err:
+        args = ["acfm", "--n", "1", "--k", "-2", "--lambda", "1", "--theorem1"]
+        proc = _lcscalc(args, stdout=write_end, stderr=err)
+        os.close(write_end)
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "err").read_bytes() == b""
+
+
+def test_large_report_into_a_reader_that_stops_is_quiet(tmp_path):
+    # one 4000-digit coefficient per pair of e1..e7: the echo is about 84 kB,
+    # more than a pipe buffer, so the report blocks until the reader stops
+    digits = "9" * 4000
+    pairs = [f"{digits} e{i}^e{j}" for i in range(1, 8) for j in range(i + 1, 8)]
+    path = tmp_path / "wide.alg"
+    names = " ".join(f"e{i}" for i in range(1, 9))
+    path.write_text(f"generators {names}\nd e8 = {' + '.join(pairs)}\n")
+    with open(tmp_path / "err", "wb") as err:
+        proc = _lcscalc(["check", str(path)], stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.readline() == b"report: structure check\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "err").read_bytes() == b""

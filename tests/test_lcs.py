@@ -294,3 +294,12 @@ def test_restricted_rank(acfm111):
     kernel = fraction_nullspace(gram, 3)
     assert len(kernel) == 1
     assert kernel[0] == [0, 1, 0]  # spanned by the beta-dual direction
+
+
+def test_restricted_rank_refuses_symbolic_coefficients():
+    # the rank of t1 alpha^eta on alpha, eta is 2 for t1 != 0 and 0 at t1 = 0
+    alg = acfm_symbolic(("t1",))
+    form = F(alg, "t1 alpha^eta + 1 beta^gamma")
+    with pytest.raises(ParamModeUnsupported, match="restricted rank"):
+        restricted_rank(alg, form, ("alpha", "eta"))
+    assert restricted_gram(alg, form, ("alpha", "eta"))[0][1] == parse_scalar("t1", alg.mode)
