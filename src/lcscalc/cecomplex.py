@@ -203,6 +203,7 @@ def d(alg: Algebra, a: Form) -> Form:
 
     On a monomial, d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}; each
     piece is a raw pair `(head + rest, coefficient)`, so only the result is a Form.
+    For odd m the head is reversed, and the sort sign of Form supplies (-1)^m.
     """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
@@ -213,11 +214,10 @@ def d(alg: Algebra, a: Form) -> Form:
         for idx, c in a.terms.items():
             for m, i in enumerate(idx):
                 rest = idx[:m] + idx[m + 1 :]
-                c_m = c if m % 2 == 0 else -c
                 # heads are ascending pairs: d of a generator is a 2-form
                 for head, h in alg.dgen[i].terms.items():
                     if head[0] not in rest and head[1] not in rest:
-                        yield head + rest, c_m * h
+                        yield (head[::-1] if m % 2 else head) + rest, c * h
 
     return Form(alg.basis, a.degree + 1, pairs())
 

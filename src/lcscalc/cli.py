@@ -10,6 +10,7 @@ fixed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,6 +314,8 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{type(exc).__name__}: {exc}") from None
 
 
+# built once per process: parse_args keeps no state between calls
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcscalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -112,9 +112,10 @@ def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
     alg.require_valid()
     alg.require_rational("automorphism algebra computation")
     omega2 = lcs.omega_form
-    images = [
-        lie_derivative(alg, frame_field(alg.basis, i), omega2) for i in range(alg.dim)
-    ]
+    # L_X(Omega) by Cartan's formula, with d(Omega) computed once for all X
+    d_omega2 = d(alg, omega2)
+    fields = [frame_field(alg.basis, i) for i in range(alg.dim)]
+    images = [interior(x, d_omega2) + d(alg, interior(x, omega2)) for x in fields]
     images.append(-omega2)  # column for the unknown mu
     target = list(alg.basis.monomials(2))
     rows = operator_matrix(images, target, alg.zero_scalar())

@@ -1,51 +1,66 @@
-"""Exact Gaussian elimination over a field of exact scalars.
+"""Exact fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-Works for both rationals and rational functions: entries only need the
-ring operations, exact division and an exact zero test.  Pivoting is
-deterministic (first nonzero entry in column order), which downstream code
-relies on for reproducible kernels, primitives and reports.
+Works for both rationals and rational functions.  Each row is first scaled
+into a ring with exact division (`scalar.ring_rows`): Python ints for
+rationals, integer polynomials in the parameter symbols otherwise.  The
+elimination then stays in that ring: each update (p*x - f*y) // prev, with
+p the current pivot and prev the previous one, divides exactly by
+Sylvester's identity, so no step needs a gcd.  At the end every pivot holds
+the same value D, and each entry of the reduced row echelon form that is
+needed is normalised once, as a/D.  Pivoting is deterministic (first
+nonzero entry in column order), the same pivots a field elimination picks,
+and the reduced row echelon form is unique, so kernels, primitives and
+reports are the same as from division in the field.
 """
 
 from __future__ import annotations
 
+from .scalar import ring_rows
+
 
 def _rref(rows: list[list], ncols: int):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """Fraction-free elimination of scalar rows over the first ncols columns.
+
+    Returns the ring rows, the pivot columns, the common pivot value D and
+    `quotient`: entry (i, j) of the reduced row echelon form is
+    quotient(work[i][j], D).
+    """
+    work, prev, quotient = ring_rows(rows)  # prev starts as the ring's one
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
+        for i in range(r, len(work)):
+            if work[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pr] = work[pr], work[r]
+        row = work[r]
+        p = row[c]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                if f:
+                    work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], row)]
+                else:
+                    work[i] = [p * x // prev for x in work[i]]
+        prev = p
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
-    return pivots
+    return work, pivots, prev, quotient
 
 
 def rank(rows: list[list], ncols: int) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    return len(_rref(work, ncols))
+    return len(_rref(rows, ncols)[1])
 
 
 def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
     """Kernel basis: one vector per free column, unit entry at that column."""
-    work = [list(r) for r in rows]
-    pivots = _rref(work, ncols) if work else []
+    work, pivots, pv, quotient = _rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -55,7 +70,7 @@ def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
         vec[free] = one
         for r, pc in enumerate(pivots):
             if work[r][free]:
-                vec[pc] = -work[r][free]
+                vec[pc] = -quotient(work[r][free], pv)
         basis.append(vec)
     return basis
 
@@ -65,14 +80,14 @@ def solve(rows: list[list], rhs: list, ncols: int, zero):
 
     Returns None when the system is inconsistent.
     """
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = _rref(work, ncols) if work else []
+    work, pivots, pv, quotient = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
     for r in range(len(pivots), len(work)):
         if work[r][ncols]:
             return None
     x = [zero] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = work[r][ncols]
+        if work[r][ncols]:
+            x[pc] = quotient(work[r][ncols], pv)
     return x
 
 
@@ -86,4 +101,3 @@ def operator_matrix(images: list, target_monomials: list, zero) -> list[list]:
         [img.coefficient(mono) or zero for img in images]
         for mono in target_monomials
     ]
-

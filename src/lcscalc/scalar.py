@@ -14,8 +14,8 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
-from typing import Iterator, Union
+from math import comb, gcd, lcm
+from typing import Callable, Iterator, Union
 
 from .errors import (
     DivisionByZero,
@@ -353,6 +353,85 @@ class ParamScalar:
 
     def __str__(self):
         return scalar_str(self)
+
+
+# ---------------------------------------------------------------------------
+# rows of scalars as ring elements, for fraction-free elimination
+# ---------------------------------------------------------------------------
+
+
+class _Poly:
+    """An integer polynomial as a ring element: `* - // bool` and nothing else.
+
+    `//` is exact division and raises ArithmeticError when it is not exact.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: dict):
+        self.p = p
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        return _Poly(_pmul(self.p, other.p))
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return _Poly(_psub(self.p, other.p))
+
+    def __floordiv__(self, other: "_Poly") -> "_Poly":
+        return _Poly(_pdiv_exact(self.p, other.p))
+
+    def __bool__(self) -> bool:
+        return bool(self.p)
+
+
+def _fraction_row(row: list) -> list[int]:
+    """A row of rationals times the lcm of its denominators, as Python ints."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _param_row(symbols: tuple[str, ...], row: list) -> list[_Poly]:
+    """A row of rational functions times a common denominator.
+
+    The multiplier is the lcm of the denominators' integer contents times
+    each distinct primitive part once; a Fraction entry counts as a constant
+    in the same symbols.
+    """
+    nvars = len(symbols)
+    pairs = [(x.num, x.den) for x in map(ScalarMode(symbols).coerce, row)]
+    contents, parts = [], []
+    for num, den in pairs:
+        if num:
+            c = _pcontent_int(den)
+            contents.append(c)
+            part = _pdiv_exact(den, _pconst(nvars, c))
+            if part != _pconst(nvars, 1) and part not in parts:
+                parts.append(part)
+    common = _pconst(nvars, lcm(*contents))
+    for part in parts:
+        common = _pmul(common, part)
+    return [_Poly(_pmul(num, _pdiv_exact(common, den)) if num else {}) for num, den in pairs]
+
+
+def ring_rows(rows: list[list]) -> tuple[list[list], object, Callable]:
+    """Scale each row of exact scalars into a ring with exact division.
+
+    Rational matrices become Python ints; a matrix with any `ParamScalar`
+    entry becomes integer polynomials (`_Poly`) in its symbols.  Scaling a
+    row by a nonzero scalar keeps its row space.  Returns the ring rows,
+    the ring's one, and `quotient(a, b)`, the scalar a/b in the matrix's mode.
+    """
+    symbols = next(
+        (x.symbols for row in rows for x in row if isinstance(x, ParamScalar)), None
+    )
+    if symbols is None:
+        return [_fraction_row(row) for row in rows], 1, Fraction
+    one = _Poly(_pconst(len(symbols), 1))
+
+    def quotient(a: _Poly, b: _Poly) -> ParamScalar:
+        return ParamScalar._make(symbols, a.p, b.p)
+
+    return [_param_row(symbols, row) for row in rows], one, quotient
 
 
 # ---------------------------------------------------------------------------

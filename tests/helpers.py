@@ -180,39 +180,12 @@ def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-only row reduction (rank oracle)
+# Fraction-only row reduction (rank, kernel and solve oracles)
 # ---------------------------------------------------------------------------
 
 
-def rref_rank(rows) -> int:
-    if not rows:
-        return 0
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def fraction_nullspace(rows, ncols):
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
+def fraction_rref(rows, ncols):
+    """RREF over the first ncols columns by division in Q; (rows, pivot columns)."""
     work = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -231,6 +204,17 @@ def fraction_nullspace(rows, ncols):
         r += 1
         if r == len(work):
             break
+    return work, pivots
+
+
+def rref_rank(rows) -> int:
+    if not rows:
+        return 0
+    return len(fraction_rref(rows, len(rows[0]))[1])
+
+
+def fraction_nullspace(rows, ncols):
+    work, pivots = fraction_rref(rows, ncols)
     out = []
     for free in range(ncols):
         if free in pivots:
@@ -242,6 +226,17 @@ def fraction_nullspace(rows, ncols):
                 vec[pc] = -work[row_index][free]
         out.append(vec)
     return out
+
+
+def fraction_solve(rows, rhs, ncols):
+    """The solution with free variables zero, or None when rows * x = rhs is inconsistent."""
+    work, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in work[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row_index, pc in enumerate(pivots):
+        x[pc] = work[row_index][ncols]
+    return x
 
 
 def invert_matrix(rows):

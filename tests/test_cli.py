@@ -274,6 +274,30 @@ def test_unrecognized_arguments_stay_on_one_line(capsys):
     assert capsys.readouterr().err == "lcscalc: error: unrecognized arguments: a b\n"
 
 
+def test_parser_is_built_once_and_reused(acfm_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = []
+    for argv in (
+        ["cohomology", acfm_path],  # --omega missing
+        ["check", acfm_path],
+        ["acfm", "--n", "1/0"],
+        ["check", acfm_path, "--json"],
+        ["cohomology", acfm_path],
+        ["acfm", "--n", "1/0"],
+    ):
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[4] and runs[2] == runs[5]
+    assert runs[0][0] == runs[2][0] == 1
+    assert runs[0][1] == runs[2][1] == ""
+    assert runs[0][2] == (
+        "lcscalc cohomology: error: the following arguments are required: --omega\n"
+    )
+    assert runs[2][2].count("\n") == 1
+    assert runs[1][0] == runs[3][0] == 0
+    assert json.loads(runs[3][1])["d2"] == "pass"
+
+
 def _decimal_digits(n: int) -> str:
     """Decimal text of a positive integer by chunked divmod, so str() is not used."""
     chunks = []

@@ -13,7 +13,8 @@ from lcscalc.errors import (
     ParamModeUnsupported,
     ZeroForm,
 )
-from lcscalc.exterior import evaluate_one_form, frame_field
+from lcscalc.cohomology import primitive
+from lcscalc.exterior import evaluate_one_form, form_str, frame_field
 from lcscalc.lcs import (
     automorphism_algebra,
     compare_classes,
@@ -303,3 +304,40 @@ def test_restricted_rank_refuses_symbolic_coefficients():
     with pytest.raises(ParamModeUnsupported, match="restricted rank"):
         restricted_rank(alg, form, ("alpha", "eta"))
     assert restricted_gram(alg, form, ("alpha", "eta"))[0][1] == parse_scalar("t1", alg.mode)
+
+
+# the preset in the symbols n k lambda t1 t2 t3, rewritten in the dense sign
+# frame f = M e with rows (1,-1,1,-1), (-1,-1,1,-1), (-1,-1,-1,1), (1,-1,-1,-1)
+DENSE_SYMBOLIC_PRESET = """\
+params n k lambda t1 t2 t3
+generators e1 e2 e3 e4
+d e1 = (-1/4*k + 1/4*lambda*n) e1^e2 + (-1/4*k + 1/4*lambda*n) e1^e3 + (-1/4*lambda*n) e2^e3 + (-1/4*k) e2^e4 + (-1/4*k) e3^e4
+d e2 = (1/4*k + 1/4*lambda*n) e1^e2 + (-1/4*k + 1/4*lambda*n) e1^e3 + (-1/2*k) e1^e4 + (-1/4*lambda*n) e2^e3 + (1/4*k) e2^e4 + (-1/4*k) e3^e4
+d e3 = (1/4*k - 1/4*lambda*n) e1^e2 + (-1/4*k - 1/4*lambda*n) e1^e3 + (-1/2*k) e1^e4 + (1/4*lambda*n) e2^e3 + (1/4*k) e2^e4 + (-1/4*k) e3^e4
+d e4 = (-1/4*k + 1/4*lambda*n) e1^e2 + (-1/4*k + 1/4*lambda*n) e1^e3 + (-1/4*lambda*n) e2^e3 + (-1/4*k) e2^e4 + (-1/4*k) e3^e4
+"""
+
+
+def test_symbolic_certificate_text_in_a_dense_frame():
+    """Parameter-mode is_lcs and primitive, pinned to their exact text.
+
+    Omega_t in the frame has Lee form -k gamma; with t1 = 0 it is d_w-exact.
+    The CLI refuses parameter mode before its first solve, so this is the
+    byte-level check of a symbolic elimination.
+    """
+    alg = parse_algebra_text(DENSE_SYMBOLIC_PRESET)
+    omega = F(alg, "(1/4*k*t3 - 1/4*lambda*n*t3) e1^e2 "
+                   "+ (-1/4*k*t3 - 1/4*lambda*n*t3 + 1/4*t1 + 1/4*t2) e1^e3 "
+                   "+ (-1/4*t1 + 1/4*t2) e1^e4 + (1/4*lambda*n*t3 - 1/4*t1) e2^e3 "
+                   "+ (1/4*k*t3 + 1/4*t1) e2^e4 + (-1/4*k*t3 + 1/4*t2) e3^e4")
+    exact = F(alg, "(1/4*k*t3 - 1/4*lambda*n*t3) e1^e2 "
+                   "+ (-1/4*k*t3 - 1/4*lambda*n*t3 + 1/4*t2) e1^e3 + (1/4*t2) e1^e4 "
+                   "+ (1/4*lambda*n*t3) e2^e3 + (1/4*k*t3) e2^e4 + (-1/4*k*t3 + 1/4*t2) e3^e4")
+    cert = is_lcs(alg, omega)
+    assert scalar_str(cert.pfaffian) == "(-t1*t2 + n*k*lambda*t3^2)/(4)"
+    assert form_str(cert.lee) == "(-k)/(2) e1 + (k)/(2) e4"
+    prim = primitive(alg, cert.lee, exact)
+    assert prim.exact
+    assert form_str(prim.primitive) == (
+        "(-t2 - 2*k*t3)/(4*k) e1 + (-t2 + 2*k*t3)/(4*k) e3"
+    )

@@ -1,0 +1,171 @@
+"""rank, nullspace and solve against independent references.
+
+Rational matrices are checked against the Fraction row reduction in
+`helpers.py`; matrices of rational functions against sympy's reduced row
+echelon form over QQ(n, k) (test-only oracle, skipped without sympy).
+Results must agree entry by entry and keep the scalar type of the mode.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import fraction_nullspace, fraction_solve, rref_rank
+from lcscalc.errors import MixedModes
+from lcscalc.linalg import nullspace, rank, solve
+from lcscalc.scalar import ParamScalar, ScalarMode, parse_scalar
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+small = st.integers(min_value=-9, max_value=9)
+rationals = st.one_of(
+    st.just(ZERO),
+    small.map(Fraction),
+    st.builds(Fraction, small, st.integers(min_value=1, max_value=9)),
+    # entries near 10^30 / 7^20, whose minors overflow any machine word
+    st.builds(lambda a, b: Fraction(10**30 + a, 7**20 + b), small, small),
+)
+
+
+def _product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), start=0 * ONE) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def matrices(draw, entries, max_rows, max_cols, min_size=0):
+    """A dense matrix, a rank-deficient product, or either with zero rows."""
+    nrows = draw(st.integers(min_value=min_size, max_value=max_rows))
+    ncols = draw(st.integers(min_value=min_size, max_value=max_cols))
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=0, max_value=max(min(nrows, ncols) - 1, 0)))
+        left = [[draw(entries) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(entries) for _ in range(ncols)] for _ in range(inner)]
+        rows = _product(left, right) if inner else [[ZERO] * ncols for _ in range(nrows)]
+    else:
+        rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            rows[i] = [ZERO * x for x in rows[i]]
+    return rows, ncols
+
+
+@st.composite
+def systems(draw, entries, max_rows, max_cols, min_size=0):
+    """A matrix with a consistent (rows * x) or an arbitrary right-hand side."""
+    rows, ncols = draw(matrices(entries, max_rows, max_cols, min_size))
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), start=0 * ONE) for row in rows]
+        return rows, rhs, ncols, True
+    return rows, [draw(entries) for _ in rows], ncols, False
+
+
+def _all(vectors, kind) -> bool:
+    return all(type(x) is kind for vec in vectors for x in vec)
+
+
+@given(matrices(rationals, 8, 8))
+def test_rank_and_kernel_match_fraction_elimination(case):
+    rows, ncols = case
+    assert rank(rows, ncols) == rref_rank(rows)
+    kernel = nullspace(rows, ncols, ZERO, ONE)
+    assert kernel == fraction_nullspace(rows, ncols)
+    assert _all(kernel, Fraction)
+
+
+@given(systems(rationals, 8, 8))
+def test_solve_matches_fraction_elimination(case):
+    rows, rhs, ncols, consistent = case
+    x = solve(rows, rhs, ncols, ZERO)
+    assert x == fraction_solve(rows, rhs, ncols)
+    if consistent:
+        assert x is not None and _all([x], Fraction)
+
+
+def test_inconsistent_and_empty_systems():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert solve(rows, [Fraction(1), Fraction(3)], 2, ZERO) is None
+    assert solve(rows, [Fraction(1), Fraction(2)], 2, ZERO) == [1, 0]
+    assert solve([], [], 3, ZERO) == [0, 0, 0]
+    assert rank([], 3) == 0 and rank([[], []], 0) == 0
+    assert nullspace([], 2, ZERO, ONE) == [[1, 0], [0, 1]]
+
+
+def test_mixed_parameter_sets_are_refused():
+    a = ScalarMode.params("n").symbol("n")
+    b = ScalarMode.params("k").symbol("k")
+    with pytest.raises(MixedModes):
+        rank([[a, b]], 2)
+
+
+# ---------------------------------------------------------------------------
+# parameter mode against sympy
+# ---------------------------------------------------------------------------
+
+NAMES = ("n", "k")
+MODE = ScalarMode.params(*NAMES)
+PARAM_TEXTS = ["0", "1", "-2", "n", "k", "n*k - 1", "1/(n + k)", "(n - 2*k)/3",
+               "k/(n - 1)", "n^2/(k + 2)", "-1/(2*k)"]
+params = st.one_of(
+    st.sampled_from([parse_scalar(t, MODE) for t in PARAM_TEXTS]),
+    # a stray Fraction in a parameter row counts as a constant
+    st.sampled_from([ZERO, Fraction(3, 2), Fraction(-5)]),
+)
+
+
+def _to_sympy(sympy, gens, x):
+    if not isinstance(x, ParamScalar):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def poly(p):
+        return sympy.Add(*(c * sympy.Mul(*(g**e for g, e in zip(gens, exps)))
+                           for exps, c in p.items()))
+
+    return poly(x.num) / poly(x.den)
+
+
+@given(systems(params, 4, 4, min_size=1))
+def test_parameter_mode_matches_sympy_rref(case):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, rhs, ncols, consistent = case
+    rows[0][0] = MODE.coerce(rows[0][0])  # at least one entry in parameter mode
+    gens = sympy.symbols(NAMES)
+    field = sympy.QQ.frac_field(*gens)
+    augmented = [[_to_sympy(sympy, gens, x) for x in row + [b]] for row, b in zip(rows, rhs)]
+    reduced, pivots = DomainMatrix.from_list_sympy(len(rows), ncols + 1, augmented) \
+        .convert_to(field).rref()
+    ref = reduced.to_Matrix()
+
+    def same(ours, theirs) -> bool:
+        difference = _to_sympy(sympy, gens, ours) - theirs
+        return type(ours) is ParamScalar and sympy.cancel(difference) == 0
+
+    pivots = list(pivots)
+    inconsistent = ncols in pivots
+    if inconsistent:
+        pivots.remove(ncols)
+    assert rank(rows, ncols) == len(pivots)
+
+    kernel = nullspace(rows, ncols, MODE.zero(), MODE.one())
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(free)
+    for vec, f in zip(kernel, free):
+        expected = [0] * ncols
+        expected[f] = 1
+        for r, pc in enumerate(pivots):
+            expected[pc] = -ref[r, f]
+        assert all(same(a, b) for a, b in zip(vec, expected))
+
+    x = solve(rows, rhs, ncols, MODE.zero())
+    assert (x is None) == inconsistent
+    if consistent:
+        assert x is not None
+    if x is not None:
+        expected = [0] * ncols
+        for r, pc in enumerate(pivots):
+            expected[pc] = ref[r, ncols]
+        assert all(same(a, b) for a, b in zip(x, expected))
