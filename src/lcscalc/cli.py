@@ -162,14 +162,15 @@ def cmd_cohomology(args) -> int:
 def cmd_lcs(args) -> int:
     alg = parse_algebra_file(args.file)
     form = parse_form_expr(args.form, alg.basis, alg.mode)
-    pf = lcs.top_power(alg, form)
     report = _file_report("lcs certificate", alg, args.file)
     report.add("form", form_str(form))
-    report.add("pfaffian", scalar_str(pf))
-    if not pf:
+    try:
+        cert = lcs.is_lcs(alg, form)
+    except Degenerate:
+        report.add("pfaffian", "0")
         report.emit(args.json)
-        raise Degenerate("top wedge power vanishes")
-    cert = lcs.is_lcs(alg, form)
+        raise
+    report.add("pfaffian", scalar_str(cert.pfaffian))
     lee = form_str(cert.lee)
     report.add("lee", lee, [f"lee form: {lee}"])
     exactness = lcs.exactness_via_lee(alg, cert)

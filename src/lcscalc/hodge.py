@@ -6,7 +6,7 @@ Sign conventions, with N the number of generators and l the input degree:
   the concatenated tuple relative to ascending order, times a metric weight;
 * codifferential: delta = (-1)^(N*l + N + 1) * d * on degree l;
 * twist contraction: U_w(theta) = (-1)^(N*l + N) * (w ^ * theta);
-* delta_w = delta + U_w.
+* delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -45,34 +45,34 @@ def star(alg: Algebra, a: Form) -> Form:
     return Form(alg.basis, n - a.degree, out)
 
 
-def codiff(alg: Algebra, a: Form) -> Form:
-    """Codifferential; degree 0 maps to 0 by definition."""
+def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
+    """(-1)^(N*l + N + p) * star(op(star a)) on a degree-l form; 0 on degree 0."""
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero():
-        return alg.basis.zero(0)
-    n, l = alg.dim, a.degree
-    result = star(alg, d(alg, star(alg, a)))
-    if (n * l + n + 1) % 2:
-        result = -result
-    return result
+        return alg.basis.zero(max(a.degree - 1, 0))
+    n = alg.dim
+    result = star(alg, op(star(alg, a)))
+    return -result if (n * a.degree + n + p) % 2 else result
+
+
+def codiff(alg: Algebra, a: Form) -> Form:
+    """Codifferential; degree 0 maps to 0 by definition."""
+    return _conjugate(alg, a, lambda b: d(alg, b), 1)
 
 
 def u_omega(alg: Algebra, omega: Form, a: Form) -> Form:
     """Metric adjoint of wedging with the 1-form omega."""
-    if a.basis != alg.basis or omega.basis != alg.basis:
+    if omega.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
-    if a.degree == 0 or a.is_zero() or omega.is_zero():
-        return alg.basis.zero(max(a.degree - 1, 0))
-    n, l = alg.dim, a.degree
-    result = star(alg, omega.wedge(star(alg, a)))
-    if (n * l + n) % 2:
-        result = -result
-    return result
+    return _conjugate(alg, a, omega.wedge, 0)
 
 
 def delta_omega(alg: Algebra, omega: Form, a: Form) -> Form:
-    return codiff(alg, a) + u_omega(alg, omega, a)
+    """delta + U_w, as one conjugation of d - w^ by the star."""
+    if omega.basis != alg.basis:
+        raise BasisMismatch("form over a different basis")
+    return _conjugate(alg, a, lambda b: d(alg, b) - omega.wedge(b), 1)
 
 
 def inner(alg: Algebra, rho: Form, nu: Form) -> Scalar:
@@ -110,28 +110,26 @@ class HarmonicSpace:
         return len(self.basis)
 
 
+def _matrix(alg: Algebra, op, degree: int, step: int) -> list[list]:
+    """Matrix of op from degree l to l+step in the monomial bases.
+
+    Empty when l+step lies outside 0..N.
+    """
+    if not 0 <= degree + step <= alg.dim:
+        return []
+    images = [op(alg.basis.monomial_form(m)) for m in alg.basis.monomials(degree)]
+    target = list(alg.basis.monomials(degree + step))
+    return operator_matrix(images, target, alg.zero_scalar())
+
+
 def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     """Matrix of d_w from degree l to l+1 in the monomial bases."""
-    if degree >= alg.dim:
-        return []
-    images = [
-        d_omega(alg, omega, alg.basis.monomial_form(m))
-        for m in alg.basis.monomials(degree)
-    ]
-    target = list(alg.basis.monomials(degree + 1))
-    return operator_matrix(images, target, alg.zero_scalar())
+    return _matrix(alg, lambda a: d_omega(alg, omega, a), degree, 1)
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     """Matrix of delta_w from degree l to l-1 in the monomial bases."""
-    if degree <= 0:
-        return []
-    images = [
-        delta_omega(alg, omega, alg.basis.monomial_form(m))
-        for m in alg.basis.monomials(degree)
-    ]
-    target = list(alg.basis.monomials(degree - 1))
-    return operator_matrix(images, target, alg.zero_scalar())
+    return _matrix(alg, lambda a: delta_omega(alg, omega, a), degree, -1)
 
 
 class TwistedComplex:
@@ -148,40 +146,37 @@ class TwistedComplex:
     are available in parameter mode; ranks are not.
     """
 
-    def __init__(self, alg: Algebra, omega: Form, store: dict[str, dict]):
+    def __init__(self, alg: Algebra, omega: Form, store: dict):
         self.alg = alg
         self.omega = omega
-        self._d: dict[int, list[list]] = store.setdefault("d", {})
-        self._delta: dict[int, list[list]] = store.setdefault("delta", {})
-        self._kernel: dict[int, list[list]] = store.setdefault("kernel", {})
-        self._delta_rank: dict[int, int] = store.setdefault("delta_rank", {})
-        self._harmonic: dict[int, HarmonicSpace] = store.setdefault("harmonic", {})
+        self._store = store
+
+    def _once(self, key: tuple[str, int], make):
+        """The value stored under (kind, degree), from make() on first use."""
+        if key not in self._store:
+            self._store[key] = make()
+        return self._store[key]
 
     def size(self, degree: int) -> int:
         """Number of monomials of a degree (0 outside 0..N)."""
         return comb(self.alg.dim, degree) if degree >= 0 else 0
 
     def d_matrix(self, degree: int) -> list[list]:
-        if degree not in self._d:
-            self._d[degree] = twisted_matrix(self.alg, self.omega, degree)
-        return self._d[degree]
+        return self._once(("d", degree), lambda: twisted_matrix(self.alg, self.omega, degree))
 
     def delta_matrix(self, degree: int) -> list[list]:
-        if degree not in self._delta:
-            self._delta[degree] = cotwisted_matrix(self.alg, self.omega, degree)
-        return self._delta[degree]
+        return self._once(
+            ("delta", degree), lambda: cotwisted_matrix(self.alg, self.omega, degree)
+        )
 
     def kernel(self, degree: int) -> list[list]:
         """Reduced kernel basis of d_w: a unit entry at each free column."""
-        if degree not in self._kernel:
-            self.alg.require_rational("twisted cohomology")
-            self._kernel[degree] = nullspace(
-                self.d_matrix(degree),
-                self.size(degree),
-                self.alg.zero_scalar(),
-                self.alg.one_scalar(),
-            )
-        return self._kernel[degree]
+        self.alg.require_rational("twisted cohomology")
+        zero, one = self.alg.zero_scalar(), self.alg.one_scalar()
+        return self._once(
+            ("kernel", degree),
+            lambda: nullspace(self.d_matrix(degree), self.size(degree), zero, one),
+        )
 
     def d_rank(self, degree: int) -> int:
         """Rank of d_w leaving a degree (0 below degree 0)."""
@@ -191,11 +186,11 @@ class TwistedComplex:
 
     def delta_rank(self, degree: int) -> int:
         """Rank of delta_w leaving a degree (0 outside 1..N)."""
-        if degree not in self._delta_rank:
-            self.alg.require_rational("twisted cohomology")
-            n = self.size(degree)
-            self._delta_rank[degree] = rank(self.delta_matrix(degree), n) if n else 0
-        return self._delta_rank[degree]
+        self.alg.require_rational("twisted cohomology")
+        n = self.size(degree)
+        return self._once(
+            ("delta_rank", degree), lambda: rank(self.delta_matrix(degree), n) if n else 0
+        )
 
     def betti(self, degree: int) -> int:
         """dim ker d_w - dim im d_w in one degree."""
@@ -209,33 +204,33 @@ class TwistedComplex:
         basis vectors end), so K*c is the reduced kernel basis of the
         stacked matrix [d_w; delta_w].
         """
-        if degree not in self._harmonic:
-            zero = self.alg.zero_scalar()
-            kernel = self.kernel(degree)
-            delta = self.delta_matrix(degree)
-            vectors = kernel
-            if kernel and delta:
-                support = [[i for i, x in enumerate(k) if x] for k in kernel]
-                image = [
-                    [sum((row[i] * k[i] for i in s), zero) for k, s in zip(kernel, support)]
-                    for row in delta
-                ]
-                coords = nullspace(image, len(kernel), zero, self.alg.one_scalar())
-                vectors = []
-                for c in coords:
-                    vec = [zero] * self.size(degree)
-                    for cj, k, s in zip(c, kernel, support):
-                        if cj:
-                            for i in s:
-                                vec[i] = vec[i] + cj * k[i]
-                    vectors.append(vec)
-            monos = list(self.alg.basis.monomials(degree))
-            basis_forms = tuple(
-                Form(self.alg.basis, degree, zip(monos, vec))
-                for vec in vectors
-            )
-            self._harmonic[degree] = HarmonicSpace(degree, basis_forms, self.omega)
-        return self._harmonic[degree]
+        return self._once(("harmonic", degree), lambda: self._harmonic(degree))
+
+    def _harmonic(self, degree: int) -> HarmonicSpace:
+        zero = self.alg.zero_scalar()
+        kernel = self.kernel(degree)
+        delta = self.delta_matrix(degree)
+        vectors = kernel
+        if kernel and delta:
+            support = [[i for i, x in enumerate(k) if x] for k in kernel]
+            image = [
+                [sum((row[i] * k[i] for i in s), zero) for k, s in zip(kernel, support)]
+                for row in delta
+            ]
+            coords = nullspace(image, len(kernel), zero, self.alg.one_scalar())
+            vectors = []
+            for c in coords:
+                vec = [zero] * self.size(degree)
+                for cj, k, s in zip(c, kernel, support):
+                    if cj:
+                        for i in s:
+                            vec[i] = vec[i] + cj * k[i]
+                vectors.append(vec)
+        monos = list(self.alg.basis.monomials(degree))
+        basis_forms = tuple(
+            Form(self.alg.basis, degree, zip(monos, vec)) for vec in vectors
+        )
+        return HarmonicSpace(degree, basis_forms, self.omega)
 
     def decomposition(self, degree: int) -> tuple[int, int, int]:
         """Dimensions of the harmonic, twisted-exact and twisted-coexact parts."""

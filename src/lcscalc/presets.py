@@ -6,10 +6,15 @@ The `acfm` preset uses generators (alpha, beta, gamma, eta) with
     d gamma = 0,                d eta  = n*lambda alpha^beta,
 
 the identity metric, and nonzero parameters n (an integer), k and lambda.
-The named 2-form families and the exact twisted forms are assembled through
-the public algebra operations, never hard-coded, so every identity they
-satisfy is recomputed by the calculus itself.  `theorem1` certifies the
-Lee forms and twisted classes of both families on a sampled grid.
+The helpers that take an algebra first check that it has this structure.
+The t and s families of 2-forms,
+
+    c1 e_rep + c2 e_second + c3 (n*lambda alpha^beta + sign*k gamma^eta),
+
+are built from one table, `FAMILIES`; their exact part (c3 = 1 alone) is
+what `exact_lcs` checks against the twisted differential of eta.
+`theorem1` certifies the Lee forms (the twists sign*k*gamma) and twisted
+classes of both families on a sampled grid.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from fractions import Fraction
 
 from .cecomplex import Algebra, d_omega
 from .cohomology import class_coords
-from .errors import CrossCheckError, InvalidParams, MathError
+from .errors import CrossCheckError, Degenerate, InvalidParams, MathError
 from .exterior import Basis, Form
 from .lcs import is_lcs, top_power
-from .scalar import ParamScalar, Scalar, ScalarMode
+from .scalar import Scalar, ScalarMode
 
 ACFM_GENERATORS = ("alpha", "beta", "gamma", "eta")
 ACFM_SYMBOLS = ("n", "k", "lambda")
@@ -37,9 +42,18 @@ class AcfmParams:
     lam: Scalar
 
 
-def _check_nonzero(name: str, value: Scalar):
-    if not value:
-        raise InvalidParams(f"parameter {name} must be nonzero")
+# per family: e_rep (its class represents the family's), e_second, sign
+FAMILIES = {"t": ((0, 3), (1, 2), -1), "s": ((1, 3), (0, 2), 1)}
+
+
+def _structure(basis: Basis, k: Scalar, nlam: Scalar) -> list[Form]:
+    """d alpha, d beta, d gamma, d eta for the given k and n*lambda."""
+    return [
+        Form(basis, 2, {(0, 2): -k}),
+        Form(basis, 2, {(1, 2): k}),
+        basis.zero(2),
+        Form(basis, 2, {(0, 1): nlam}),
+    ]
 
 
 def acfm(params: AcfmParams, mode: ScalarMode | None = None) -> Algebra:
@@ -50,19 +64,12 @@ def acfm(params: AcfmParams, mode: ScalarMode | None = None) -> Algebra:
     k = mode.coerce(params.k)
     lam = mode.coerce(params.lam)
     for name, value in (("n", n), ("k", k), ("lambda", lam)):
-        _check_nonzero(name, value)
-    if not mode.is_param:
-        if Fraction(n).denominator != 1:
-            raise InvalidParams("parameter n must be a nonzero integer")
+        if not value:
+            raise InvalidParams(f"parameter {name} must be nonzero")
+    if not mode.is_param and Fraction(n).denominator != 1:
+        raise InvalidParams("parameter n must be a nonzero integer")
     basis = Basis(ACFM_GENERATORS)
-    a, b, g, e = range(4)
-    dgen = [
-        Form(basis, 2, {(a, g): -k}),
-        Form(basis, 2, {(b, g): k}),
-        basis.zero(2),
-        Form(basis, 2, {(a, b): n * lam}),
-    ]
-    alg = Algebra(basis, dgen, mode=mode)
+    alg = Algebra(basis, _structure(basis, k, n * lam), mode=mode)
     alg.require_valid()
     return alg
 
@@ -79,95 +86,58 @@ def acfm_symbolic(extra_symbols: tuple[str, ...] = ()) -> Algebra:
     return acfm(params, mode)
 
 
-def _is_acfm_shaped(alg: Algebra) -> bool:
-    if alg.basis.names != ACFM_GENERATORS:
-        return False
-    k = preset_k(alg)
-    nlam = preset_n_lambda(alg)
-    basis = alg.basis
-    expected = [
-        Form(basis, 2, {(0, 2): -k}),
-        Form(basis, 2, {(1, 2): k}),
-        basis.zero(2),
-        Form(basis, 2, {(0, 1): nlam}),
-    ]
-    return list(alg.dgen) == expected
+def _preset_data(alg: Algebra) -> tuple[Scalar, Scalar]:
+    """k and n*lambda, read off structure data that has the preset's shape."""
+    if alg.basis.names == ACFM_GENERATORS:
+        k = -alg.dgen[0].coefficient((0, 2))
+        nlam = alg.dgen[3].coefficient((0, 1))
+        if list(alg.dgen) == _structure(alg.basis, k, nlam):
+            return k, nlam
+    raise InvalidParams("algebra does not carry the preset structure data")
 
 
-def preset_k(alg: Algebra) -> Scalar:
-    """Recover k from the structure data (coefficient of d alpha)."""
-    c = alg.dgen[0].coefficient((0, 2))
-    return -c if c else alg.zero_scalar()
-
-
-def preset_n_lambda(alg: Algebra) -> Scalar:
-    """Recover the product n*lambda from the structure data (d eta)."""
-    c = alg.dgen[3].coefficient((0, 1))
-    return c if c else alg.zero_scalar()
-
-
-def _require_preset(alg: Algebra):
-    if not _is_acfm_shaped(alg):
-        raise InvalidParams("algebra does not carry the preset structure data")
+def _family(alg: Algebra, family: str, c1, c2, c3) -> Form:
+    """c1 rep + c2 second + c3 (n*lambda alpha^beta + sign*k gamma^eta)."""
+    k, nlam = _preset_data(alg)
+    rep, second, sign = FAMILIES[family]
+    one, signed_k = alg.one_scalar(), (k if sign > 0 else -k)
+    terms = [(rep, c1 * one), (second, c2 * one)]
+    terms += [((0, 1), c3 * nlam), ((2, 3), c3 * signed_k)]
+    return Form(alg.basis, 2, terms)
 
 
 def omega_t(alg: Algebra, t1, t2, t3) -> Form:
     """t1 alpha^eta + t2 beta^gamma + t3 (n*lambda alpha^beta - k gamma^eta)."""
-    _require_preset(alg)
-    basis = alg.basis
-    k = preset_k(alg)
-    nlam = preset_n_lambda(alg)
-    return (
-        t1 * Form(basis, 2, {(0, 3): alg.one_scalar()})
-        + t2 * Form(basis, 2, {(1, 2): alg.one_scalar()})
-        + t3 * Form(basis, 2, {(0, 1): nlam, (2, 3): -k})
-    )
+    return _family(alg, "t", t1, t2, t3)
 
 
 def omega_s(alg: Algebra, s1, s2, s3) -> Form:
     """s1 beta^eta + s2 alpha^gamma + s3 (n*lambda alpha^beta + k gamma^eta)."""
-    _require_preset(alg)
-    basis = alg.basis
-    k = preset_k(alg)
-    nlam = preset_n_lambda(alg)
-    return (
-        s1 * Form(basis, 2, {(1, 3): alg.one_scalar()})
-        + s2 * Form(basis, 2, {(0, 2): alg.one_scalar()})
-        + s3 * Form(basis, 2, {(0, 1): nlam, (2, 3): k})
-    )
+    return _family(alg, "s", s1, s2, s3)
 
 
 def twist_form(alg: Algebra, sign: int) -> Form:
     """The closed twist sign*k*gamma used by the two families."""
-    _require_preset(alg)
+    k, _ = _preset_data(alg)
     if sign not in (1, -1):
         raise InvalidParams("sign must be +1 or -1")
-    k = preset_k(alg)
-    coeff = k if sign > 0 else -k
-    return Form(alg.basis, 1, {(2,): coeff})
+    return Form(alg.basis, 1, {(2,): k if sign > 0 else -k})
 
 
 def exact_lcs(alg: Algebra, sign: int) -> Form:
     """The twisted differential of eta for the twist sign*k*gamma.
 
-    Computed through the complex and checked against the expected expansion
-    n*lambda alpha^beta + sign*k gamma^eta.
+    Computed through the complex and checked against the exact part of the
+    family with this twist, n*lambda alpha^beta + sign*k gamma^eta.
     """
-    _require_preset(alg)
     omega = twist_form(alg, sign)
-    eta = alg.basis.gen(3)
-    result = d_omega(alg, omega, eta)
-    k = preset_k(alg)
-    nlam = preset_n_lambda(alg)
-    coeff = k if sign > 0 else -k
-    expected = Form(alg.basis, 2, {(0, 1): nlam, (2, 3): coeff})
-    if result != expected:
+    result = d_omega(alg, omega, alg.basis.gen(3))
+    family = next(name for name, (*_, s) in FAMILIES.items() if s == sign)
+    if result != _family(alg, family, 0, 0, 1):
         raise CrossCheckError("twisted differential of eta has unexpected value")
     return result
 
 
-# form maker, twist sign and class representative of each 2-form family
-FAMILIES = {"t": (omega_t, -1, (0, 3)), "s": (omega_s, 1, (1, 3))}
 FAMILY_SYMBOLS = ("t1", "t2", "t3", "s1", "s2", "s3")
 
 # coefficient triples (c1, c2, c3) at which `theorem1` samples each family
@@ -194,13 +164,12 @@ def family_pfaffian(family: str, params: AcfmParams | None = None) -> Scalar:
     """
     if family not in FAMILIES:
         raise InvalidParams(f"unknown family {family!r}; expected 't' or 's'")
-    maker = FAMILIES[family][0]
     if params is None:
         alg = acfm_symbolic(FAMILY_SYMBOLS)
     else:
         alg = acfm(params, ScalarMode.params(*FAMILY_SYMBOLS))
     coeffs = (alg.mode.symbol(f"{family}{i}") for i in (1, 2, 3))
-    return top_power(alg, maker(alg, *coeffs))
+    return top_power(alg, _family(alg, family, *coeffs))
 
 
 @dataclass(frozen=True)
@@ -224,17 +193,18 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
     alg = acfm(params)
     results = []
-    for family, (maker, twist_sign, harmonic_rep) in FAMILIES.items():
+    for family, (rep_monomial, _, twist_sign) in FAMILIES.items():
         pfaffian = family_pfaffian(family, params)
         twist = twist_form(alg, twist_sign)
-        rep = alg.basis.monomial_form(harmonic_rep)
+        rep = alg.basis.monomial_form(rep_monomial)
         rep_coords = class_coords(alg, twist, rep)
         checked = 0
         for c1, c2, c3 in THEOREM1_GRID:
-            form = maker(alg, c1, c2, c3)
-            if not top_power(alg, form):
+            form = _family(alg, family, c1, c2, c3)
+            try:
+                cert = is_lcs(alg, form)
+            except Degenerate:
                 continue
-            cert = is_lcs(alg, form)
             if cert.lee != twist:
                 raise MathError(f"family {family}: unexpected Lee form {cert.lee}")
             coords = class_coords(alg, twist, form)

@@ -215,8 +215,9 @@ class ParamScalar:
         if not num:
             return ParamScalar(symbols, {}, _pconst(nvars, 1))
         g = _pgcd(num, den)
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
+        if g != _pconst(nvars, 1):
+            num = _pdiv_exact(num, g)
+            den = _pdiv_exact(den, g)
         if den[_plead_min(den)] < 0:
             num, den = _pneg(num), _pneg(den)
         return ParamScalar(symbols, num, den)

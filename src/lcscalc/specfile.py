@@ -95,18 +95,24 @@ def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
 
 
 def _parse_form(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
-    sign = 1
-    if cur.peek().kind in "+-":
-        if cur.next().kind == "-":
-            sign = -1
-    total = _parse_form_term(cur, basis, mode)
-    if sign < 0:
-        total = -total
-    while cur.peek().kind in "+-":
-        op = cur.next().kind
+    """A signed sum of terms, with the value and the errors of chained `+`.
+
+    The terms are summed by one Form; only a term of another degree meets
+    the running sum through `+`, which allows that only if either is zero.
+    """
+    op = cur.next().kind if cur.peek().kind in "+-" else "+"
+    degree, pairs = None, []
+    while True:
         term = _parse_form_term(cur, basis, mode)
-        total = total + term if op == "+" else total - term
-    return total
+        if op == "-":
+            term = -term
+        if degree is not None and term.degree != degree:
+            term, pairs = Form(basis, degree, pairs) + term, []
+        degree = term.degree
+        pairs.extend(term.terms.items())
+        if cur.peek().kind not in "+-":
+            return Form(basis, degree, pairs)
+        op = cur.next().kind
 
 
 def parse_form_expr(

@@ -11,7 +11,8 @@ import lcscalc
 from lcscalc import cli, presets
 from lcscalc.cecomplex import JacobiResult
 from lcscalc.cli import main
-from lcscalc.errors import ExprSyntaxError, InvalidMetric, UndeclaredParameter
+from lcscalc.errors import ExprSyntaxError, InvalidMetric, LcsCalcError, UndeclaredParameter
+from lcscalc.exterior import form_str
 from lcscalc.specfile import (
     algebra_to_text,
     parse_algebra_text,
@@ -123,6 +124,32 @@ def test_form_expression_grammar():
     assert bare == alg.basis.gen(2)
     zero = parse_form_expr("0", alg.basis, alg.mode)
     assert zero.is_zero()
+
+
+# terms are added left to right: only a zero running sum may change degree
+SUMS = [
+    ("gamma - gamma + alpha^beta", "2 1 alpha^beta"),
+    ("gamma + alpha^beta", "DegreeMismatch: cannot add degree 1 and degree 2"),
+    ("0 gamma + alpha^beta", "2 1 alpha^beta"),
+    ("alpha^alpha + gamma", "1 1 gamma"),
+    ("alpha^beta^gamma^eta^alpha + gamma", "1 1 gamma"),
+    ("alpha^beta + gamma - gamma", "DegreeMismatch: cannot add degree 2 and degree 1"),
+    ("gamma - gamma", "1 0"),
+    ("gamma - gamma + alpha^alpha", "2 0"),
+    ("gamma + alpha^beta + )", "DegreeMismatch: cannot add degree 1 and degree 2"),
+    ("-gamma + 2 gamma - 1/2 alpha^gamma^alpha + 3 gamma", "1 4 gamma"),
+]
+
+
+@pytest.mark.parametrize("text,expected", SUMS)
+def test_form_sums_keep_their_degree_rules(text, expected):
+    alg = parse_algebra_text(ACFM_FILE)
+    try:
+        form = parse_form_expr(text, alg.basis, alg.mode)
+        got = f"{form.degree} {form_str(form)}"
+    except LcsCalcError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,24 @@ def test_assembled_matrix_matches_monomial_route_in_param_mode():
         assert twisted_matrix(alg, w, degree) == koszul_twisted_matrix(alg, w, degree)
 
 
+# the Koszul oracle is slow in parameter mode, so it checks one such algebra
+@pytest.mark.parametrize(
+    "seed,mode",
+    [(1, ScalarMode.rational()), (2, ScalarMode.rational()), (2, PARAM_MODE)],
+    ids=["1-rational", "2-rational", "2-params"],
+)
+def test_cotwisted_matrix_is_the_transpose_of_the_koszul_matrix(seed, mode):
+    """On these unimodular algebras delta_w is the adjoint of d_w.
+
+    The metric is the identity, so monomials are orthonormal and the adjoint
+    is the transpose.  The oracle never calls the star.
+    """
+    alg, w = dense_preset_product(seed, 6, mode)
+    for degree in range(alg.dim):
+        transpose = [list(col) for col in zip(*koszul_twisted_matrix(alg, w, degree))]
+        assert cotwisted_matrix(alg, w, degree + 1) == transpose
+
+
 def _random_form(rng: random.Random, alg: Algebra, degree: int) -> Form:
     """A form with a random coefficient (zero included) on every monomial."""
     coeffs = [Fraction(c) for c in range(-3, 4)]

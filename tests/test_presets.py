@@ -24,6 +24,7 @@ from lcscalc.presets import (
     twist_form,
 )
 from lcscalc.scalar import ScalarMode, parse_scalar
+from lcscalc.specfile import parse_algebra_text
 
 
 def test_rational_structure(acfm111):
@@ -110,6 +111,32 @@ def test_conformal_kaehler_instance():
         cert = is_lcs(alg, omega_t(alg, t1, 1, 0))
         assert cert.lee == (-Fraction(k)) * alg.basis.gen(2)
         assert cert.pfaffian == 2 * t1
+
+
+NOT_PRESET = [
+    "generators a\n",
+    "generators a b c\nd a = 1 b^c\n",
+    # the preset's names, but d alpha and d beta disagree on k
+    "generators alpha beta gamma eta\n"
+    "d alpha = -1 alpha^gamma\nd beta = 2 beta^gamma\nd eta = 1 alpha^beta\n",
+]
+
+
+@pytest.mark.parametrize("text", NOT_PRESET, ids=["one", "three", "wrong-k"])
+@pytest.mark.parametrize(
+    "helper",
+    [
+        lambda alg: omega_t(alg, 1, 1, 1),
+        lambda alg: omega_s(alg, 1, 1, 1),
+        lambda alg: twist_form(alg, 1),
+        lambda alg: exact_lcs(alg, -1),
+    ],
+    ids=["omega_t", "omega_s", "twist_form", "exact_lcs"],
+)
+def test_helpers_refuse_algebras_without_the_preset_structure(text, helper):
+    alg = parse_algebra_text(text)
+    with pytest.raises(InvalidParams, match="algebra does not carry the preset structure data"):
+        helper(alg)
 
 
 def test_param_mode_n_symbolic():
