@@ -5,7 +5,9 @@
     read straight off the structure constants; this holds also for
     structure data with d*d != 0, since d is an antiderivation either way;
 (b) every harmonic basis equals the kernel of the stacked [d_w; delta_w]
-    matrix under the Fraction-only row reduction of `helpers`;
+    matrix under the Fraction-only row reduction of `helpers`, also under a
+    metric whose weights are not all 1, where the assembled d_w and delta_w
+    equal `operator_matrix` over `d_omega` and `delta_omega` of each monomial;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
     rank/nullspace calls on N generators.
 """
@@ -32,11 +34,12 @@ from helpers import (
     random_invertible,
 )
 from lcscalc import hodge, linalg
-from lcscalc.cecomplex import Algebra, d
+from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report
 from lcscalc.exterior import Basis, Form
-from lcscalc.hodge import cotwisted_matrix, harmonic_space, twisted_matrix
+from lcscalc.hodge import cotwisted_matrix, delta_omega, harmonic_space, twisted_matrix
+from lcscalc.linalg import operator_matrix
 from lcscalc.scalar import ScalarMode
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +112,38 @@ def test_cotwisted_matrix_is_the_transpose_of_the_koszul_matrix(seed, mode):
         assert cotwisted_matrix(alg, w, degree + 1) == transpose
 
 
+# squares of rationals, so the star stays exact; the weights are 2 1 1/3 3 2/5 1
+SQUARE_METRIC = [Fraction(4), Fraction(1), Fraction(1, 9), Fraction(9), Fraction(4, 25), Fraction(1)]
+
+
+def with_square_metric(alg: Algebra) -> Algebra:
+    return Algebra(alg.basis, alg.dgen, SQUARE_METRIC, alg.mode)
+
+
+def _form_route(alg: Algebra, op, degree: int, step: int) -> list[list]:
+    """Matrix of op from degree l to l+step, one Form image per monomial."""
+    if not 0 <= degree + step <= alg.dim:
+        return []
+    images = [op(alg.basis.monomial_form(m)) for m in alg.basis.monomials(degree)]
+    return operator_matrix(images, list(alg.basis.monomials(degree + step)), alg.zero_scalar())
+
+
+@pytest.mark.parametrize(
+    "seed,mode",
+    [(1, ScalarMode.rational()), (2, ScalarMode.rational()), (2, PARAM_MODE)],
+    ids=["1-rational", "2-rational", "2-params"],
+)
+def test_matrices_match_the_form_route_under_a_metric(seed, mode):
+    """Both matrices equal d_omega and delta_omega applied to each monomial Form."""
+    alg, w = dense_preset_product(seed, 6, mode)
+    alg = with_square_metric(alg)
+    for degree in range(alg.dim + 1):
+        d_route = _form_route(alg, lambda a: d_omega(alg, w, a), degree, 1)
+        delta_route = _form_route(alg, lambda a: delta_omega(alg, w, a), degree, -1)
+        assert twisted_matrix(alg, w, degree) == d_route
+        assert cotwisted_matrix(alg, w, degree) == delta_route
+
+
 def _random_form(rng: random.Random, alg: Algebra, degree: int) -> Form:
     """A form with a random coefficient (zero included) on every monomial."""
     coeffs = [Fraction(c) for c in range(-3, 4)]
@@ -163,15 +198,25 @@ def _cases_for_harmonic():
         yield alg, alg.basis.zero(1)
 
 
+def _assert_harmonic_matches_stacked(alg, w):
+    for degree in range(alg.dim + 1):
+        monos = list(alg.basis.monomials(degree))
+        got = [
+            [f.coefficient(m) or Fraction(0) for m in monos]
+            for f in harmonic_space(alg, w, degree).basis
+        ]
+        assert got == _stacked_oracle(alg, w, degree)
+
+
 def test_harmonic_bases_match_stacked_kernel():
     for alg, w in _cases_for_harmonic():
-        for degree in range(alg.dim + 1):
-            monos = list(alg.basis.monomials(degree))
-            got = [
-                [f.coefficient(m) or Fraction(0) for m in monos]
-                for f in harmonic_space(alg, w, degree).basis
-            ]
-            assert got == _stacked_oracle(alg, w, degree)
+        _assert_harmonic_matches_stacked(alg, w)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_harmonic_bases_match_stacked_kernel_under_a_metric(seed):
+    alg, w = dense_preset_product(seed, 6, ScalarMode.rational())
+    _assert_harmonic_matches_stacked(with_square_metric(alg), w)
 
 
 def _count_calls(monkeypatch) -> list:

@@ -22,6 +22,10 @@ CASES = {
         ["cohomology", "dense6.alg", "--omega", "1 e1 - 1 e6"],
         0,
     ),
+    "cohomology_metric": (
+        ["cohomology", "dense6_metric.alg", "--omega", "1 e1 - 1 e6"],
+        0,
+    ),
     "cohomology_nonunimodular": (
         ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
         0,
