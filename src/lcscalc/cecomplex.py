@@ -76,9 +76,10 @@ class Algebra:
     """Invariant complex data: basis, d on generators, diagonal metric, mode.
 
     Instances are immutable after construction; derived data (d*d check,
-    bracket table, metric weights, and one store per closed twist for the
-    matrices and reductions of its complex) is memoized, and recomputation
-    is idempotent so concurrent reads are safe.
+    bracket table, metric weights, the d table of each degree, and one
+    store per closed twist for the matrices and reductions of its complex)
+    is memoized, and recomputation is idempotent so concurrent reads are
+    safe.
     """
 
     def __init__(
@@ -111,10 +112,12 @@ class Algebra:
         self.basis = basis
         self.dgen = dgen
         self.metric = metric
+        self.identity_metric = all(g == 1 for g in metric)
         self.mode = mode
         self._d2: D2Result | None = None
         self._brackets: BracketTable | None = None
         self._weights: tuple[Scalar, ...] | None = None
+        self._d_tables: dict[int, dict] = {}
         self._twisted: dict[Form, dict] = {}
 
     @property
@@ -184,6 +187,21 @@ class Algebra:
                 weights.append(self.mode.from_fraction(r))
             self._weights = tuple(weights)
         return self._weights
+
+    def d_table(self, degree: int) -> dict[tuple[int, ...], dict]:
+        """d of each degree-l monomial, in lex order, as canonical terms.
+
+        Maps each ascending index tuple to the `terms` of its d, built once
+        per degree by `d` itself, so d stays the one derivative.
+        """
+        table = self._d_tables.get(degree)
+        if table is None:
+            table = {
+                m: d(self, self.basis.monomial_form(m)).terms
+                for m in self.basis.monomials(degree)
+            }
+            self._d_tables[degree] = table
+        return table
 
     def twisted_complex(self, omega: Form) -> TwistedComplex:
         """The complex of d_w and delta_w for a closed twist.

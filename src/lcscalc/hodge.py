@@ -3,10 +3,17 @@
 Sign conventions, with N the number of generators and l the input degree:
 
 * star on a monomial e_I is sign(I, I^c) e_{I^c}, the permutation sign of
-  the concatenated tuple relative to ascending order, times a metric weight;
+  the concatenated tuple relative to ascending order, times the metric
+  weight prod_{i in I^c} w_i / prod_{i in I} w_i (1 for the identity metric);
 * codifferential: delta = (-1)^(N*l + N + 1) * d * on degree l;
 * twist contraction: U_w(theta) = (-1)^(N*l + N) * (w ^ * theta);
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
+
+The matrices of d_w and delta_w are read off the d table of the algebra
+(`Algebra.d_table`) without building a form.  The star of a monomial is
+one signed, weighted monomial, so column I of delta_w is the entry of
+e_{I^c} minus w ^ e_{I^c}, re-indexed by complements: delta_w comes from
+its definition, never from the matrix of d_w.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -16,33 +23,47 @@ from the metric weights and never needs square roots.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
-from .cecomplex import Algebra, d, d_omega
+from .cecomplex import Algebra
 from .errors import BasisMismatch, DegreeMismatch
-from .exterior import Form, _sort_sign
-from .linalg import nullspace, operator_matrix, rank
-from .scalar import Scalar
+from .exterior import Form
+from .linalg import nullspace, rank
+from .scalar import Scalar, ring_rows
+
+
+def _star_entry(alg: Algebra, idx: tuple[int, ...]):
+    """The star on e_I as (I^c, sign of (I, I^c), weight or None if it is 1)."""
+    comp = tuple(i for i in range(alg.dim) if i not in idx)
+    # I_m - m indices of I^c lie below I_m (m counted from 0): the inversions
+    sign = -1 if (sum(idx) - len(idx) * (len(idx) - 1) // 2) % 2 else 1
+    if alg.identity_metric:
+        return comp, sign, None
+    weights = alg.metric_weights()
+    return comp, sign, prod(weights[i] for i in comp) / prod(weights[i] for i in idx)
 
 
 def star(alg: Algebra, a: Form) -> Form:
     """Hodge star for the diagonal metric and the ascending orientation."""
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
-    n = alg.dim
-    weights = alg.metric_weights()
     out: dict = {}
     for idx, c in a.terms.items():
-        comp = tuple(i for i in range(n) if i not in idx)
-        sign = _sort_sign(idx + comp)[1]
-        coeff = c
-        for i in comp:
-            coeff = coeff * weights[i]
-        for i in idx:
-            coeff = coeff / weights[i]
-        out[comp] = coeff if sign > 0 else -coeff
-    return Form(alg.basis, n - a.degree, out)
+        comp, sign, weight = _star_entry(alg, idx)
+        if weight is not None:
+            c = c * weight
+        out[comp] = c if sign > 0 else -c
+    return Form(alg.basis, alg.dim - a.degree, out)
+
+
+def _d(alg: Algebra, a: Form) -> Form:
+    """d of a form, summed from the d table of its degree."""
+    table = alg.d_table(a.degree)
+    pairs = ((k, c * v) for idx, c in a.terms.items() for k, v in table[idx].items())
+    return Form(alg.basis, min(a.degree + 1, alg.dim), pairs)
 
 
 def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
@@ -58,7 +79,7 @@ def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
 
 def codiff(alg: Algebra, a: Form) -> Form:
     """Codifferential; degree 0 maps to 0 by definition."""
-    return _conjugate(alg, a, lambda b: d(alg, b), 1)
+    return _conjugate(alg, a, lambda b: _d(alg, b), 1)
 
 
 def u_omega(alg: Algebra, omega: Form, a: Form) -> Form:
@@ -72,7 +93,7 @@ def delta_omega(alg: Algebra, omega: Form, a: Form) -> Form:
     """delta + U_w, as one conjugation of d - w^ by the star."""
     if omega.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
-    return _conjugate(alg, a, lambda b: d(alg, b) - omega.wedge(b), 1)
+    return _conjugate(alg, a, lambda b: _d(alg, b) - omega.wedge(b), 1)
 
 
 def inner(alg: Algebra, rho: Form, nu: Form) -> Scalar:
@@ -110,26 +131,68 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _matrix(alg: Algebra, op, degree: int, step: int) -> list[list]:
-    """Matrix of op from degree l to l+step in the monomial bases.
+def _d_plus(d_terms: dict, idx: tuple[int, ...], omega: Form, sign: int) -> dict:
+    """d e_I + sign * (w ^ e_I) as terms, from the terms of d e_I."""
+    out = dict(d_terms)
+    for (i,), c in omega.terms.items():
+        p = bisect_left(idx, i)
+        if p < len(idx) and idx[p] == i:
+            continue
+        # e_i moves past the p indices of I below i
+        key = idx[:p] + (i,) + idx[p:]
+        if (p % 2 == 0) != (sign > 0):
+            c = -c
+        s = out[key] + c if key in out else c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
 
-    Empty when l+step lies outside 0..N.
-    """
-    if not 0 <= degree + step <= alg.dim:
-        return []
-    images = [op(alg.basis.monomial_form(m)) for m in alg.basis.monomials(degree)]
-    target = list(alg.basis.monomials(degree + step))
-    return operator_matrix(images, target, alg.zero_scalar())
+
+def _fill(alg: Algebra, columns: list[dict], degree: int) -> list[list]:
+    """The matrix whose column j holds the terms columns[j] of degree l."""
+    zero = alg.zero_scalar()
+    rows = {m: [zero] * len(columns) for m in alg.basis.monomials(degree)}
+    for j, column in enumerate(columns):
+        for m, c in column.items():
+            rows[m][j] = c
+    return list(rows.values())
 
 
 def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     """Matrix of d_w from degree l to l+1 in the monomial bases."""
-    return _matrix(alg, lambda a: d_omega(alg, omega, a), degree, 1)
+    if not 0 <= degree < alg.dim:
+        return []
+    alg.require_closed(omega)
+    table = alg.d_table(degree)
+    return _fill(alg, [_d_plus(t, idx, omega, 1) for idx, t in table.items()], degree + 1)
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of delta_w from degree l to l-1 in the monomial bases."""
-    return _matrix(alg, lambda a: delta_omega(alg, omega, a), degree, -1)
+    """Matrix of delta_w from degree l to l-1 in the monomial bases.
+
+    Column I is (-1)^(N*l + N + 1) * star((d - w^) star e_I): the star of
+    e_I is a multiple of e_{I^c}, and the star of each term e_J of
+    (d - w^) e_{I^c} a multiple of e_{J^c}.
+    """
+    n = alg.dim
+    if not 1 <= degree <= n:
+        return []
+    alg.require_closed(omega)
+    table = alg.d_table(n - degree)
+    flip = -1 if (n * degree + n + 1) % 2 else 1
+    columns = []
+    for idx in alg.basis.monomials(degree):
+        comp, sign, weight = _star_entry(alg, idx)
+        column = {}
+        for j, c in _d_plus(table[comp], comp, omega, -1).items():
+            k, sign_j, weight_j = _star_entry(alg, j)
+            if weight is not None:
+                c = c * (weight * weight_j)
+            column[k] = c if flip * sign * sign_j > 0 else -c
+        columns.append(column)
+    return _fill(alg, columns, degree - 1)
 
 
 class TwistedComplex:
@@ -141,9 +204,11 @@ class TwistedComplex:
     checks the structure data and the twist once per twist and hands every
     complex of that twist the same store.  The store refers back to neither
     the algebra nor the complex, so dropping the algebra frees it at once.
-    delta_w is assembled from its definition, never from d_w, so the
-    harmonic dimensions stay an independent check on the ranks.  Matrices
-    are available in parameter mode; ranks are not.
+    Both matrices are read off the algebra's d table.  delta_w is
+    (-1)^(N*l + N + 1) * star (d - w^) star there, assembled from its
+    definition and never from d_w, so the harmonic dimensions stay an
+    independent check on the ranks.  Matrices are available in parameter
+    mode; ranks are not.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -207,25 +272,33 @@ class TwistedComplex:
         return self._once(("harmonic", degree), lambda: self._harmonic(degree))
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
-        zero = self.alg.zero_scalar()
+        """K*c in Python ints.
+
+        Scaling the rows of delta_w keeps its kernel.  With K_j scaled by
+        b_j, the lcm of its denominators (b_j then sits at its free column,
+        its last nonzero entry), and c by m, the reduced kernel vector at
+        the free column f of c is the integer K*c divided by m * b_f.
+        """
         kernel = self.kernel(degree)
         delta = self.delta_matrix(degree)
         vectors = kernel
         if kernel and delta:
-            support = [[i for i, x in enumerate(k) if x] for k in kernel]
+            rows, ints = ring_rows(delta)[0], ring_rows(kernel)[0]
+            support = [[i for i, x in enumerate(k) if x] for k in ints]
             image = [
-                [sum((row[i] * k[i] for i in s), zero) for k, s in zip(kernel, support)]
-                for row in delta
+                [sum(row[i] * k[i] for i in s) for k, s in zip(ints, support)] for row in rows
             ]
-            coords = nullspace(image, len(kernel), zero, self.alg.one_scalar())
+            coords = nullspace(image, len(kernel), Fraction(0), Fraction(1))
             vectors = []
-            for c in coords:
-                vec = [zero] * self.size(degree)
-                for cj, k, s in zip(c, kernel, support):
+            for c in ring_rows(coords)[0]:
+                f = max(j for j, x in enumerate(c) if x)
+                scale = c[f] * ints[f][support[f][-1]]
+                vec = [0] * self.size(degree)
+                for cj, k, s in zip(c, ints, support):
                     if cj:
                         for i in s:
-                            vec[i] = vec[i] + cj * k[i]
-                vectors.append(vec)
+                            vec[i] += cj * k[i]
+                vectors.append([Fraction(x, scale) for x in vec])
         monos = list(self.alg.basis.monomials(degree))
         basis_forms = tuple(
             Form(self.alg.basis, degree, zip(monos, vec)) for vec in vectors

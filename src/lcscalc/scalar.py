@@ -224,11 +224,10 @@ class ParamScalar:
 
     @staticmethod
     def from_fraction(symbols: tuple[str, ...], q: Fraction | int) -> "ParamScalar":
+        # a Fraction is in lowest terms with a positive denominator: canonical
         q = Fraction(q)
         nvars = len(symbols)
-        return ParamScalar._make(
-            symbols, _pconst(nvars, q.numerator), _pconst(nvars, q.denominator)
-        )
+        return ParamScalar(symbols, _pconst(nvars, q.numerator), _pconst(nvars, q.denominator))
 
     @staticmethod
     def symbol(symbols: tuple[str, ...], name: str) -> "ParamScalar":

@@ -67,6 +67,30 @@ def test_star_with_square_metric():
     assert inner(alg, theta, theta) == Fraction(1, 4)
 
 
+def test_star_skips_the_weights_of_the_identity_metric(acfm_sym, monkeypatch):
+    """In parameter mode a weight of 1 would cost a ParamScalar product and gcd."""
+    from lcscalc.scalar import ParamScalar
+
+    k = acfm_sym.mode.symbol("k")
+    forms = [
+        Form(acfm_sym.basis, degree, {m: k for m in acfm_sym.basis.monomials(degree)})
+        for degree in range(5)
+    ]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+
+        def counted(*args, _fn=getattr(ParamScalar, name), **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ParamScalar, name, counted)
+    images = [star(acfm_sym, theta) for theta in forms]
+    assert not calls
+    monkeypatch.undo()
+    for theta, image in zip(forms, images):
+        assert star(acfm_sym, image) == (-1) ** (theta.degree * (4 - theta.degree)) * theta
+
+
 def test_non_square_metric_rejected():
     alg = parse_algebra_text("generators e1 e2\nmetric diag 2 1\n")
     with pytest.raises(InvalidMetric):

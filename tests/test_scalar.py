@@ -16,6 +16,7 @@ from lcscalc.scalar import (
     MAX_NESTING,
     ParamScalar,
     ScalarMode,
+    _pconst,
     _pdiv_exact,
     _pgcd,
     _pmul,
@@ -86,6 +87,36 @@ def test_mixed_modes_rejected():
     other = ScalarMode.params("a", "b")
     with pytest.raises(MixedModes):
         sym("k") + other.symbol("a")
+
+
+@pytest.mark.parametrize(
+    "q", [0, 1, -1, Fraction(3, 7), Fraction(-3, 7), Fraction(12, 5), Fraction(-1, 9)]
+)
+def test_from_fraction_builds_the_canonical_form_directly(q):
+    nvars = len(PMODE.symbols)
+    q = Fraction(q)
+    made = ParamScalar._make(
+        PMODE.symbols, _pconst(nvars, q.numerator), _pconst(nvars, q.denominator)
+    )
+    direct = ParamScalar.from_fraction(PMODE.symbols, q)
+    assert (direct.num, direct.den) == (made.num, made.den)
+    assert hash(direct) == hash(made) == hash(q)
+
+
+def test_int_times_param_runs_one_gcd(monkeypatch):
+    from lcscalc import scalar
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _pgcd(a, b)
+
+    monkeypatch.setattr(scalar, "_pgcd", counted)
+    assert 2 * sym("k") == sym("k") + sym("k")
+    calls.clear()
+    2 * sym("k")
+    assert len(calls) == 1
 
 
 def test_constants_display_as_rationals():
