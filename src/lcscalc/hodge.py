@@ -23,7 +23,6 @@ from the metric weights and never needs square roots.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -135,19 +134,12 @@ def _d_plus(d_terms: dict, idx: tuple[int, ...], omega: Form, sign: int) -> dict
     """d e_I + sign * (w ^ e_I) as terms, from the terms of d e_I."""
     out = dict(d_terms)
     for (i,), c in omega.terms.items():
-        p = bisect_left(idx, i)
-        if p < len(idx) and idx[p] == i:
-            continue
-        # e_i moves past the p indices of I below i
-        key = idx[:p] + (i,) + idx[p:]
-        if (p % 2 == 0) != (sign > 0):
-            c = -c
-        s = out[key] + c if key in out else c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return out
+        if i not in idx:
+            p = sum(x < i for x in idx)  # e_i moves past the p indices of I below i
+            key = idx[:p] + (i,) + idx[p:]
+            c = c if (p % 2 == 0) == (sign > 0) else -c
+            out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 def _fill(alg: Algebra, columns: list[dict], degree: int) -> list[list]:
