@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .cecomplex import Algebra
+from .cecomplex import Algebra, d
 from .errors import BasisMismatch, DegreeMismatch
 from .exterior import Form
 from .linalg import nullspace, rank
@@ -58,13 +58,6 @@ def star(alg: Algebra, a: Form) -> Form:
     return Form(alg.basis, alg.dim - a.degree, out)
 
 
-def _d(alg: Algebra, a: Form) -> Form:
-    """d of a form, summed from the d table of its degree."""
-    table = alg.d_table(a.degree)
-    pairs = ((k, c * v) for idx, c in a.terms.items() for k, v in table[idx].items())
-    return Form(alg.basis, min(a.degree + 1, alg.dim), pairs)
-
-
 def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
     """(-1)^(N*l + N + p) * star(op(star a)) on a degree-l form; 0 on degree 0."""
     if a.basis != alg.basis:
@@ -78,7 +71,7 @@ def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
 
 def codiff(alg: Algebra, a: Form) -> Form:
     """Codifferential; degree 0 maps to 0 by definition."""
-    return _conjugate(alg, a, lambda b: _d(alg, b), 1)
+    return _conjugate(alg, a, lambda b: d(alg, b), 1)
 
 
 def u_omega(alg: Algebra, omega: Form, a: Form) -> Form:
@@ -92,7 +85,7 @@ def delta_omega(alg: Algebra, omega: Form, a: Form) -> Form:
     """delta + U_w, as one conjugation of d - w^ by the star."""
     if omega.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
-    return _conjugate(alg, a, lambda b: _d(alg, b) - omega.wedge(b), 1)
+    return _conjugate(alg, a, lambda b: d(alg, b) - omega.wedge(b), 1)
 
 
 def inner(alg: Algebra, rho: Form, nu: Form) -> Scalar:
