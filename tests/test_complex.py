@@ -7,13 +7,15 @@
 (b) every harmonic basis equals the kernel of the stacked [d_w; delta_w]
     matrix under the Fraction-only row reduction of `helpers`, also under a
     metric whose weights are not all 1, where the assembled d_w and delta_w
-    equal `operator_matrix` over `d_omega` and `delta_omega` of each monomial;
+    equal `operator_matrix` over `d_omega` and `delta_omega` of each monomial,
+    and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
     rank/nullspace calls on N generators.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from collections import Counter
@@ -118,6 +120,34 @@ SQUARE_METRIC = [Fraction(g) for g in ("4", "1", "1/9", "9", "4/25", "1")]
 
 def with_square_metric(alg: Algebra) -> Algebra:
     return Algebra(alg.basis, alg.dgen, SQUARE_METRIC, alg.mode)
+
+
+def _gram(alg: Algebra, degree: int) -> list[Fraction]:
+    """The diagonal inner products <e_I, e_I> = prod_{i in I} 1/g_i of one degree."""
+    return [
+        1 / math.prod((alg.metric[i] for i in idx), start=Fraction(1))
+        for idx in combinations(range(alg.dim), degree)
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cotwisted_matrix_is_the_metric_adjoint_of_the_koszul_matrix(seed):
+    """delta_w = G_l^-1 * (d_w)^T * G_(l+1), G the diagonal Gram matrices.
+
+    delta_w is the adjoint of d_w on these unimodular algebras; under a
+    diagonal metric the monomials stay orthogonal with <e_I, e_I> =
+    prod_{i in I} 1/g_i.  The oracle calls neither `d` nor the star.
+    """
+    alg, w = dense_preset_product(seed, 6, ScalarMode.rational())
+    alg = with_square_metric(alg)
+    for degree in range(alg.dim):
+        low, high = _gram(alg, degree), _gram(alg, degree + 1)
+        koszul = koszul_twisted_matrix(alg, w, degree)
+        adjoint = [
+            [koszul[j][i] * high[j] / low[i] for j in range(len(high))]
+            for i in range(len(low))
+        ]
+        assert cotwisted_matrix(alg, w, degree + 1) == adjoint
 
 
 def _form_route(alg: Algebra, op, degree: int, step: int) -> list[list]:
