@@ -16,6 +16,10 @@ from lcscalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# h5 x R in a frame with entries in -2..2, so the structure constants have
+# denominators up to 315; both forms are d_w eta with the same Lee form
+DENSE6_FORMS = (GOLDEN / "h5xr_dense.forms").read_text(encoding="utf-8").splitlines()
+
 CASES = {
     "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
     "cohomology_dense6_twisted": (
@@ -35,6 +39,8 @@ CASES = {
         0,
     ),
     "lcs_not_exact": (["lcs", "acfm.alg", "--form", "2 alpha^eta + 1 beta^gamma"], 0),
+    "lcs_dense6": (["lcs", "h5xr_dense.alg", "--form", DENSE6_FORMS[0]], 0),
+    "moser_dense6": (["moser", "h5xr_dense.alg", "--family", "; ".join(DENSE6_FORMS)], 0),
     "moser_pass": (
         [
             "moser",
