@@ -1,17 +1,20 @@
 """Differential structure of an invariant complex given by structure data.
 
 An `Algebra` holds d of every degree-1 generator as a 2-form.  The
-differential extends as an antiderivation; frame-field brackets are derived
-from the pairing (d e)(X_i, X_j) = -e([X_i, X_j]); the twisted differential
-adds wedging with a closed 1-form.  Degree-0 elements are constants, so
-their untwisted differential vanishes and d_w(c) = c*w.
+differential extends as an antiderivation, once per degree, into a table
+of d on monomials (`Algebra.d_table`); for rational structure data it holds
+integer numerators over one denominator D, and `d` is one read of it.
+Frame-field brackets are derived from the pairing
+(d e)(X_i, X_j) = -e([X_i, X_j]); the twisted differential adds wedging
+with a closed 1-form.  Degree-0 elements are constants, so their untwisted
+differential vanishes and d_w(c) = c*w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -22,7 +25,7 @@ from .errors import (
     ParamModeUnsupported,
     StructureError,
 )
-from .exterior import Basis, Form, VectorField, frame_field, interior
+from .exterior import Basis, Form, VectorField, _sort_sign, frame_field, integer_terms, interior
 from .scalar import ParamScalar, Scalar, ScalarMode
 
 if TYPE_CHECKING:
@@ -116,7 +119,14 @@ class Algebra:
         self.mode = mode
         self._d2: D2Result | None = None
         self._brackets: BracketTable | None = None
-        self._weights: tuple[Scalar, ...] | None = None
+        self._weights: tuple[Fraction, ...] | None = None
+        # rational structure data as integer numerators over one denominator
+        scaled = [integer_terms(f.terms) for f in dgen]
+        den = self.d_den = None if None in scaled else lcm(*[s[0] for s in scaled])
+        self._heads = [
+            [(h, c * (den // s[0])) for h, c in s[1]] if den else f.terms.items()
+            for f, s in zip(dgen, scaled)
+        ]
         self._d_tables: dict[int, dict] = {}
         self._twisted: dict[Form, dict] = {}
 
@@ -173,8 +183,8 @@ class Algebra:
             self._brackets = brackets_from_d(self)
         return self._brackets
 
-    def metric_weights(self) -> tuple[Scalar, ...]:
-        """Rational square roots of the metric entries, in the algebra's mode."""
+    def metric_weights(self) -> tuple[Fraction, ...]:
+        """Rational square roots of the metric entries, as Fractions in either mode."""
         if self._weights is None:
             weights = []
             for name, g in zip(self.basis.names, self.metric):
@@ -184,22 +194,30 @@ class Algebra:
                         f"metric entry for {name} must be the square of a rational "
                         "for exact Hodge duality"
                     )
-                weights.append(self.mode.from_fraction(r))
+                weights.append(r)
             self._weights = tuple(weights)
         return self._weights
 
     def d_table(self, degree: int) -> dict[tuple[int, ...], dict]:
         """d of each degree-l monomial, in lex order, as canonical terms.
 
-        Maps each ascending index tuple to the `terms` of its d, built once
-        per degree by `d` itself, so d stays the one derivative.
+        d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}, built once per
+        degree.  Each head of d e_{I_m} is an ascending pair; for odd m it is
+        reversed, so the sort sign supplies (-1)^m.  For rational structure
+        data the coefficients are integer numerators over `d_den`.
         """
         table = self._d_tables.get(degree)
         if table is None:
-            table = {
-                m: d(self, self.basis.monomial_form(m)).terms
-                for m in self.basis.monomials(degree)
-            }
+            table = {}
+            for idx in self.basis.monomials(degree):
+                terms: dict = {}
+                for m, i in enumerate(idx):
+                    rest = idx[:m] + idx[m + 1 :]
+                    for head, h in self._heads[i]:
+                        if head[0] not in rest and head[1] not in rest:
+                            key, sign = _sort_sign((head[::-1] if m % 2 else head) + rest)
+                            terms[key] = terms.get(key, 0) + (h if sign > 0 else -h)
+                table[idx] = {key: c for key, c in terms.items() if c}
             self._d_tables[degree] = table
         return table
 
@@ -217,27 +235,27 @@ class Algebra:
 
 
 def d(alg: Algebra, a: Form) -> Form:
-    """Exterior differential extended from the generators as an antiderivation.
+    """Exterior differential: sum over I of c_I * (d e_I), read off the d table.
 
-    On a monomial, d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}; each
-    piece is a raw pair `(head + rest, coefficient)`, so only the result is a Form.
-    For odd m the head is reversed, and the sort sign of Form supplies (-1)^m.
+    A rational form over an integer table is scaled to integer numerators
+    over m, the lcm of its denominators; the products are summed as ints and
+    each result term is one Fraction(sum, m * D).  Other coefficients keep
+    their own arithmetic.  The table's tuples are canonical already.
     """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero() or a.degree >= alg.dim:
         return alg.basis.zero(min(a.degree + 1, alg.dim))
-
-    def pairs():
-        for idx, c in a.terms.items():
-            for m, i in enumerate(idx):
-                rest = idx[:m] + idx[m + 1 :]
-                # heads are ascending pairs: d of a generator is a 2-form
-                for head, h in alg.dgen[i].terms.items():
-                    if head[0] not in rest and head[1] not in rest:
-                        yield (head[::-1] if m % 2 else head) + rest, c * h
-
-    return Form(alg.basis, a.degree + 1, pairs())
+    table, den = alg.d_table(a.degree), alg.d_den
+    scaled = integer_terms(a.terms) if den else None
+    pairs = scaled[1] if scaled else [(i, c / den if den else c) for i, c in a.terms.items()]
+    out: dict = {}
+    for idx, c in pairs:
+        for key, t in table[idx].items():
+            out[key] = out.get(key, 0) + c * t
+    den = scaled[0] * den if scaled else None
+    terms = {key: Fraction(v, den) if den else v for key, v in out.items() if v}
+    return Form.canonical(alg.basis, a.degree + 1, terms)
 
 
 def check_d2(alg: Algebra) -> D2Result:

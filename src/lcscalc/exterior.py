@@ -3,7 +3,8 @@
 Forms are stored as maps from strictly ascending index tuples to nonzero
 coefficients, so equality is a dictionary comparison.  Sign bookkeeping
 happens once, at construction, by sorting index tuples and counting
-transpositions.
+transpositions.  `wedge` of two rational forms multiplies integer
+numerators over one denominator and makes one `Fraction` per result term.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import BasisMismatch, DegreeMismatch
@@ -85,17 +87,36 @@ def _coerce_coeff(c):
     return c
 
 
+def integer_terms(terms: dict) -> tuple[int, list[tuple]] | None:
+    """(m, numerators over m), m the lcm of the denominators; None unless all are rational."""
+    try:  # a ParamScalar has no denominator
+        m = lcm(*[c.denominator for c in terms.values()])
+    except AttributeError:
+        return None
+    return m, [(idx, c.numerator * (m // c.denominator)) for idx, c in terms.items()]
+
+
+def _products(a, b):
+    """Raw `(ia + ib, ca * cb)` pairs of two term lists; overlapping tuples skip the product."""
+    for ia, ca in a:
+        seen = set(ia)
+        for ib, cb in b:
+            if seen.isdisjoint(ib):
+                yield ia + ib, ca * cb
+
+
 class Form:
     """Homogeneous exterior form; the zero form matches any degree."""
 
     __slots__ = ("basis", "degree", "terms")
 
-    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple]):
+    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple], den=None):
         """Canonical terms from a dict or any `(index tuple, coefficient)` pairs.
 
         Pairs with the same raw tuple are added up; each distinct tuple is
         then sorted once and signed, tuples with a repeated index are dropped,
         and terms that sort to the same tuple are combined, dropping zeros.
+        With `den`, coefficients are integer numerators over den.
         """
         if not 0 <= degree <= basis.dim:
             raise ValueError(f"degree {degree} out of range for dim {basis.dim}")
@@ -107,7 +128,8 @@ class Form:
             raw[idx] = c if prev is None else prev + c
         clean: dict = {}
         for idx, c in raw.items():
-            c = _coerce_coeff(c)
+            if den is None:
+                c = _coerce_coeff(c)
             if not c:
                 continue
             idx = tuple(idx)
@@ -123,9 +145,18 @@ class Form:
                 clean[sidx] = s
             elif sidx in clean:
                 del clean[sidx]
+        if den is not None:
+            clean = {idx: Fraction(c, den) for idx, c in clean.items()}
         self.basis = basis
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def canonical(cls, basis: Basis, degree: int, terms: dict) -> "Form":
+        """A Form over terms that are canonical already: ascending tuples, no zeros."""
+        form = object.__new__(cls)
+        form.basis, form.degree, form.terms = basis, degree, terms
+        return form
 
     # predicates -------------------------------------------------------------
 
@@ -181,15 +212,10 @@ class Form:
         deg = self.degree + other.degree
         if deg > self.basis.dim:
             return Form(self.basis, self.basis.dim, {})
-        return Form(self.basis, deg, self._products(other))
-
-    def _products(self, other: "Form"):
-        """Raw `(ia + ib, ca * cb)` pairs; overlapping tuples skip the product."""
-        for ia, ca in self.terms.items():
-            seen = set(ia)
-            for ib, cb in other.terms.items():
-                if seen.isdisjoint(ib):
-                    yield ia + ib, ca * cb
+        a, b = integer_terms(self.terms), integer_terms(other.terms)
+        if a is None or b is None:
+            return Form(self.basis, deg, _products(self.terms.items(), other.terms.items()))
+        return Form(self.basis, deg, _products(a[1], b[1]), den=a[0] * b[0])
 
     # comparison -------------------------------------------------------------
 

@@ -9,11 +9,12 @@ Sign conventions, with N the number of generators and l the input degree:
 * twist contraction: U_w(theta) = (-1)^(N*l + N) * (w ^ * theta);
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
 
-The matrices of d_w and delta_w are read off the d table of the algebra
-(`Algebra.d_table`) without building a form.  The star of a monomial is
-one signed, weighted monomial, so column I of delta_w is the entry of
-e_{I^c} minus w ^ e_{I^c}, re-indexed by complements: delta_w comes from
-its definition, never from the matrix of d_w.
+The matrices of d_w and delta_w are read off the d table that `d` reads
+(`Algebra.d_table`), one Fraction(t, D) per integer entry, without building
+a form.  The star of a monomial is one signed, weighted monomial, so column
+I of delta_w is the entry of e_{I^c} minus w ^ e_{I^c}, re-indexed by
+complements: delta_w comes from its definition, never from the matrix of
+d_w.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -123,9 +124,10 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _d_plus(d_terms: dict, idx: tuple[int, ...], omega: Form, sign: int) -> dict:
-    """d e_I + sign * (w ^ e_I) as terms, from the terms of d e_I."""
-    out = dict(d_terms)
+def _d_plus(alg: Algebra, idx: tuple[int, ...], omega: Form, sign: int) -> dict:
+    """d e_I + sign * (w ^ e_I) as terms, from the d table entry of e_I."""
+    den = alg.d_den
+    out = {key: Fraction(t, den) if den else t for key, t in alg.d_table(len(idx))[idx].items()}
     for (i,), c in omega.terms.items():
         if i not in idx:
             p = sum(x < i for x in idx)  # e_i moves past the p indices of I below i
@@ -150,8 +152,8 @@ def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     if not 0 <= degree < alg.dim:
         return []
     alg.require_closed(omega)
-    table = alg.d_table(degree)
-    return _fill(alg, [_d_plus(t, idx, omega, 1) for idx, t in table.items()], degree + 1)
+    columns = [_d_plus(alg, idx, omega, 1) for idx in alg.basis.monomials(degree)]
+    return _fill(alg, columns, degree + 1)
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
@@ -165,14 +167,14 @@ def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     if not 1 <= degree <= n:
         return []
     alg.require_closed(omega)
-    table = alg.d_table(n - degree)
     flip = -1 if (n * degree + n + 1) % 2 else 1
+    stars = {j: _star_entry(alg, j) for j in alg.basis.monomials(n - degree + 1)}
     columns = []
     for idx in alg.basis.monomials(degree):
         comp, sign, weight = _star_entry(alg, idx)
         column = {}
-        for j, c in _d_plus(table[comp], comp, omega, -1).items():
-            k, sign_j, weight_j = _star_entry(alg, j)
+        for j, c in _d_plus(alg, comp, omega, -1).items():
+            k, sign_j, weight_j = stars[j]
             if weight is not None:
                 c = c * (weight * weight_j)
             column[k] = c if flip * sign * sign_j > 0 else -c

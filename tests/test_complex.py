@@ -164,7 +164,13 @@ def _form_route(alg: Algebra, op, degree: int, step: int) -> list[list]:
     ids=["1-rational", "2-rational", "2-params"],
 )
 def test_matrices_match_the_form_route_under_a_metric(seed, mode):
-    """Both matrices equal d_omega and delta_omega applied to each monomial Form."""
+    """Both matrices equal d_omega and delta_omega applied to each monomial Form.
+
+    `d` reads the same d table as the matrices, so a wrong table entry shows
+    on both sides and this test does not catch it; it checks the twist terms
+    and the star's re-indexing, signs and weights.  The table itself is
+    checked by the Koszul and metric-adjoint oracles above.
+    """
     alg, w = dense_preset_product(seed, 6, mode)
     alg = with_square_metric(alg)
     for degree in range(alg.dim + 1):
