@@ -216,10 +216,16 @@ class Algebra:
                     for head, h in self._heads[i]:
                         if head[0] not in rest and head[1] not in rest:
                             key, sign = _sort_sign((head[::-1] if m % 2 else head) + rest)
-                            terms[key] = terms.get(key, 0) + (h if sign > 0 else -h)
+                            c, prev = (h if sign > 0 else -h), terms.get(key)
+                            terms[key] = c if prev is None else prev + c
                 table[idx] = {key: c for key, c in terms.items() if c}
             self._d_tables[degree] = table
         return table
+
+    def d_monomial(self, idx: tuple[int, ...]) -> dict:
+        """The terms of d e_I from the d table, one Fraction(t, D) per integer entry."""
+        den, terms = self.d_den, self.d_table(len(idx))[idx]
+        return {key: Fraction(t, den) if den else t for key, t in terms.items()}
 
     def twisted_complex(self, omega: Form) -> TwistedComplex:
         """The complex of d_w and delta_w for a closed twist.
@@ -252,7 +258,8 @@ def d(alg: Algebra, a: Form) -> Form:
     out: dict = {}
     for idx, c in pairs:
         for key, t in table[idx].items():
-            out[key] = out.get(key, 0) + c * t
+            prev = out.get(key)
+            out[key] = c * t if prev is None else prev + c * t
     den = scaled[0] * den if scaled else None
     terms = {key: Fraction(v, den) if den else v for key, v in out.items() if v}
     return Form.canonical(alg.basis, a.degree + 1, terms)

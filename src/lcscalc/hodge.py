@@ -10,11 +10,11 @@ Sign conventions, with N the number of generators and l the input degree:
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
 
 The matrices of d_w and delta_w are read off the d table that `d` reads
-(`Algebra.d_table`), one Fraction(t, D) per integer entry, without building
-a form.  The star of a monomial is one signed, weighted monomial, so column
-I of delta_w is the entry of e_{I^c} minus w ^ e_{I^c}, re-indexed by
-complements: delta_w comes from its definition, never from the matrix of
-d_w.
+(`Algebra.d_monomial`) without building a form.  The star of a monomial is
+one signed, weighted monomial, so column I of delta_w is the entry of
+e_{I^c} minus w ^ e_{I^c}, re-indexed by complements: delta_w comes from
+its definition, never from the matrix of d_w.  Under a metric each
+monomial's weight is computed once per matrix.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -125,9 +125,8 @@ class HarmonicSpace:
 
 
 def _d_plus(alg: Algebra, idx: tuple[int, ...], omega: Form, sign: int) -> dict:
-    """d e_I + sign * (w ^ e_I) as terms, from the d table entry of e_I."""
-    den = alg.d_den
-    out = {key: Fraction(t, den) if den else t for key, t in alg.d_table(len(idx))[idx].items()}
+    """d e_I + sign * (w ^ e_I) as terms."""
+    out = alg.d_monomial(idx)
     for (i,), c in omega.terms.items():
         if i not in idx:
             p = sum(x < i for x in idx)  # e_i moves past the p indices of I below i
