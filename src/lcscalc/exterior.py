@@ -196,13 +196,14 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.basis, self.degree, {i: -c for i, c in self.terms.items()})
+        return Form.canonical(self.basis, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __rmul__(self, c):
         c = _coerce_coeff(c)
         if not c:
             return Form(self.basis, self.degree, {})
-        return Form(self.basis, self.degree, {i: c * v for i, v in self.terms.items()})
+        # a product of nonzero scalars is nonzero, so the terms stay canonical
+        return Form.canonical(self.basis, self.degree, {i: c * v for i, v in self.terms.items()})
 
     def __mul__(self, c):
         return self.__rmul__(c)
