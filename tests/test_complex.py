@@ -168,8 +168,9 @@ def test_matrices_match_the_form_route_under_a_metric(seed, mode):
 
     `d` reads the same d table as the matrices, so a wrong table entry shows
     on both sides and this test does not catch it; it checks the twist terms
-    and the star's re-indexing, signs and weights.  The table itself is
-    checked by the Koszul and metric-adjoint oracles above.
+    and how `cotwisted_matrix` composes the star with d - w^ (the overall
+    sign, the re-indexing by complements, the weight products).  The table
+    itself is checked by the Koszul and metric-adjoint oracles above.
     """
     alg, w = dense_preset_product(seed, 6, mode)
     alg = with_square_metric(alg)
