@@ -20,6 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # denominators up to 315; both forms are d_w eta with the same Lee form
 DENSE6_FORMS = (GOLDEN / "h5xr_dense.forms").read_text(encoding="utf-8").splitlines()
 
+# the preset x R^2 in a frame with entries in -2..2 (det 441): its twist -2 gamma
+# has denominators up to 147 and the harmonic coefficients run to 17 digits
+FRAME_TWIST = "-8/147 e1 - 4/147 e2 - 20/21 e3 + 22/147 e4 - 4/7 e5 + 164/147 e6"
+
 CASES = {
     "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
     "cohomology_dense6_twisted": (
@@ -30,6 +34,7 @@ CASES = {
         ["cohomology", "dense6_metric.alg", "--omega", "1 e1 - 1 e6"],
         0,
     ),
+    "cohomology_frame_twist": (["cohomology", "frame_twist.alg", "--omega", FRAME_TWIST], 0),
     "cohomology_nonunimodular": (
         ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
         0,
