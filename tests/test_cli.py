@@ -267,6 +267,17 @@ def test_one_generator_reports(tmp_path, capsys):
     assert "dims: 0 0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("omega", ["0", "1 e1"])
+def test_cohomology_refuses_a_metric_that_is_not_a_square(tmp_path, capsys, omega):
+    """The harmonic stage needs exact square roots of the metric entries."""
+    path = tmp_path / "metric.alg"
+    path.write_text("generators e1 e2 e3\nd e3 = 1 e1^e2\nmetric diag 2 1 1\n")
+    assert main(["cohomology", str(path), "--omega", omega]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_input_error(err)
+    assert "InvalidMetric: metric entry for e1 must be the square of a rational" in err
+
+
 def test_only_decimal_digits_are_numbers(tmp_path, capsys):
     path = tmp_path / "digits.alg"
     path.write_text("generators a b\nd a = 2\u00b2 a^b\n")
