@@ -35,22 +35,22 @@ def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode):
     return _parse_exponent(cur, _parse_scalar_atom(cur, mode))
 
 
-def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
-    """One additive term: scalar factors then an optional generator chain.
+def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> tuple[int, tuple]:
+    """One additive term, as its degree and one raw `(index tuple, coefficient)` pair.
 
     Juxtaposition multiplies scalar factors; '*' may also join the last
-    factor to the generator chain.
+    factor to the generator chain.  A chain longer than the dimension repeats
+    a generator, so it is zero (as in `Form.wedge`): a zero pair of degree N.
     """
-    coeff = mode.one()
-    saw_factor = False
+    coeff = None
     while True:
         t = cur.peek()
         if t.kind == "ident" and t.value in basis.names:
             break
         if t.kind not in ("int", "ident", "("):
             break
-        coeff = coeff * _parse_scalar_factor(cur, mode)
-        saw_factor = True
+        factor = _parse_scalar_factor(cur, mode)
+        coeff = factor if coeff is None else coeff * factor
         while cur.peek().kind in "*/":
             op = cur.next()
             nxt = cur.peek()
@@ -78,38 +78,39 @@ def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
             raise ExprSyntaxError(
                 "'^' in a form term must join generator names", caret.line, caret.col
             )
-    if not gens and not saw_factor:
-        t = cur.peek()
-        raise ExprSyntaxError(
-            "expected a scalar or generator" if t.kind == "end"
-            else f"unexpected {t.value!r}",
-            t.line,
-            t.col,
-        )
-    if not gens:
-        return Form(basis, 0, {(): coeff})
+    if coeff is None:
+        if not gens:
+            t = cur.peek()
+            raise ExprSyntaxError(
+                "expected a scalar or generator" if t.kind == "end"
+                else f"unexpected {t.value!r}",
+                t.line,
+                t.col,
+            )
+        coeff = mode.one()
     if len(gens) > basis.dim:
-        # a longer chain repeats a generator, so it is zero (as in `Form.wedge`)
-        return basis.zero(basis.dim)
-    return Form(basis, len(gens), {tuple(gens): coeff})
+        return basis.dim, ((), mode.zero())
+    return len(gens), (tuple(gens), coeff)
 
 
 def _parse_form(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
     """A signed sum of terms, with the value and the errors of chained `+`.
 
-    The terms are summed by one Form; only a term of another degree meets
-    the running sum through `+`, which allows that only if either is zero.
+    The pairs of the terms are summed by one Form; only a term of another
+    degree meets the running sum through `+`, which allows that only if
+    either is zero.
     """
     op = cur.next().kind if cur.peek().kind in "+-" else "+"
     degree, pairs = None, []
     while True:
-        term = _parse_form_term(cur, basis, mode)
-        if op == "-":
-            term = -term
-        if degree is not None and term.degree != degree:
-            term, pairs = Form(basis, degree, pairs) + term, []
-        degree = term.degree
-        pairs.extend(term.terms.items())
+        term_degree, (idx, c) = _parse_form_term(cur, basis, mode)
+        pair = (idx, -c if op == "-" else c)
+        if degree is None or term_degree == degree:
+            degree = term_degree
+            pairs.append(pair)
+        else:
+            total = Form(basis, degree, pairs) + Form(basis, term_degree, [pair])
+            degree, pairs = total.degree, list(total.terms.items())
         if cur.peek().kind not in "+-":
             return Form(basis, degree, pairs)
         op = cur.next().kind
