@@ -222,11 +222,6 @@ class Algebra:
             self._d_tables[degree] = table
         return table
 
-    def d_monomial(self, idx: tuple[int, ...]) -> dict:
-        """The terms of d e_I from the d table, one Fraction(t, D) per integer entry."""
-        den, terms = self.d_den, self.d_table(len(idx))[idx]
-        return {key: Fraction(t, den) if den else t for key, t in terms.items()}
-
     def twisted_complex(self, omega: Form) -> TwistedComplex:
         """The complex of d_w and delta_w for a closed twist.
 

@@ -10,11 +10,18 @@ Sign conventions, with N the number of generators and l the input degree:
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
 
 The matrices of d_w and delta_w are read off the d table that `d` reads
-(`Algebra.d_monomial`) without building a form.  The star of a monomial is
-one signed, weighted monomial, so column I of delta_w is the entry of
-e_{I^c} minus w ^ e_{I^c}, re-indexed by complements: delta_w comes from
-its definition, never from the matrix of d_w.  Under a metric each
-monomial's weight is computed once per matrix.
+(`Algebra.d_table`) without building a form, by one assembly (`_assemble`).
+The star of a monomial is one signed, weighted monomial, so column I of
+delta_w is the entry of e_{I^c} minus w ^ e_{I^c}, re-indexed by
+complements: delta_w comes from its definition, never from the matrix of
+d_w.  Its entry (K, I) under a metric is the identity-metric entry times
+g_K / g_I, with g_X = prod_{i in X} g_i, so no square root enters a matrix.
+
+For rational data each matrix is held as primitive integer rows: L times
+the operator, L the lcm of the table's denominator D and the twist's
+denominators, each row divided by its content.  Ranks and kernels are
+computed on these rows in Python ints; the scalar matrices are the same
+rows divided through.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -26,36 +33,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 
 from .cecomplex import Algebra, d
 from .errors import BasisMismatch, DegreeMismatch
-from .exterior import Form
-from .linalg import nullspace, rank
-from .scalar import Scalar, ring_rows
+from .exterior import Form, integer_terms
+from .linalg import IntegerRows, nullspace, rank
+from .scalar import ParamScalar, Scalar, _fraction_row
 
 
-def _star_entry(alg: Algebra, idx: tuple[int, ...]):
-    """The star on e_I as (I^c, sign of (I, I^c), weight or None if it is 1)."""
-    comp = tuple(i for i in range(alg.dim) if i not in idx)
-    # I_m - m indices of I^c lie below I_m (m counted from 0): the inversions
-    sign = -1 if (sum(idx) - len(idx) * (len(idx) - 1) // 2) % 2 else 1
-    if alg.identity_metric:
-        return comp, sign, None
-    weights = alg.metric_weights()
-    return comp, sign, prod(weights[i] for i in comp) / prod(weights[i] for i in idx)
+def _complement(n: int, idx: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if i not in idx)
+
+
+def _star_sign(idx: tuple[int, ...]) -> int:
+    """sign(I, I^c): I_m - m indices of I^c lie below I_m (m counted from 0)."""
+    return -1 if (sum(idx) - len(idx) * (len(idx) - 1) // 2) % 2 else 1
 
 
 def star(alg: Algebra, a: Form) -> Form:
     """Hodge star for the diagonal metric and the ascending orientation."""
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
+    weights = None if alg.identity_metric else alg.metric_weights()
     out: dict = {}
     for idx, c in a.terms.items():
-        comp, sign, weight = _star_entry(alg, idx)
-        if weight is not None:
-            c = c * weight
-        out[comp] = c if sign > 0 else -c
+        comp = _complement(alg.dim, idx)
+        if weights:
+            c = c * (prod(weights[i] for i in comp) / prod(weights[i] for i in idx))
+        out[comp] = c if _star_sign(idx) > 0 else -c
     return Form(alg.basis, alg.dim - a.degree, out)
 
 
@@ -124,77 +130,110 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _d_plus(alg: Algebra, idx: tuple[int, ...], omega: Form, sign: int) -> dict:
-    """d e_I + sign * (w ^ e_I) as terms."""
-    out = alg.d_monomial(idx)
-    for (i,), c in omega.terms.items():
-        if i not in idx:
-            p = sum(x < i for x in idx)  # e_i moves past the p indices of I below i
-            key = idx[:p] + (i,) + idx[p:]
-            c = c if (p % 2 == 0) == (sign > 0) else -c
-            out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if c}
+def _metric_products(alg: Algebra, degree: int) -> list[Fraction]:
+    """g_I = prod_{i in I} g_i for each monomial of a degree."""
+    g = [x.as_fraction() if isinstance(x, ParamScalar) else x for x in alg.metric]
+    return [prod((g[i] for i in idx), start=Fraction(1)) for idx in alg.basis.monomials(degree)]
 
 
-def _fill(alg: Algebra, columns: list[dict], degree: int) -> list[list]:
-    """The matrix whose column j holds the terms columns[j] of degree l."""
-    zero = alg.zero_scalar()
-    rows = {m: [zero] * len(columns) for m in alg.basis.monomials(degree)}
-    for j, column in enumerate(columns):
-        for m, c in column.items():
-            rows[m][j] = c
-    return list(rows.values())
+def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
+    """Rows of d_w (step 1) or delta_w (step -1) leaving a degree, and row factors.
+
+    Column I of d_w is (d + w^) e_I.  Column I of delta_w is flip *
+    sign(I, I^c) * (d - w^) e_{I^c}, whose term e_J goes to row J^c with
+    sign(J, J^c); its metric factor g_K / g_I is left to `_divided`.  With an
+    integer d table the rows are L times the operator, L = lcm(D, the
+    twist's denominators), each divided by its content: primitive
+    `IntegerRows`, row r of the matrix being factors[r] * rows[r].
+    Otherwise the rows hold the scalars and the factors are None.
+    """
+    n = alg.dim
+    if min(degree, degree + step) < 0 or max(degree, degree + step) > n:
+        return IntegerRows(), None
+    alg.require_closed(omega)
+    if step < 0 and not alg.identity_metric:
+        alg.metric_weights()  # delta_w is defined through the star, exact for squares only
+    den = alg.d_den
+    twist = integer_terms(omega.terms) if den else None
+    scale = lcm(den, twist[0]) if twist else None
+    if scale:
+        dscale, twist = scale // den, [(i, c * (scale // twist[0])) for (i,), c in twist[1]]
+    else:
+        dscale = Fraction(1, den) if den else 1
+        twist = [(i, c) for (i,), c in omega.terms.items()]
+    sources = list(alg.basis.monomials(degree))
+    zero = 0 if scale else alg.zero_scalar()
+    rows = {m: [zero] * len(sources) for m in alg.basis.monomials(degree + step)}
+    if step > 0:
+        table, place = alg.d_table(degree), {m: (m, 1) for m in rows}
+    else:
+        table, flip = alg.d_table(n - degree), -1 if (n * degree + n + 1) % 2 else 1
+        place = {_complement(n, m): (m, flip * _star_sign(_complement(n, m))) for m in rows}
+    for j, idx in enumerate(sources):
+        src = idx if step > 0 else _complement(n, idx)
+        column = dict(table[src])
+        if dscale != 1:
+            column = {key: t * dscale for key, t in column.items()}
+        for i, c in twist:
+            if i not in src:
+                p = sum(x < i for x in src)  # e_i moves past the p indices below i
+                key = src[:p] + (i,) + src[p:]
+                c = c if (p % 2 == 0) == (step > 0) else -c
+                column[key] = column[key] + c if key in column else c
+        sign = 1 if step > 0 else _star_sign(idx)
+        for key, c in column.items():
+            row, s = place[key]
+            rows[row][j] = c if s * sign > 0 else -c
+    rows = list(rows.values())
+    if not scale:
+        return rows, None
+    contents = [gcd(*row) or 1 for row in rows]
+    rows = IntegerRows([x // g for x in row] if g > 1 else row for row, g in zip(rows, contents))
+    return rows, [Fraction(g, scale) for g in contents]
+
+
+def _divided(alg: Algebra, assembled, degree: int, step: int) -> list[list]:
+    """The matrix of assembled rows over Q or the parameter field.
+
+    Entry (K, I) of delta_w under a metric is the assembled one times g_K / g_I.
+    """
+    rows, factors = assembled
+    if factors is not None:
+        rows = [[f * x for x in row] for f, row in zip(factors, rows)]
+    if step < 0 and rows and not alg.identity_metric:
+        g_row, g_col = _metric_products(alg, degree - 1), _metric_products(alg, degree)
+        rows = [
+            [x * (gk / gi) if x else x for x, gi in zip(row, g_col)]
+            for row, gk in zip(rows, g_row)
+        ]
+    return list(rows)
 
 
 def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
     """Matrix of d_w from degree l to l+1 in the monomial bases."""
-    if not 0 <= degree < alg.dim:
-        return []
-    alg.require_closed(omega)
-    columns = [_d_plus(alg, idx, omega, 1) for idx in alg.basis.monomials(degree)]
-    return _fill(alg, columns, degree + 1)
+    return _divided(alg, _assemble(alg, omega, degree, 1), degree, 1)
 
 
 def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of delta_w from degree l to l-1 in the monomial bases.
-
-    Column I is (-1)^(N*l + N + 1) * star((d - w^) star e_I): the star of
-    e_I is a multiple of e_{I^c}, and the star of each term e_J of
-    (d - w^) e_{I^c} a multiple of e_{J^c}.
-    """
-    n = alg.dim
-    if not 1 <= degree <= n:
-        return []
-    alg.require_closed(omega)
-    flip = -1 if (n * degree + n + 1) % 2 else 1
-    stars = {j: _star_entry(alg, j) for j in alg.basis.monomials(n - degree + 1)}
-    columns = []
-    for idx in alg.basis.monomials(degree):
-        comp, sign, weight = _star_entry(alg, idx)
-        column = {}
-        for j, c in _d_plus(alg, comp, omega, -1).items():
-            k, sign_j, weight_j = stars[j]
-            if weight is not None:
-                c = c * (weight * weight_j)
-            column[k] = c if flip * sign * sign_j > 0 else -c
-        columns.append(column)
-    return _fill(alg, columns, degree - 1)
+    """Matrix of delta_w from degree l to l-1 in the monomial bases."""
+    return _divided(alg, _assemble(alg, omega, degree, -1), degree, -1)
 
 
 class TwistedComplex:
     """d_w and delta_w of one algebra and closed twist, filled in lazily.
 
-    Per degree it holds the two matrices, the kernel of d_w (whose size
-    gives the rank), the rank of delta_w and the harmonic basis; each is
-    computed at most once.  Obtain one from `Algebra.twisted_complex`, which
-    checks the structure data and the twist once per twist and hands every
-    complex of that twist the same store.  The store refers back to neither
-    the algebra nor the complex, so dropping the algebra frees it at once.
-    Both matrices are read off the algebra's d table.  delta_w is
-    (-1)^(N*l + N + 1) * star (d - w^) star there, assembled from its
-    definition and never from d_w, so the harmonic dimensions stay an
-    independent check on the ranks.  Matrices are available in parameter
-    mode; ranks are not.
+    Per degree it holds the assembled rows of the two operators, the kernel
+    of d_w (whose size gives the rank), the rank of delta_w and the
+    harmonic basis; each is computed at most once.  Obtain one from
+    `Algebra.twisted_complex`, which checks the structure data and the twist
+    once per twist and hands every complex of that twist the same store.
+    The store refers back to neither the algebra nor the complex, so
+    dropping the algebra frees it at once.  Both operators are read off the
+    algebra's d table by `_assemble`, as primitive integer rows for rational
+    data.  delta_w is (-1)^(N*l + N + 1) * star (d - w^) star there,
+    assembled from its definition and never from d_w, so the harmonic
+    dimensions stay an independent check on the ranks.  Matrices are
+    available in parameter mode; ranks are not.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -202,8 +241,8 @@ class TwistedComplex:
         self.omega = omega
         self._store = store
 
-    def _once(self, key: tuple[str, int], make):
-        """The value stored under (kind, degree), from make() on first use."""
+    def _once(self, key: tuple, make):
+        """The value stored under (kind, [step,] degree), from make() on first use."""
         if key not in self._store:
             self._store[key] = make()
         return self._store[key]
@@ -212,21 +251,21 @@ class TwistedComplex:
         """Number of monomials of a degree (0 outside 0..N)."""
         return comb(self.alg.dim, degree) if degree >= 0 else 0
 
-    def d_matrix(self, degree: int) -> list[list]:
-        return self._once(("d", degree), lambda: twisted_matrix(self.alg, self.omega, degree))
-
-    def delta_matrix(self, degree: int) -> list[list]:
+    def rows(self, degree: int, step: int):
+        """Assembled rows and row factors of d_w (step 1) or delta_w (step -1)."""
         return self._once(
-            ("delta", degree), lambda: cotwisted_matrix(self.alg, self.omega, degree)
+            ("rows", step, degree), lambda: _assemble(self.alg, self.omega, degree, step)
         )
 
-    def kernel(self, degree: int) -> list[list]:
-        """Reduced kernel basis of d_w: a unit entry at each free column."""
+    def d_matrix(self, degree: int) -> list[list]:
+        return _divided(self.alg, self.rows(degree, 1), degree, 1)
+
+    def kernel(self, degree: int) -> list[list[int]]:
+        """Kernel basis of d_w: primitive integer vectors, one per free column."""
         self.alg.require_rational("twisted cohomology")
-        zero, one = self.alg.zero_scalar(), self.alg.one_scalar()
         return self._once(
             ("kernel", degree),
-            lambda: nullspace(self.d_matrix(degree), self.size(degree), zero, one),
+            lambda: nullspace(self.rows(degree, 1)[0], self.size(degree), 0, 1),
         )
 
     def d_rank(self, degree: int) -> int:
@@ -240,7 +279,7 @@ class TwistedComplex:
         self.alg.require_rational("twisted cohomology")
         n = self.size(degree)
         return self._once(
-            ("delta_rank", degree), lambda: rank(self.delta_matrix(degree), n) if n else 0
+            ("delta_rank", degree), lambda: rank(self.rows(degree, -1)[0], n) if n else 0
         )
 
     def betti(self, degree: int) -> int:
@@ -250,46 +289,46 @@ class TwistedComplex:
     def harmonic(self, degree: int) -> HarmonicSpace:
         """Kernel of delta_w inside the kernel K of d_w, as K*c.
 
-        c runs over the reduced kernel basis of delta_w*K.  A reduced kernel
-        basis depends only on the subspace (its unit entries sit where the
-        basis vectors end), so K*c is the reduced kernel basis of the
-        stacked matrix [d_w; delta_w].
+        c runs over a kernel basis of delta_w*K.  Divided by its last
+        nonzero entry, K*c is the reduced kernel basis of the stacked matrix
+        [d_w; delta_w]: a reduced kernel basis depends only on the subspace,
+        and its unit entries sit where the basis vectors end.
         """
         return self._once(("harmonic", degree), lambda: self._harmonic(degree))
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
         """K*c in Python ints.
 
-        Scaling the rows of delta_w keeps its kernel.  With K_j scaled by
-        b_j, the lcm of its denominators (b_j then sits at its free column,
-        its last nonzero entry), and c by m, the reduced kernel vector at
-        the free column f of c is the integer K*c divided by m * b_f.
+        Under a metric delta_w = diag(g_K) * delta' * diag(1/g_I) with delta'
+        the assembled rows; the row factor keeps the kernel, and the column
+        factor goes into K: c spans the kernel of delta' * diag(1/g_I) * K.
         """
         kernel = self.kernel(degree)
-        delta = self.delta_matrix(degree)
-        vectors = kernel
-        if kernel and delta:
-            rows, ints = ring_rows(delta)[0], ring_rows(kernel)[0]
-            support = [[i for i, x in enumerate(k) if x] for k in ints]
-            image = [
-                [sum(row[i] * k[i] for i in s) for k, s in zip(ints, support)] for row in rows
-            ]
-            coords = nullspace(image, len(kernel), Fraction(0), Fraction(1))
-            vectors = []
-            for c in ring_rows(coords)[0]:
-                f = max(j for j, x in enumerate(c) if x)
-                scale = c[f] * ints[f][support[f][-1]]
-                vec = [0] * self.size(degree)
-                for cj, k, s in zip(c, ints, support):
-                    if cj:
-                        for i in s:
-                            vec[i] += cj * k[i]
-                vectors.append([Fraction(x, scale) for x in vec])
+        rows = self.rows(degree, -1)[0]
+        support = [[i for i, x in enumerate(k) if x] for k in kernel]
+        coords = [[int(i == j) for i in range(len(kernel))] for j in range(len(kernel))]
+        if kernel and rows:
+            applied = kernel
+            if not self.alg.identity_metric:
+                # 1/g_I times one common multiple, so that c stays the same
+                inverse = _fraction_row([1 / g for g in _metric_products(self.alg, degree)])
+                applied = [[x * h for x, h in zip(k, inverse)] for k in kernel]
+            image = IntegerRows(
+                [sum(row[i] * k[i] for i in s) for k, s in zip(applied, support)] for row in rows
+            )
+            coords = nullspace(image, len(kernel), 0, 1)
         monos = list(self.alg.basis.monomials(degree))
-        basis_forms = tuple(
-            Form(self.alg.basis, degree, zip(monos, vec)) for vec in vectors
-        )
-        return HarmonicSpace(degree, basis_forms, self.omega)
+        basis_forms = []
+        for c in coords:
+            vec = [0] * len(monos)
+            for cj, k, s in zip(c, kernel, support):
+                if cj:
+                    for i in s:
+                        vec[i] += cj * k[i]
+            last = next(x for x in reversed(vec) if x)
+            terms = {m: Fraction(x, last) for m, x in zip(monos, vec) if x}
+            basis_forms.append(Form.canonical(self.alg.basis, degree, terms))
+        return HarmonicSpace(degree, tuple(basis_forms), self.omega)
 
     def decomposition(self, degree: int) -> tuple[int, int, int]:
         """Dimensions of the harmonic, twisted-exact and twisted-coexact parts."""

@@ -1,31 +1,50 @@
-"""Exact fraction-free Gauss-Jordan elimination (Bareiss 1968).
+"""Exact fraction-free elimination (Bareiss 1968).
 
-Works for both rationals and rational functions.  Each row is first scaled
-into a ring with exact division (`scalar.ring_rows`): Python ints for
-rationals, integer polynomials in the parameter symbols otherwise.  The
-elimination then stays in that ring: each update (p*x - f*y) // prev, with
-p the current pivot and prev the previous one, divides exactly by
-Sylvester's identity, so no step needs a gcd.  At the end every pivot holds
-the same value D, and each entry of the reduced row echelon form that is
-needed is normalised once, as a/D.  Pivoting is deterministic (first
-nonzero entry in column order), the same pivots a field elimination picks,
-and the reduced row echelon form is unique, so kernels, primitives and
-reports are the same as from division in the field.
+Works for both rationals and rational functions.  Each row of exact scalars
+is first scaled into a ring with exact division (`scalar.ring_rows`):
+Python ints for rationals, integer polynomials in the parameter symbols
+otherwise.  `IntegerRows` are in that ring already and are eliminated as
+they are.  The elimination then stays in the ring: each update
+(p*x - f*y) // prev, with p the current pivot and prev the previous one,
+divides exactly by Sylvester's identity, so no step needs a gcd.
+
+`rank` is forward-only: it updates the rows below each pivot and never the
+rows above.  `nullspace` and `solve` run the full Gauss-Jordan loop; at its
+end every pivot holds the same value D, and each entry of the reduced row
+echelon form that is needed is normalised once, as a/D.  Pivoting is
+deterministic (first nonzero entry in column order), the same pivots a
+field elimination picks, and the reduced row echelon form is unique, so
+kernels, primitives and reports are the same as from division in the field.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .scalar import ring_rows
 
 
-def _rref(rows: list[list], ncols: int):
-    """Fraction-free elimination of scalar rows over the first ncols columns.
+class IntegerRows(list):
+    """Rows of Python ints, eliminated without scaling.
 
-    Returns the ring rows, the pivot columns, the common pivot value D and
-    `quotient`: entry (i, j) of the reduced row echelon form is
-    quotient(work[i][j], D).
+    `nullspace` gives their kernel as primitive integer vectors: each is the
+    reduced kernel vector times D, divided by the gcd of its entries, so the
+    entry at its free column is positive.
     """
-    work, prev, quotient = ring_rows(rows)  # prev starts as the ring's one
+
+
+def _rref(rows: list[list], ncols: int, above: bool = True):
+    """Fraction-free elimination over the first ncols columns.
+
+    With `above` False only the rows below each pivot are updated.  Returns
+    the ring rows, the pivot columns, the last pivot value D and
+    `quotient`: after the full loop entry (i, j) of the reduced row echelon
+    form is quotient(work[i][j], D).
+    """
+    if isinstance(rows, IntegerRows):
+        work, prev, quotient = list(rows), 1, None  # rows are replaced, never changed
+    else:
+        work, prev, quotient = ring_rows(rows)  # prev starts as the ring's one
     pivots = []
     r = 0
     for c in range(ncols):
@@ -39,7 +58,7 @@ def _rref(rows: list[list], ncols: int):
         work[r], work[pr] = work[pr], work[r]
         row = work[r]
         p = row[c]
-        for i in range(len(work)):
+        for i in range(0 if above else r + 1, len(work)):
             if i != r:
                 f = work[i][c]
                 if f:
@@ -55,22 +74,34 @@ def _rref(rows: list[list], ncols: int):
 
 
 def rank(rows: list[list], ncols: int) -> int:
-    return len(_rref(rows, ncols)[1])
+    return len(_rref(rows, ncols, above=False)[1])
 
 
 def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
-    """Kernel basis: one vector per free column, unit entry at that column."""
+    """Kernel basis: one vector per free column.
+
+    For scalar rows each vector has a unit entry at its free column; for
+    `IntegerRows` it is primitive, with a positive entry there.
+    """
     work, pivots, pv, quotient = _rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, pc in enumerate(pivots):
-            if work[r][free]:
-                vec[pc] = -quotient(work[r][free], pv)
+        if quotient is None:
+            vec = [0] * ncols
+            vec[free] = pv
+            for r, pc in enumerate(pivots):
+                vec[pc] = -work[r][free]
+            g = gcd(*vec) if pv > 0 else -gcd(*vec)
+            vec = [x // g for x in vec]
+        else:
+            vec = [zero] * ncols
+            vec[free] = one
+            for r, pc in enumerate(pivots):
+                if work[r][free]:
+                    vec[pc] = -quotient(work[r][free], pv)
         basis.append(vec)
     return basis
 

@@ -10,11 +10,16 @@
     equal `operator_matrix` over `d_omega` and `delta_omega` of each monomial,
     and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
-    rank/nullspace calls on N generators.
+    rank/nullspace calls on N generators;
+(d) the primitive integer rows of both operators, divided by their row
+    factors, are the Koszul matrix and its transpose, also for twists whose
+    denominators are prime to the structure's D, and every assembled row
+    and kernel vector is primitive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -43,6 +48,8 @@ from lcscalc.exterior import Basis, Form
 from lcscalc.hodge import cotwisted_matrix, delta_omega, harmonic_space, twisted_matrix
 from lcscalc.linalg import operator_matrix
 from lcscalc.scalar import ScalarMode
+from lcscalc.specfile import parse_algebra_file, parse_form_expr
+from test_golden import FRAME_TWIST
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,6 +243,77 @@ def _cases_for_harmonic():
     for seed in (2, 3):
         alg, w = dense_preset_product(seed, 6, ScalarMode.rational())
         yield with_square_metric(alg), w
+    for alg, w, _ in _integer_cases()[::3]:  # one twist prime to D, one under a metric
+        yield alg, w
+
+
+def _closed_one_forms(alg: Algebra) -> list[Form]:
+    """The reduced basis of the closed 1-forms, from the Koszul matrix of d."""
+    kernel = fraction_nullspace(koszul_twisted_matrix(alg, alg.basis.zero(1), 1), alg.dim)
+    return [Form(alg.basis, 1, {(i,): c for i, c in enumerate(v)}) for v in kernel]
+
+
+@functools.cache
+def _integer_cases() -> list:
+    """Structure data with D > 1 and nonzero twists, some with denominators prime to D.
+
+    Each case carries its Koszul matrices of d_w, one per degree.
+    """
+    dense6 = parse_algebra_file(str(GOLDEN / "dense6.alg"))  # D = 4
+    a, b, _ = _closed_one_forms(dense6)
+    frame = parse_algebra_file(str(GOLDEN / "frame_twist.alg"))  # D = 441
+    cases = [
+        (dense6, Fraction(1, 7) * a - Fraction(3, 11) * b),
+        (frame, parse_form_expr(FRAME_TWIST, frame.basis, frame.mode)),
+    ]
+    alg, w = dense_preset_product(1, 5, ScalarMode.rational())
+    cases.append((alg, Fraction(1, 7) * w))
+    alg, w = dense_preset_product(2, 6, ScalarMode.rational())
+    cases.append((with_square_metric(alg), Fraction(-3, 11) * w))
+    return [
+        (alg, w, [koszul_twisted_matrix(alg, w, degree) for degree in range(alg.dim + 1)])
+        for alg, w in cases
+    ]
+
+
+def _divided_rows(cx, degree: int, step: int) -> list[list]:
+    rows, factors = cx.rows(degree, step)
+    return [[f * x for x in row] for f, row in zip(factors, rows)]
+
+
+def test_integer_rows_divided_by_their_factors_are_the_koszul_matrices():
+    """Row by row the assembled integers are the Koszul d_w, and delta_w's its transpose.
+
+    delta_w itself is G^-1 (d_w)^T G; its rows leave out the metric factor
+    g_K / g_I, so under any metric they are the transpose on these
+    unimodular algebras.
+    """
+    for alg, w, koszul in _integer_cases():
+        assert alg.d_den > 1 and not w.is_zero()
+        cx = alg.twisted_complex(w)
+        for degree in range(alg.dim):
+            assert _divided_rows(cx, degree, 1) == koszul[degree]
+            transpose = [list(col) for col in zip(*koszul[degree])]
+            assert _divided_rows(cx, degree + 1, -1) == transpose
+            low, high = _gram(alg, degree), _gram(alg, degree + 1)
+            adjoint = [
+                [koszul[degree][j][i] * high[j] / low[i] for j in range(len(high))]
+                for i in range(len(low))
+            ]
+            assert cotwisted_matrix(alg, w, degree + 1) == adjoint
+
+
+def test_assembled_rows_and_kernel_vectors_are_primitive():
+    """gcd 1 everywhere; each kernel vector over its last entry is the reduced one."""
+    for alg, w, koszul in _integer_cases():
+        cx = alg.twisted_complex(w)
+        for degree in range(alg.dim + 1):
+            for step in (1, -1):
+                assert all(math.gcd(*row) == 1 for row in cx.rows(degree, step)[0] if any(row))
+            kernel = cx.kernel(degree)
+            assert all(math.gcd(*vec) == 1 for vec in kernel)
+            reduced = [[Fraction(x, [y for y in vec if y][-1]) for x in vec] for vec in kernel]
+            assert reduced == fraction_nullspace(koszul[degree], cx.size(degree))
 
 
 def test_harmonic_bases_match_stacked_kernel():
@@ -250,13 +328,15 @@ def test_harmonic_bases_match_stacked_kernel():
 
 
 def _count_calls(monkeypatch) -> list:
-    """Log every call of rank, nullspace and the two matrix builders.
+    """Log every call of rank, nullspace and `hodge._assemble`.
 
-    Each function is wrapped under every lcscalc name bound to it, so a
-    call through any module alias is counted.
+    `_assemble` is the one builder of both operators: `twisted_matrix`,
+    `cotwisted_matrix` and the complex all read their rows from it.  Each
+    function is wrapped under every lcscalc name bound to it, so a call
+    through any module alias is counted.
     """
     log = []
-    for fn in (linalg.rank, linalg.nullspace, hodge.twisted_matrix, hodge.cotwisted_matrix):
+    for fn in (linalg.rank, linalg.nullspace, hodge._assemble):
 
         def counted(*args, _fn=fn, **kwargs):
             log.append((_fn.__name__, args))
@@ -275,7 +355,8 @@ def _reductions(log) -> int:
 
 
 def _most_builds_of_one_matrix(log) -> int:
-    builds = Counter((name, args[2]) for name, args in log if name.endswith("twisted_matrix"))
+    """The most builds of one (degree, step) matrix; step 1 is d_w, -1 delta_w."""
+    builds = Counter(args[2:4] for name, args in log if name == "_assemble")
     return max(builds.values())
 
 

@@ -6,6 +6,7 @@ echelon form over QQ(n, k) (test-only oracle, skipped without sympy).
 Results must agree entry by entry and keep the scalar type of the mode.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import fraction_nullspace, fraction_solve, rref_rank
 from lcscalc.errors import MixedModes
-from lcscalc.linalg import nullspace, rank, solve
+from lcscalc.linalg import IntegerRows, nullspace, rank, solve
 from lcscalc.scalar import ParamScalar, ScalarMode, parse_scalar
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -73,6 +74,26 @@ def test_rank_and_kernel_match_fraction_elimination(case):
     kernel = nullspace(rows, ncols, ZERO, ONE)
     assert kernel == fraction_nullspace(rows, ncols)
     assert _all(kernel, Fraction)
+
+
+# integers, some beyond any machine word
+integers = st.one_of(small, st.integers(min_value=10**30, max_value=10**30 + 9)).map(Fraction)
+
+
+@given(matrices(integers, 8, 8))
+def test_integer_rows_give_the_rank_and_primitive_kernels(case):
+    """On IntegerRows the kernel vectors are the reduced ones times a positive integer, gcd 1."""
+    rows, ncols = case
+    ints = IntegerRows([int(x) for x in row] for row in rows)
+    assert rank(ints, ncols) == rref_rank(rows)
+    kernel = nullspace(ints, ncols, 0, 1)
+    assert _all(kernel, int)
+    reduced = fraction_nullspace(rows, ncols)
+    assert len(kernel) == len(reduced)
+    for vec, unit in zip(kernel, reduced):
+        free = max(i for i, x in enumerate(unit) if x)
+        assert vec[free] > 0 and math.gcd(*vec) == 1
+        assert [Fraction(x, vec[free]) for x in vec] == unit
 
 
 @given(systems(rationals, 8, 8))
