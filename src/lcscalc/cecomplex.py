@@ -21,6 +21,7 @@ from .errors import (
     BasisMismatch,
     DegreeMismatch,
     InvalidMetric,
+    MixedModes,
     OmegaNotClosed,
     ParamModeUnsupported,
     StructureError,
@@ -167,6 +168,8 @@ class Algebra:
             raise DegreeMismatch("twist must be a 1-form")
         if omega in self._twisted:
             return
+        if not self.mode.is_param and integer_terms(omega.terms) is None:
+            raise MixedModes("a twist with symbolic coefficients needs a parameter-mode algebra")
         dw = d(self, omega)
         if not dw.is_zero():
             raise OmegaNotClosed(f"twist {omega} is not closed: d = {dw}")

@@ -137,19 +137,19 @@ def _metric_products(alg: Algebra, degree: int) -> list[Fraction]:
 
 
 def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
-    """Rows of d_w (step 1) or delta_w (step -1) leaving a degree, and row factors.
+    """Rows of d_w (step 1) or delta_w (step -1) leaving a degree, their contents and L.
 
     Column I of d_w is (d + w^) e_I.  Column I of delta_w is flip *
     sign(I, I^c) * (d - w^) e_{I^c}, whose term e_J goes to row J^c with
     sign(J, J^c); its metric factor g_K / g_I is left to `_divided`.  With an
     integer d table the rows are L times the operator, L = lcm(D, the
     twist's denominators), each divided by its content: primitive
-    `IntegerRows`, row r of the matrix being factors[r] * rows[r].
-    Otherwise the rows hold the scalars and the factors are None.
+    `IntegerRows`, row r of the matrix being rows[r] * contents[r] / L.
+    Otherwise the rows hold the scalars, and the contents and L are None.
     """
     n = alg.dim
     if min(degree, degree + step) < 0 or max(degree, degree + step) > n:
-        return IntegerRows(), None
+        return IntegerRows(), None, None
     alg.require_closed(omega)
     if step < 0 and not alg.identity_metric:
         alg.metric_weights()  # delta_w is defined through the star, exact for squares only
@@ -186,10 +186,10 @@ def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
             rows[row][j] = c if s * sign > 0 else -c
     rows = list(rows.values())
     if not scale:
-        return rows, None
+        return rows, None, None
     contents = [gcd(*row) or 1 for row in rows]
     rows = IntegerRows([x // g for x in row] if g > 1 else row for row, g in zip(rows, contents))
-    return rows, [Fraction(g, scale) for g in contents]
+    return rows, contents, scale
 
 
 def _divided(alg: Algebra, assembled, degree: int, step: int) -> list[list]:
@@ -197,9 +197,9 @@ def _divided(alg: Algebra, assembled, degree: int, step: int) -> list[list]:
 
     Entry (K, I) of delta_w under a metric is the assembled one times g_K / g_I.
     """
-    rows, factors = assembled
-    if factors is not None:
-        rows = [[f * x for x in row] for f, row in zip(factors, rows)]
+    rows, contents, scale = assembled
+    if scale:
+        rows = [[Fraction(g * x, scale) for x in row] for g, row in zip(contents, rows)]
     if step < 0 and rows and not alg.identity_metric:
         g_row, g_col = _metric_products(alg, degree - 1), _metric_products(alg, degree)
         rows = [
@@ -252,13 +252,15 @@ class TwistedComplex:
         return comb(self.alg.dim, degree) if degree >= 0 else 0
 
     def rows(self, degree: int, step: int):
-        """Assembled rows and row factors of d_w (step 1) or delta_w (step -1)."""
+        """`_assemble`'s rows, contents and L of d_w (step 1) or delta_w (step -1)."""
         return self._once(
             ("rows", step, degree), lambda: _assemble(self.alg, self.omega, degree, step)
         )
 
     def d_matrix(self, degree: int) -> list[list]:
-        return _divided(self.alg, self.rows(degree, 1), degree, 1)
+        return self._once(
+            ("d", degree), lambda: _divided(self.alg, self.rows(degree, 1), degree, 1)
+        )
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""
@@ -310,7 +312,7 @@ class TwistedComplex:
         if kernel and rows:
             applied = kernel
             if not self.alg.identity_metric:
-                # 1/g_I times one common multiple, so that c stays the same
+                # 1/g_I times one integer common to all vectors, which keeps c
                 inverse = _fraction_row([1 / g for g in _metric_products(self.alg, degree)])
                 applied = [[x * h for x, h in zip(k, inverse)] for k in kernel]
             image = IntegerRows(

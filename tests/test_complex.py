@@ -11,8 +11,8 @@
     and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
     rank/nullspace calls on N generators;
-(d) the primitive integer rows of both operators, divided by their row
-    factors, are the Koszul matrix and its transpose, also for twists whose
+(d) the primitive integer rows of both operators, times their contents
+    over L, are the Koszul matrix and its transpose, also for twists whose
     denominators are prime to the structure's D, and every assembled row
     and kernel vector is primitive.
 """
@@ -277,11 +277,11 @@ def _integer_cases() -> list:
 
 
 def _divided_rows(cx, degree: int, step: int) -> list[list]:
-    rows, factors = cx.rows(degree, step)
-    return [[f * x for x in row] for f, row in zip(factors, rows)]
+    rows, contents, scale = cx.rows(degree, step)
+    return [[Fraction(g * x, scale) for x in row] for g, row in zip(contents, rows)]
 
 
-def test_integer_rows_divided_by_their_factors_are_the_koszul_matrices():
+def test_integer_rows_times_their_factors_are_the_koszul_matrices():
     """Row by row the assembled integers are the Koszul d_w, and delta_w's its transpose.
 
     delta_w itself is G^-1 (d_w)^T G; its rows leave out the metric factor

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import F
 from lcscalc.cecomplex import d_omega
-from lcscalc.errors import DegreeMismatch, InvalidMetric, ParamModeUnsupported
+from lcscalc.errors import DegreeMismatch, InvalidMetric, MixedModes, ParamModeUnsupported
 from lcscalc.exterior import Basis, Form
 from lcscalc.hodge import (
     codiff,
@@ -174,6 +174,13 @@ def test_harmonic_space_rejects_param_mode(acfm_sym):
     w = twist_form(acfm_sym, -1)
     with pytest.raises(ParamModeUnsupported):
         harmonic_space(acfm_sym, w, 2)
+
+
+def test_rational_algebra_refuses_a_symbolic_twist(acfm111, acfm_sym):
+    """The integer rows of a rational complex have no place for a symbol."""
+    w = Form(acfm111.basis, 1, {(2,): acfm_sym.mode.symbol("k")})
+    with pytest.raises(MixedModes):
+        harmonic_space(acfm111, w, 2)
 
 
 def test_decomposition_dims(acfm111, torus4):
