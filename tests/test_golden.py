@@ -20,6 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # denominators up to 315; both forms are d_w eta with the same Lee form
 DENSE6_FORMS = (GOLDEN / "h5xr_dense.forms").read_text(encoding="utf-8").splitlines()
 
+# h7 x R in a frame with entries in -2..2 (det 510): two d_w eta with the same
+# Lee form and Pfaffians -8/85 and -128/85, every one of their 28 terms nonzero
+DENSE8_FORMS = (GOLDEN / "h7xr_dense.forms").read_text(encoding="utf-8").splitlines()
+
 # the preset x R^2 in a frame with entries in -2..2 (det 441): its twist -2 gamma
 # has denominators up to 147 and the harmonic coefficients run to 17 digits
 FRAME_TWIST = "-8/147 e1 - 4/147 e2 - 20/21 e3 + 22/147 e4 - 4/7 e5 + 164/147 e6"
@@ -46,6 +50,8 @@ CASES = {
     "lcs_not_exact": (["lcs", "acfm.alg", "--form", "2 alpha^eta + 1 beta^gamma"], 0),
     "lcs_dense6": (["lcs", "h5xr_dense.alg", "--form", DENSE6_FORMS[0]], 0),
     "moser_dense6": (["moser", "h5xr_dense.alg", "--family", "; ".join(DENSE6_FORMS)], 0),
+    "lcs_dense8": (["lcs", "h7xr_dense.alg", "--form", DENSE8_FORMS[0]], 0),
+    "moser_dense8": (["moser", "h7xr_dense.alg", "--family", "; ".join(DENSE8_FORMS)], 0),
     "moser_pass": (
         [
             "moser",
