@@ -18,15 +18,12 @@ from math import isqrt, lcm
 from typing import TYPE_CHECKING
 
 from .errors import (
-    BasisMismatch,
-    DegreeMismatch,
-    InvalidMetric,
-    MixedModes,
-    OmegaNotClosed,
-    ParamModeUnsupported,
-    StructureError,
+    BasisMismatch, DegreeMismatch, InvalidMetric, MixedModes, OmegaNotClosed,
+    ParamModeUnsupported, StructureError,
 )
-from .exterior import Basis, Form, VectorField, _sort_sign, frame_field, integer_terms, interior
+from .exterior import (
+    Basis, Form, VectorField, add_terms, frame_field, integer_terms, interior, merge_sign,
+)
 from .scalar import ParamScalar, Scalar, ScalarMode
 
 if TYPE_CHECKING:
@@ -205,23 +202,22 @@ class Algebra:
         """d of each degree-l monomial, in lex order, as canonical terms.
 
         d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}, built once per
-        degree.  Each head of d e_{I_m} is an ascending pair; for odd m it is
-        reversed, so the sort sign supplies (-1)^m.  For rational structure
-        data the coefficients are integer numerators over `d_den`.
+        degree.  Each head (a, b) of d e_{I_m} goes into the ascending rest at
+        its bisect positions pa, pb with sign (-1)^(m + pa + pb).  For rational
+        structure data the coefficients are integer numerators over `d_den`.
         """
         table = self._d_tables.get(degree)
         if table is None:
             table = {}
             for idx in self.basis.monomials(degree):
-                terms: dict = {}
+                pairs = []
                 for m, i in enumerate(idx):
                     rest = idx[:m] + idx[m + 1 :]
                     for head, h in self._heads[i]:
                         if head[0] not in rest and head[1] not in rest:
-                            key, sign = _sort_sign((head[::-1] if m % 2 else head) + rest)
-                            c, prev = (h if sign > 0 else -h), terms.get(key)
-                            terms[key] = c if prev is None else prev + c
-                table[idx] = {key: c for key, c in terms.items() if c}
+                            key, odd = merge_sign(head, rest)
+                            pairs.append((key, -h if (m + odd) % 2 else h))
+                table[idx] = add_terms(pairs)
             self._d_tables[degree] = table
         return table
 

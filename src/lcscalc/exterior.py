@@ -1,17 +1,20 @@
 """Graded exterior algebra over an ordered basis of degree-1 generators.
 
 Forms are stored as maps from strictly ascending index tuples to nonzero
-coefficients, so equality is a dictionary comparison.  Sign bookkeeping
-happens once, at construction, by sorting index tuples and counting
-transpositions.  `wedge` of two rational forms multiplies integer
-numerators over one denominator and makes one `Fraction` per result term.
+coefficients, so equality is a dictionary comparison.  Only raw input is
+sorted and signed, by the `Form` constructor.  An exterior product of two
+ascending tuples is signed by merging them (`merge_sign`), and the sums of
+`wedge`, `+` and `interior` go straight into canonical terms.  `wedge` of
+two rational forms multiplies integer numerators over one denominator and
+makes one `Fraction` per result term.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -67,18 +70,14 @@ class Basis:
 
 def _sort_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Ascending reordering and its permutation sign; repeated index gives 0."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    idx = tuple(indices)
+    key = tuple(sorted(idx))
+    if len(set(key)) < len(key):
+        return key, 0
+    if key == idx:
+        return key, 1
+    odd = sum(x > y for i, x in enumerate(idx) for y in idx[i + 1 :])
+    return key, -1 if odd % 2 else 1
 
 
 def _coerce_coeff(c):
@@ -96,13 +95,34 @@ def integer_terms(terms: dict) -> tuple[int, list[tuple]] | None:
     return m, [(idx, c.numerator * (m // c.denominator)) for idx, c in terms.items()]
 
 
+def merge_sign(ia: tuple, ib: tuple) -> tuple[tuple[int, ...], int]:
+    """Ascending union of disjoint ascending tuples, and the inversion parity of ia + ib."""
+    odd = 0
+    for x in ia:  # x stands before the bisect(ib, x) smaller entries of ib
+        odd += bisect(ib, x)
+    return tuple(sorted(ia + ib)), odd & 1
+
+
+def add_terms(pairs, den: int | None = None) -> dict:
+    """Sum `(ascending tuple, coefficient)` pairs, drop zeros; with den, each sum is over den."""
+    out: dict = {}
+    for key, c in pairs:
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    if den is None:
+        return {key: c for key, c in out.items() if c}
+    return {key: Fraction(c, den) for key, c in out.items() if c}
+
+
 def _products(a, b):
-    """Raw `(ia + ib, ca * cb)` pairs of two term lists; overlapping tuples skip the product."""
+    """Merged, signed `(key, ca * cb)` pairs of two term lists; overlapping tuples are skipped."""
     for ia, ca in a:
         seen = set(ia)
         for ib, cb in b:
             if seen.isdisjoint(ib):
-                yield ia + ib, ca * cb
+                key, odd = merge_sign(ia, ib)
+                c = ca * cb
+                yield key, -c if odd else c
 
 
 class Form:
@@ -110,46 +130,25 @@ class Form:
 
     __slots__ = ("basis", "degree", "terms")
 
-    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple], den=None):
-        """Canonical terms from a dict or any `(index tuple, coefficient)` pairs.
+    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple]):
+        """Canonical terms from raw input: a dict or any `(index tuple, coefficient)` pairs.
 
-        Pairs with the same raw tuple are added up; each distinct tuple is
-        then sorted once and signed, tuples with a repeated index are dropped,
-        and terms that sort to the same tuple are combined, dropping zeros.
-        With `den`, coefficients are integer numerators over den.
+        Pairs with a zero coefficient or a repeated index are dropped; the
+        others are sorted, signed and summed, dropping zero sums.
         """
         if not 0 <= degree <= basis.dim:
             raise ValueError(f"degree {degree} out of range for dim {basis.dim}")
-        if isinstance(terms, dict):
-            terms = terms.items()
-        raw: dict = {}
-        for idx, c in terms:
-            prev = raw.get(idx)
-            raw[idx] = c if prev is None else prev + c
-        clean: dict = {}
-        for idx, c in raw.items():
-            if den is None:
-                c = _coerce_coeff(c)
+        pairs = []
+        for idx, c in terms.items() if isinstance(terms, dict) else terms:
             if not c:
                 continue
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-            sidx, sign = _sort_sign(idx)
-            if sign == 0:
-                continue
-            c = c if sign > 0 else -c
-            prev = clean.get(sidx)
-            s = c if prev is None else prev + c
-            if s:
-                clean[sidx] = s
-            elif sidx in clean:
-                del clean[sidx]
-        if den is not None:
-            clean = {idx: Fraction(c, den) for idx, c in clean.items()}
-        self.basis = basis
-        self.degree = degree
-        self.terms = clean
+            key, sign = _sort_sign(idx)
+            if len(key) != degree:
+                raise ValueError(f"index tuple {key} has wrong length for degree {degree}")
+            if sign:
+                c = _coerce_coeff(c)
+                pairs.append((key, c if sign > 0 else -c))
+        self.basis, self.degree, self.terms = basis, degree, add_terms(pairs)
 
     @classmethod
     def canonical(cls, basis: Basis, degree: int, terms: dict) -> "Form":
@@ -187,8 +186,8 @@ class Form:
             raise DegreeMismatch(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
-        pairs = chain(self.terms.items(), other.terms.items())
-        return Form(self.basis, self.degree, pairs)
+        terms = add_terms([*self.terms.items(), *other.terms.items()])
+        return Form.canonical(self.basis, self.degree, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -212,11 +211,13 @@ class Form:
         self._check_basis(other)
         deg = self.degree + other.degree
         if deg > self.basis.dim:
-            return Form(self.basis, self.basis.dim, {})
+            return Form.canonical(self.basis, self.basis.dim, {})
         a, b = integer_terms(self.terms), integer_terms(other.terms)
         if a is None or b is None:
-            return Form(self.basis, deg, _products(self.terms.items(), other.terms.items()))
-        return Form(self.basis, deg, _products(a[1], b[1]), den=a[0] * b[0])
+            terms = add_terms(_products(self.terms.items(), other.terms.items()))
+        else:
+            terms = add_terms(_products(a[1], b[1]), den=a[0] * b[0])
+        return Form.canonical(self.basis, deg, terms)
 
     # comparison -------------------------------------------------------------
 
@@ -302,14 +303,14 @@ def interior(v: VectorField, a: Form) -> Form:
     if v.basis != a.basis:
         raise BasisMismatch("vector field and form over different bases")
     if a.degree == 0:
-        return Form(a.basis, 0, {})
+        return Form.canonical(a.basis, 0, {})
     pairs = (
         (idx[:m] + idx[m + 1 :], c * vi if m % 2 == 0 else -(c * vi))
         for idx, c in a.terms.items()
         for m, i in enumerate(idx)
         if (vi := v.coeffs[i])
     )
-    return Form(a.basis, a.degree - 1, pairs)
+    return Form.canonical(a.basis, a.degree - 1, add_terms(pairs))
 
 
 def evaluate_one_form(theta: Form, v: VectorField) -> Scalar:

@@ -37,7 +37,7 @@ from math import comb, gcd, lcm, prod
 
 from .cecomplex import Algebra, d
 from .errors import BasisMismatch, DegreeMismatch
-from .exterior import Form, integer_terms
+from .exterior import Form, integer_terms, merge_sign
 from .linalg import IntegerRows, nullspace, rank
 from .scalar import ParamScalar, Scalar, _fraction_row
 
@@ -62,7 +62,7 @@ def star(alg: Algebra, a: Form) -> Form:
         if weights:
             c = c * (prod(weights[i] for i in comp) / prod(weights[i] for i in idx))
         out[comp] = c if _star_sign(idx) > 0 else -c
-    return Form(alg.basis, alg.dim - a.degree, out)
+    return Form.canonical(alg.basis, alg.dim - a.degree, out)
 
 
 def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
@@ -176,9 +176,8 @@ def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
             column = {key: t * dscale for key, t in column.items()}
         for i, c in twist:
             if i not in src:
-                p = sum(x < i for x in src)  # e_i moves past the p indices below i
-                key = src[:p] + (i,) + src[p:]
-                c = c if (p % 2 == 0) == (step > 0) else -c
+                key, odd = merge_sign((i,), src)
+                c = c if odd != (step > 0) else -c
                 column[key] = column[key] + c if key in column else c
         sign = 1 if step > 0 else _star_sign(idx)
         for key, c in column.items():

@@ -12,29 +12,15 @@ involutivity, restricted rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
 from .cohomology import ExactnessCertificate, primitive
 from .errors import (
-    BasisMismatch,
-    CrossCheckError,
-    Degenerate,
-    DegreeMismatch,
-    InvalidParams,
-    LeeNotClosed,
-    NoSolution,
-    NotAutomorphism,
-    OddDimension,
-    ZeroForm,
+    BasisMismatch, CrossCheckError, Degenerate, DegreeMismatch, InvalidParams, LeeNotClosed,
+    NoSolution, NotAutomorphism, OddDimension, ZeroForm,
 )
-from .exterior import (
-    Form,
-    VectorField,
-    evaluate_one_form,
-    frame_field,
-    interior,
-)
+from .exterior import Form, VectorField, evaluate_one_form, frame_field, interior
 from .linalg import nullspace, operator_matrix, rank, solve
 from .scalar import Scalar
 
@@ -60,18 +46,34 @@ class AutomorphismAlgebra:
 
 
 def top_power(alg: Algebra, omega2: Form) -> Scalar:
-    """Volume coefficient of Omega^(N/2); nonzero means nondegenerate."""
+    """Volume coefficient of Omega^(N/2), (N/2)! Pf(A); nonzero means nondegenerate.
+
+    A holds Omega's coefficients, A_ij = Omega_ij for i < j.  The Pfaffian on
+    an ascending index tuple S expands along its first row, memoized on S per
+    call: Pf(S) = sum_m (-1)^(m-1) A_{s_0 s_m} Pf(S - {s_0, s_m}).
+    """
     if alg.dim % 2:
         raise OddDimension(f"top power needs an even number of generators, got {alg.dim}")
     if omega2.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if not omega2.is_zero() and omega2.degree != 2:
         raise DegreeMismatch("top power needs a 2-form")
-    power = alg.basis.one(alg.one_scalar())
-    for _ in range(alg.dim // 2):
-        power = power.wedge(omega2)
-    coeff = power.coefficient(tuple(range(alg.dim)))
-    return coeff if coeff else alg.zero_scalar()
+    a, zero, memo = omega2.terms, alg.zero_scalar(), {(): alg.one_scalar()}
+
+    def pf(rest: tuple[int, ...]) -> Scalar:
+        value = memo.get(rest)
+        if value is None:
+            value = zero
+            for m in range(1, len(rest)):
+                c = a.get((rest[0], rest[m]))
+                sub = c and pf(rest[1:m] + rest[m + 1 :])
+                if sub:
+                    value = value + c * sub if m % 2 else value - c * sub
+            memo[rest] = value
+        return value
+
+    value = factorial(alg.dim // 2) * pf(tuple(range(alg.dim)))
+    return value if value else zero
 
 
 def lee_form(alg: Algebra, omega2: Form) -> Form:

@@ -106,6 +106,18 @@ def shuffle_wedge_value(a: Form, b: Form, slots) -> Fraction:
     return total
 
 
+def top_power_by_wedging(omega: Form, one):
+    """Volume coefficient of Omega^(N/2) by N/2 wedges, starting at the scalar `one`.
+
+    An oracle for `lcs.top_power` that builds every power Omega^j.
+    """
+    basis = omega.basis
+    power = basis.one(one)
+    for _ in range(basis.dim // 2):
+        power = power.wedge(omega)
+    return power.coefficient(tuple(range(basis.dim)))
+
+
 # ---------------------------------------------------------------------------
 # differential by the invariant-form Koszul formula (Chevalley-Eilenberg)
 # ---------------------------------------------------------------------------
