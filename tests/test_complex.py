@@ -14,7 +14,9 @@
 (d) the primitive integer rows of both operators, times their contents
     over L, are the Koszul matrix and its transpose, also for twists whose
     denominators are prime to the structure's D, and every assembled row
-    and kernel vector is primitive.
+    and kernel vector is primitive;
+(e) each primitive is the free-variables-zero solution of the Koszul d_w
+    system under the Fraction-only solve of `helpers`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import pytest
 from helpers import (
     change_of_basis,
     fraction_nullspace,
+    fraction_solve,
     invert_matrix,
     koszul_d,
     koszul_twisted_matrix,
@@ -43,8 +46,8 @@ from helpers import (
 from lcscalc import hodge, linalg
 from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
-from lcscalc.cohomology import cohomology_report
-from lcscalc.exterior import Basis, Form
+from lcscalc.cohomology import cohomology_report, primitive
+from lcscalc.exterior import Basis, Form, form_str
 from lcscalc.hodge import cotwisted_matrix, delta_omega, harmonic_space, twisted_matrix
 from lcscalc.linalg import operator_matrix
 from lcscalc.scalar import ScalarMode
@@ -325,6 +328,46 @@ def test_harmonic_bases_match_stacked_kernel():
                 for f in harmonic_space(alg, w, degree).basis
             ]
             assert got == _stacked_oracle(alg, w, degree)
+
+
+def test_primitives_match_the_fraction_solve_of_the_koszul_system():
+    """primitive(d_w eta) is the solution of Koszul d_w * x = d_w eta with free variables zero.
+
+    The oracle reduces the Koszul matrix in Fractions, so it shares neither
+    the assembled rows nor the scaling of the right-hand side to them.  The
+    cases have D > 1, twists with denominators prime to D and one metric.
+    """
+    rng = random.Random(14)
+    for alg, w, koszul in _integer_cases():
+        for degree in range(1, alg.dim + 1):
+            theta = d_omega(alg, w, _random_form(rng, alg, degree - 1))
+            rhs = [theta.coefficient(m) or Fraction(0) for m in alg.basis.monomials(degree)]
+            sol = fraction_solve(koszul[degree - 1], rhs, math.comb(alg.dim, degree - 1))
+            expected = Form(alg.basis, degree - 1, zip(alg.basis.monomials(degree - 1), sol))
+            assert primitive(alg, w, theta).primitive == expected
+
+
+def test_primitive_in_param_mode_keeps_its_free_variables_zero():
+    """Pinned primitives of d_w eta over Q(n, k, lambda), neither of them eta itself."""
+    alg, w = dense_preset_product(2, 6, PARAM_MODE)
+    eta = _random_form(random.Random(14), alg, 1)
+    assert form_str(primitive(alg, w, d_omega(alg, w, eta)).primitive) == (
+        "-254/51 e1 + (65 + 17*n*k)/(51) e2 + (-157 - 51*n + 102*k)/(51) e3"
+        " - 164/51 e4 - 48/17 e5"
+    )
+    eta = alg.basis.monomial_form((4, 5))
+    assert form_str(primitive(alg, w, d_omega(alg, w, eta)).primitive) == (
+        "(198865*k + 41898*n*lambda)/(1240*k - 5952*n*lambda) e1^e2"
+        " + (-293471*k - 315862*n*lambda)/(3720*k - 17856*n*lambda) e1^e3"
+        " + (-67643*k - 98626*n*lambda)/(930*k - 4464*n*lambda) e1^e4"
+        " + (-104275*k - 150494*n*lambda)/(1240*k - 5952*n*lambda) e1^e5"
+        " + (-32499*k - 14270*n*lambda)/(1240*k - 5952*n*lambda) e1^e6"
+        " + (-236465*k - 7564*n*lambda)/(1860*k - 8928*n*lambda) e2^e3"
+        " + (-61799*k - 1891*n*lambda)/(465*k - 2232*n*lambda) e2^e4"
+        " + (-99335*k - 1488*n*lambda)/(620*k - 2976*n*lambda) e2^e5"
+        " + (-25751*k - 1488*n*lambda)/(620*k - 2976*n*lambda) e2^e6"
+        " + (-34*k + 61*n*lambda)/(15*k - 72*n*lambda) e3^e4"
+    )
 
 
 def _count_calls(monkeypatch) -> list:
