@@ -44,21 +44,14 @@ def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
     """Solve d_w(x) = theta exactly, or certify the class is nonzero."""
     cx = alg.twisted_complex(omega)
     _require_d_closed(alg, omega, theta)
-    degree = theta.degree
-    zero = alg.zero_scalar()
     if theta.is_zero():
-        return ExactnessCertificate(True, primitive=alg.basis.zero(max(degree - 1, 0)))
-    if degree == 0:
-        sol = None
-    else:
-        rhs = [theta.coefficient(m) or zero for m in alg.basis.monomials(degree)]
-        sol = solve(cx.d_matrix(degree - 1), rhs, cx.size(degree - 1), zero)
-    if sol is not None:
-        prim = Form(alg.basis, degree - 1, zip(alg.basis.monomials(degree - 1), sol))
+        return ExactnessCertificate(True, primitive=alg.basis.zero(max(theta.degree - 1, 0)))
+    prim = cx.preimage(theta)
+    if prim is not None:
         if d_omega(alg, omega, prim) != theta:
             raise CrossCheckError("primitive verification failed")
         return ExactnessCertificate(True, primitive=prim)
-    space = cx.harmonic(degree)
+    space = cx.harmonic(theta.degree)
     coords = _projection_coords(alg, space, theta)
     if all(not c for c in coords):
         raise CrossCheckError(
@@ -73,7 +66,7 @@ def _projection_coords(alg: Algebra, space: HarmonicSpace, theta: Form) -> list[
         return []
     gram = [[inner(alg, hi, hj) for hj in space.basis] for hi in space.basis]
     rhs = [inner(alg, theta, hi) for hi in space.basis]
-    coords = solve(gram, rhs, len(space.basis), alg.zero_scalar())
+    coords = solve(gram, rhs, len(space.basis))
     if coords is None:
         raise CrossCheckError("harmonic Gram matrix is singular")
     return coords

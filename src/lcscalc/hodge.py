@@ -19,9 +19,9 @@ g_K / g_I, with g_X = prod_{i in X} g_i, so no square root enters a matrix.
 
 For rational data each matrix is held as primitive integer rows: L times
 the operator, L the lcm of the table's denominator D and the twist's
-denominators, each row divided by its content.  Ranks and kernels are
-computed on these rows in Python ints; the scalar matrices are the same
-rows divided through.
+denominators, each row divided by its content.  Ranks, kernels and
+primitives are computed on these rows in Python ints; no scalar copy of a
+matrix is made.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -38,8 +38,8 @@ from math import comb, gcd, lcm, prod
 from .cecomplex import Algebra, d
 from .errors import BasisMismatch, DegreeMismatch
 from .exterior import Form, integer_terms, merge_sign
-from .linalg import IntegerRows, nullspace, rank
-from .scalar import ParamScalar, Scalar, _fraction_row
+from .linalg import IntegerRows, nullspace, rank, solve
+from .scalar import Scalar, _fraction_row
 
 
 def _complement(n: int, idx: tuple[int, ...]) -> tuple[int, ...]:
@@ -130,27 +130,21 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _metric_products(alg: Algebra, degree: int) -> list[Fraction]:
-    """g_I = prod_{i in I} g_i for each monomial of a degree."""
-    g = [x.as_fraction() if isinstance(x, ParamScalar) else x for x in alg.metric]
-    return [prod((g[i] for i in idx), start=Fraction(1)) for idx in alg.basis.monomials(degree)]
-
-
 def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
     """Rows of d_w (step 1) or delta_w (step -1) leaving a degree, their contents and L.
 
     Column I of d_w is (d + w^) e_I.  Column I of delta_w is flip *
     sign(I, I^c) * (d - w^) e_{I^c}, whose term e_J goes to row J^c with
-    sign(J, J^c); its metric factor g_K / g_I is left to `_divided`.  With an
-    integer d table the rows are L times the operator, L = lcm(D, the
-    twist's denominators), each divided by its content: primitive
-    `IntegerRows`, row r of the matrix being rows[r] * contents[r] / L.
-    Otherwise the rows hold the scalars, and the contents and L are None.
+    sign(J, J^c); its metric factor g_K / g_I is left to
+    `TwistedComplex._harmonic`.  With an integer d table the rows are L
+    times the operator, L = lcm(D, the twist's denominators), each divided
+    by its content: primitive `IntegerRows`, row r of the matrix being
+    rows[r] * contents[r] / L.  Otherwise the rows hold the scalars, and
+    the contents and L are None.
     """
     n = alg.dim
     if min(degree, degree + step) < 0 or max(degree, degree + step) > n:
         return IntegerRows(), None, None
-    alg.require_closed(omega)
     if step < 0 and not alg.identity_metric:
         alg.metric_weights()  # delta_w is defined through the star, exact for squares only
     den = alg.d_den
@@ -191,33 +185,6 @@ def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
     return rows, contents, scale
 
 
-def _divided(alg: Algebra, assembled, degree: int, step: int) -> list[list]:
-    """The matrix of assembled rows over Q or the parameter field.
-
-    Entry (K, I) of delta_w under a metric is the assembled one times g_K / g_I.
-    """
-    rows, contents, scale = assembled
-    if scale:
-        rows = [[Fraction(g * x, scale) for x in row] for g, row in zip(contents, rows)]
-    if step < 0 and rows and not alg.identity_metric:
-        g_row, g_col = _metric_products(alg, degree - 1), _metric_products(alg, degree)
-        rows = [
-            [x * (gk / gi) if x else x for x, gi in zip(row, g_col)]
-            for row, gk in zip(rows, g_row)
-        ]
-    return list(rows)
-
-
-def twisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of d_w from degree l to l+1 in the monomial bases."""
-    return _divided(alg, _assemble(alg, omega, degree, 1), degree, 1)
-
-
-def cotwisted_matrix(alg: Algebra, omega: Form, degree: int) -> list[list]:
-    """Matrix of delta_w from degree l to l-1 in the monomial bases."""
-    return _divided(alg, _assemble(alg, omega, degree, -1), degree, -1)
-
-
 class TwistedComplex:
     """d_w and delta_w of one algebra and closed twist, filled in lazily.
 
@@ -231,8 +198,8 @@ class TwistedComplex:
     algebra's d table by `_assemble`, as primitive integer rows for rational
     data.  delta_w is (-1)^(N*l + N + 1) * star (d - w^) star there,
     assembled from its definition and never from d_w, so the harmonic
-    dimensions stay an independent check on the ranks.  Matrices are
-    available in parameter mode; ranks are not.
+    dimensions stay an independent check on the ranks.  Primitives are
+    solved in parameter mode too; ranks, kernels and harmonic bases are not.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -256,17 +223,32 @@ class TwistedComplex:
             ("rows", step, degree), lambda: _assemble(self.alg, self.omega, degree, step)
         )
 
-    def d_matrix(self, degree: int) -> list[list]:
-        return self._once(
-            ("d", degree), lambda: _divided(self.alg, self.rows(degree, 1), degree, 1)
-        )
+    def preimage(self, theta: Form) -> Form | None:
+        """The x with d_w x = theta and free variables zero, or None if there is none.
+
+        Row r of d_w is rows[r] * contents[r] / L, so it is solved as
+        rows[r] * x = theta_r * L / contents[r]: scaling a row keeps the
+        reduced row echelon form, so the pivots and the solution are those
+        of d_w itself.  In parameter mode the rows are d_w as assembled.
+        """
+        degree = theta.degree
+        if degree == 0:
+            return None
+        rows, contents, scale = self.rows(degree - 1, 1)
+        rhs = [theta.coefficient(m) for m in self.alg.basis.monomials(degree)]
+        if scale:
+            rhs = [c * Fraction(scale, g) for c, g in zip(rhs, contents)]
+        sol = solve(rows, rhs, self.size(degree - 1))
+        if sol is None:
+            return None
+        return Form(self.alg.basis, degree - 1, zip(self.alg.basis.monomials(degree - 1), sol))
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""
         self.alg.require_rational("twisted cohomology")
         return self._once(
             ("kernel", degree),
-            lambda: nullspace(self.rows(degree, 1)[0], self.size(degree), 0, 1),
+            lambda: nullspace(self.rows(degree, 1)[0], self.size(degree)),
         )
 
     def d_rank(self, degree: int) -> int:
@@ -306,19 +288,20 @@ class TwistedComplex:
         """
         kernel = self.kernel(degree)
         rows = self.rows(degree, -1)[0]
+        monos = list(self.alg.basis.monomials(degree))
         support = [[i for i, x in enumerate(k) if x] for k in kernel]
         coords = [[int(i == j) for i in range(len(kernel))] for j in range(len(kernel))]
         if kernel and rows:
             applied = kernel
             if not self.alg.identity_metric:
                 # 1/g_I times one integer common to all vectors, which keeps c
-                inverse = _fraction_row([1 / g for g in _metric_products(self.alg, degree)])
+                g = self.alg.metric
+                inverse = _fraction_row([1 / prod(g[i] for i in idx) for idx in monos])
                 applied = [[x * h for x, h in zip(k, inverse)] for k in kernel]
             image = IntegerRows(
                 [sum(row[i] * k[i] for i in s) for k, s in zip(applied, support)] for row in rows
             )
-            coords = nullspace(image, len(kernel), 0, 1)
-        monos = list(self.alg.basis.monomials(degree))
+            coords = nullspace(image, len(kernel))
         basis_forms = []
         for c in coords:
             vec = [0] * len(monos)

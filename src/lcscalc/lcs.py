@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
-from .cohomology import ExactnessCertificate, primitive
+from .cohomology import ExactnessCertificate, class_coords, primitive
 from .errors import (
     BasisMismatch, CrossCheckError, Degenerate, DegreeMismatch, InvalidParams, LeeNotClosed,
     NoSolution, NotAutomorphism, OddDimension, ZeroForm,
@@ -94,10 +94,10 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     gens = [alg.basis.gen(i) for i in range(alg.dim)]
     images = [g.wedge(omega2) for g in gens]
     target = list(alg.basis.monomials(3))
-    rows = operator_matrix(images, target, alg.zero_scalar())
+    rows = operator_matrix(images, target)
     rhs_form = -d(alg, omega2)
-    rhs = [rhs_form.coefficient(m) or alg.zero_scalar() for m in target]
-    sol = solve(rows, rhs, alg.dim, alg.zero_scalar())
+    rhs = [rhs_form.coefficient(m) for m in target]
+    sol = solve(rows, rhs, alg.dim)
     if sol is None:
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
     lee = Form(alg.basis, 1, zip(alg.basis.monomials(1), sol))
@@ -120,8 +120,8 @@ def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
     images = [interior(x, d_omega2) + d(alg, interior(x, omega2)) for x in fields]
     images.append(-omega2)  # column for the unknown mu
     target = list(alg.basis.monomials(2))
-    rows = operator_matrix(images, target, alg.zero_scalar())
-    vectors = nullspace(rows, alg.dim + 1, alg.zero_scalar(), alg.one_scalar())
+    rows = operator_matrix(images, target)
+    vectors = nullspace(rows, alg.dim + 1)
     pairs = []
     for vec in vectors:
         field = VectorField(alg.basis, tuple(vec[: alg.dim]))
@@ -152,9 +152,9 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
         interior(frame_field(alg.basis, i), lcs.omega_form) for i in range(alg.dim)
     ]
     target = list(alg.basis.monomials(1))
-    rows = operator_matrix(images, target, alg.zero_scalar())
-    rhs = [theta.coefficient(m) or alg.zero_scalar() for m in target]
-    sol = solve(rows, rhs, alg.dim, alg.zero_scalar())
+    rows = operator_matrix(images, target)
+    rhs = [theta.coefficient(m) for m in target]
+    sol = solve(rows, rhs, alg.dim)
     if sol is None:
         raise Degenerate("contraction with the 2-form is not invertible")
     field = VectorField(alg.basis, tuple(sol))
@@ -276,8 +276,6 @@ class ClassComparison:
 
 
 def compare_classes(alg: Algebra, a: LcsForm, b: LcsForm) -> ClassComparison:
-    from .cohomology import class_coords
-
     exact_a = primitive(alg, a.lee, a.omega_form).exact
     exact_b = primitive(alg, b.lee, b.omega_form).exact
     if a.lee != b.lee:

@@ -77,7 +77,7 @@ def rank(rows: list[list], ncols: int) -> int:
     return len(_rref(rows, ncols, above=False)[1])
 
 
-def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
+def nullspace(rows: list[list], ncols: int) -> list[list]:
     """Kernel basis: one vector per free column.
 
     For scalar rows each vector has a unit entry at its free column; for
@@ -85,6 +85,8 @@ def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
     """
     work, pivots, pv, quotient = _rref(rows, ncols)
     pivot_set = set(pivots)
+    if quotient is not None:
+        zero, one = quotient(pv - pv, pv), quotient(pv, pv)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
@@ -106,7 +108,7 @@ def nullspace(rows: list[list], ncols: int, zero, one) -> list[list]:
     return basis
 
 
-def solve(rows: list[list], rhs: list, ncols: int, zero):
+def solve(rows: list[list], rhs: list, ncols: int):
     """One exact solution of rows * x = rhs with free variables set to zero.
 
     Returns None when the system is inconsistent.
@@ -115,20 +117,21 @@ def solve(rows: list[list], rhs: list, ncols: int, zero):
     for r in range(len(pivots), len(work)):
         if work[r][ncols]:
             return None
-    x = [zero] * ncols
+    x = [quotient(pv - pv, pv)] * ncols
     for r, pc in enumerate(pivots):
         if work[r][ncols]:
             x[pc] = quotient(work[r][ncols], pv)
     return x
 
 
-def operator_matrix(images: list, target_monomials: list, zero) -> list[list]:
+def operator_matrix(images: list, target_monomials: list) -> list[list]:
     """Matrix of a linear map from the list of basis images.
 
     Row i, column j holds the coefficient of target monomial i in the image
-    of source element j.
+    of source element j: the int 0 where it has none, which `ring_rows`
+    reads in either mode.
     """
     return [
-        [img.coefficient(mono) or zero for img in images]
+        [img.coefficient(mono) for img in images]
         for mono in target_monomials
     ]

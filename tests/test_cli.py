@@ -445,6 +445,28 @@ def test_jacobi_failure_after_d2_is_a_cross_check_error(acfm_path, capsys, monke
     )
 
 
+def test_structure_data_with_nonzero_d_squared_is_a_failure(tmp_path, capsys):
+    path = tmp_path / "broken.alg"
+    path.write_text(BROKEN_FILE)
+    assert main(["cohomology", str(path), "--omega", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lcscalc: failure: StructureError: d*d != 0 on generator e1: residual 1 e1^e2^e3\n"
+    )
+
+
+def test_lcs_on_an_odd_number_of_generators_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "odd.alg"
+    path.write_text("generators a b c\nd c = 1 a^b\n")
+    assert main(["lcs", str(path), "--form", "1 a^b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lcscalc: input error: OddDimension: top power needs an even number of generators, got 3\n"
+    )
+
+
 def test_moser_pass(acfm_path, capsys):
     family = "2 alpha^eta + 1 beta^gamma; 2 alpha^eta + 2 beta^gamma"
     assert main(["moser", acfm_path, "--family", family]) == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import F, fraction_nullspace
+from helpers import F, fraction_nullspace, koszul_twisted_matrix
 from lcscalc.cecomplex import d_omega
 from lcscalc.cohomology import (
     betti,
@@ -12,7 +12,7 @@ from lcscalc.cohomology import (
     primitive,
 )
 from lcscalc.errors import NotClosed, OmegaNotClosed, ParamModeUnsupported
-from lcscalc.hodge import harmonic_space, twisted_matrix
+from lcscalc.hodge import harmonic_space
 from lcscalc.presets import acfm_rational, exact_lcs, omega_t, twist_form
 
 
@@ -97,11 +97,11 @@ def test_class_coords_linearity(acfm111):
 
 
 def _random_closed_two_forms(alg, omega, count, seed):
-    """Deterministic sample of the kernel of the twisted differential."""
+    """Deterministic sample of the kernel of the Koszul matrix of d_w."""
     from lcscalc.exterior import Form
 
     monos = list(alg.basis.monomials(2))
-    rows = twisted_matrix(alg, omega, 2)
+    rows = koszul_twisted_matrix(alg, omega, 2)
     kernel = fraction_nullspace(rows, len(monos))
     rng = random.Random(seed)
     out = []

@@ -1,13 +1,15 @@
 """The differential and the per-twist complex against independent oracles.
 
-(a) d, and the d_w matrix built from it, equal the invariant-form Koszul
-    formula evaluated on frame fields (`helpers.koszul_d`), with brackets
-    read straight off the structure constants; this holds also for
-    structure data with d*d != 0, since d is an antiderivation either way;
-(b) every harmonic basis equals the kernel of the stacked [d_w; delta_w]
-    matrix under the Fraction-only row reduction of `helpers`, also under a
-    metric whose weights are not all 1, where the assembled d_w and delta_w
-    equal `operator_matrix` over `d_omega` and `delta_omega` of each monomial,
+(a) d, and the d_w matrix assembled from its table, equal the
+    invariant-form Koszul formula evaluated on frame fields
+    (`helpers.koszul_d`), with brackets read straight off the structure
+    constants; this holds also for structure data with d*d != 0, since d is
+    an antiderivation either way;
+(b) every harmonic basis equals the kernel of the Koszul d_w stacked on
+    delta_w taken as `delta_omega` of each monomial, under the
+    Fraction-only row reduction of `helpers`, also under a metric whose
+    weights are not all 1, where the assembled d_w and delta_w equal
+    `operator_matrix` over `d_omega` and `delta_omega` of each monomial,
     and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
 (c) a cohomology report assembles each matrix once and stays within 3N+1
     rank/nullspace calls on N generators;
@@ -48,7 +50,7 @@ from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report, primitive
 from lcscalc.exterior import Basis, Form, form_str
-from lcscalc.hodge import cotwisted_matrix, delta_omega, harmonic_space, twisted_matrix
+from lcscalc.hodge import delta_omega, harmonic_space
 from lcscalc.linalg import operator_matrix
 from lcscalc.scalar import ScalarMode
 from lcscalc.specfile import parse_algebra_file, parse_form_expr
@@ -92,18 +94,40 @@ RATIONAL_CASES = [(1, 5), (2, 6), (3, 6)]
 PARAM_MODE = ScalarMode.params("n", "k", "lambda")
 
 
+def _scaled_rows(cx, degree: int, step: int) -> list[list]:
+    """The complex's rows of d_w (step 1) or delta_w (step -1), each times its content over L.
+
+    Parameter-mode rows hold the scalars already.
+    """
+    rows, contents, scale = cx.rows(degree, step)
+    if scale:
+        rows = [[Fraction(g * x, scale) for x in row] for g, row in zip(contents, rows)]
+    return list(rows)
+
+
+def _matrix(cx, degree: int, step: int) -> list[list]:
+    """The matrix of d_w or delta_w: delta_w's entry (K, I) is the scaled row's times g_K / g_I."""
+    rows = _scaled_rows(cx, degree, step)
+    if step < 0 and rows:
+        low, high = _gram(cx.alg, degree - 1), _gram(cx.alg, degree)
+        rows = [[x * gi / gk for x, gi in zip(row, high)] for row, gk in zip(rows, low)]
+    return rows
+
+
 @pytest.mark.parametrize("seed,n", RATIONAL_CASES)
 def test_assembled_matrix_matches_monomial_route(seed, n):
     """d_w equals the Koszul formula evaluated on each monomial and frame tuple."""
     alg, w = dense_preset_product(seed, n, ScalarMode.rational())
+    cx = alg.twisted_complex(w)
     for degree in range(n + 1):
-        assert twisted_matrix(alg, w, degree) == koszul_twisted_matrix(alg, w, degree)
+        assert _matrix(cx, degree, 1) == koszul_twisted_matrix(alg, w, degree)
 
 
 def test_assembled_matrix_matches_monomial_route_in_param_mode():
     alg, w = dense_preset_product(4, 5, PARAM_MODE)
+    cx = alg.twisted_complex(w)
     for degree in range(6):
-        assert twisted_matrix(alg, w, degree) == koszul_twisted_matrix(alg, w, degree)
+        assert _matrix(cx, degree, 1) == koszul_twisted_matrix(alg, w, degree)
 
 
 # the Koszul oracle is slow in parameter mode, so it checks one such algebra
@@ -119,9 +143,10 @@ def test_cotwisted_matrix_is_the_transpose_of_the_koszul_matrix(seed, mode):
     is the transpose.  The oracle never calls the star.
     """
     alg, w = dense_preset_product(seed, 6, mode)
+    cx = alg.twisted_complex(w)
     for degree in range(alg.dim):
         transpose = [list(col) for col in zip(*koszul_twisted_matrix(alg, w, degree))]
-        assert cotwisted_matrix(alg, w, degree + 1) == transpose
+        assert _matrix(cx, degree + 1, -1) == transpose
 
 
 # squares of rationals, so the star stays exact; the weights are 2 1 1/3 3 2/5 1
@@ -150,14 +175,16 @@ def test_cotwisted_matrix_is_the_metric_adjoint_of_the_koszul_matrix(seed):
     """
     alg, w = dense_preset_product(seed, 6, ScalarMode.rational())
     alg = with_square_metric(alg)
+    cx = alg.twisted_complex(w)
     for degree in range(alg.dim):
-        low, high = _gram(alg, degree), _gram(alg, degree + 1)
         koszul = koszul_twisted_matrix(alg, w, degree)
-        adjoint = [
-            [koszul[j][i] * high[j] / low[i] for j in range(len(high))]
-            for i in range(len(low))
-        ]
-        assert cotwisted_matrix(alg, w, degree + 1) == adjoint
+        assert _matrix(cx, degree + 1, -1) == _adjoint(alg, koszul, degree)
+
+
+def _adjoint(alg: Algebra, koszul: list[list], degree: int) -> list[list]:
+    """G_l^-1 * K^T * G_(l+1) for the Koszul matrix K of d_w leaving degree l."""
+    low, high = _gram(alg, degree), _gram(alg, degree + 1)
+    return [[koszul[j][i] * high[j] / low[i] for j in range(len(high))] for i in range(len(low))]
 
 
 def _form_route(alg: Algebra, op, degree: int, step: int) -> list[list]:
@@ -165,7 +192,7 @@ def _form_route(alg: Algebra, op, degree: int, step: int) -> list[list]:
     if not 0 <= degree + step <= alg.dim:
         return []
     images = [op(alg.basis.monomial_form(m)) for m in alg.basis.monomials(degree)]
-    return operator_matrix(images, list(alg.basis.monomials(degree + step)), alg.zero_scalar())
+    return operator_matrix(images, list(alg.basis.monomials(degree + step)))
 
 
 @pytest.mark.parametrize(
@@ -178,17 +205,19 @@ def test_matrices_match_the_form_route_under_a_metric(seed, mode):
 
     `d` reads the same d table as the matrices, so a wrong table entry shows
     on both sides and this test does not catch it; it checks the twist terms
-    and how `cotwisted_matrix` composes the star with d - w^ (the overall
-    sign, the re-indexing by complements, the weight products).  The table
-    itself is checked by the Koszul and metric-adjoint oracles above.
+    and how `_assemble` composes the star with d - w^ (the overall sign,
+    the re-indexing by complements), and that the weight products g_K / g_I
+    are all that its delta_w rows leave out.  The table itself is checked by
+    the Koszul and metric-adjoint oracles above.
     """
     alg, w = dense_preset_product(seed, 6, mode)
     alg = with_square_metric(alg)
+    cx = alg.twisted_complex(w)
     for degree in range(alg.dim + 1):
         d_route = _form_route(alg, lambda a: d_omega(alg, w, a), degree, 1)
         delta_route = _form_route(alg, lambda a: delta_omega(alg, w, a), degree, -1)
-        assert twisted_matrix(alg, w, degree) == d_route
-        assert cotwisted_matrix(alg, w, degree) == delta_route
+        assert _matrix(cx, degree, 1) == d_route
+        assert _matrix(cx, degree, -1) == delta_route
 
 
 def _random_form(rng: random.Random, alg: Algebra, degree: int) -> Form:
@@ -232,7 +261,13 @@ def test_d_matches_koszul_formula_without_jacobi():
 
 
 def _stacked_oracle(alg, omega, degree):
-    rows = koszul_twisted_matrix(alg, omega, degree) + cotwisted_matrix(alg, omega, degree)
+    """Kernel of the Koszul d_w stacked on delta_w from `delta_omega` of each monomial.
+
+    delta_w is not the Koszul adjoint on every case here: the 4-generator
+    algebra that `random_good_algebra` draws from Random(5) is not unimodular.
+    """
+    delta = _form_route(alg, lambda a: delta_omega(alg, omega, a), degree, -1)
+    rows = koszul_twisted_matrix(alg, omega, degree) + delta
     return fraction_nullspace(rows, len(list(alg.basis.monomials(degree))))
 
 
@@ -279,11 +314,6 @@ def _integer_cases() -> list:
     ]
 
 
-def _divided_rows(cx, degree: int, step: int) -> list[list]:
-    rows, contents, scale = cx.rows(degree, step)
-    return [[Fraction(g * x, scale) for x in row] for g, row in zip(contents, rows)]
-
-
 def test_integer_rows_times_their_factors_are_the_koszul_matrices():
     """Row by row the assembled integers are the Koszul d_w, and delta_w's its transpose.
 
@@ -295,15 +325,10 @@ def test_integer_rows_times_their_factors_are_the_koszul_matrices():
         assert alg.d_den > 1 and not w.is_zero()
         cx = alg.twisted_complex(w)
         for degree in range(alg.dim):
-            assert _divided_rows(cx, degree, 1) == koszul[degree]
+            assert _scaled_rows(cx, degree, 1) == koszul[degree]
             transpose = [list(col) for col in zip(*koszul[degree])]
-            assert _divided_rows(cx, degree + 1, -1) == transpose
-            low, high = _gram(alg, degree), _gram(alg, degree + 1)
-            adjoint = [
-                [koszul[degree][j][i] * high[j] / low[i] for j in range(len(high))]
-                for i in range(len(low))
-            ]
-            assert cotwisted_matrix(alg, w, degree + 1) == adjoint
+            assert _scaled_rows(cx, degree + 1, -1) == transpose
+            assert _matrix(cx, degree + 1, -1) == _adjoint(alg, koszul[degree], degree)
 
 
 def test_assembled_rows_and_kernel_vectors_are_primitive():
@@ -373,8 +398,8 @@ def test_primitive_in_param_mode_keeps_its_free_variables_zero():
 def _count_calls(monkeypatch) -> list:
     """Log every call of rank, nullspace and `hodge._assemble`.
 
-    `_assemble` is the one builder of both operators: `twisted_matrix`,
-    `cotwisted_matrix` and the complex all read their rows from it.  Each
+    `_assemble` is the one builder of both operators: the complex reads its
+    kernels, ranks, harmonic bases and primitives off its rows.  Each
     function is wrapped under every lcscalc name bound to it, so a call
     through any module alias is counted.
     """

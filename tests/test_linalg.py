@@ -71,7 +71,7 @@ def _all(vectors, kind) -> bool:
 def test_rank_and_kernel_match_fraction_elimination(case):
     rows, ncols = case
     assert rank(rows, ncols) == rref_rank(rows)
-    kernel = nullspace(rows, ncols, ZERO, ONE)
+    kernel = nullspace(rows, ncols)
     assert kernel == fraction_nullspace(rows, ncols)
     assert _all(kernel, Fraction)
 
@@ -86,7 +86,7 @@ def test_integer_rows_give_the_rank_and_primitive_kernels(case):
     rows, ncols = case
     ints = IntegerRows([int(x) for x in row] for row in rows)
     assert rank(ints, ncols) == rref_rank(rows)
-    kernel = nullspace(ints, ncols, 0, 1)
+    kernel = nullspace(ints, ncols)
     assert _all(kernel, int)
     reduced = fraction_nullspace(rows, ncols)
     assert len(kernel) == len(reduced)
@@ -99,7 +99,7 @@ def test_integer_rows_give_the_rank_and_primitive_kernels(case):
 @given(systems(rationals, 8, 8))
 def test_solve_matches_fraction_elimination(case):
     rows, rhs, ncols, consistent = case
-    x = solve(rows, rhs, ncols, ZERO)
+    x = solve(rows, rhs, ncols)
     assert x == fraction_solve(rows, rhs, ncols)
     if consistent:
         assert x is not None and _all([x], Fraction)
@@ -107,11 +107,11 @@ def test_solve_matches_fraction_elimination(case):
 
 def test_inconsistent_and_empty_systems():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve(rows, [Fraction(1), Fraction(3)], 2, ZERO) is None
-    assert solve(rows, [Fraction(1), Fraction(2)], 2, ZERO) == [1, 0]
-    assert solve([], [], 3, ZERO) == [0, 0, 0]
+    assert solve(rows, [Fraction(1), Fraction(3)], 2) is None
+    assert solve(rows, [Fraction(1), Fraction(2)], 2) == [1, 0]
+    assert solve([], [], 3) == [0, 0, 0]
     assert rank([], 3) == 0 and rank([[], []], 0) == 0
-    assert nullspace([], 2, ZERO, ONE) == [[1, 0], [0, 1]]
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
 
 
 def test_mixed_parameter_sets_are_refused():
@@ -171,7 +171,7 @@ def test_parameter_mode_matches_sympy_rref(case):
         pivots.remove(ncols)
     assert rank(rows, ncols) == len(pivots)
 
-    kernel = nullspace(rows, ncols, MODE.zero(), MODE.one())
+    kernel = nullspace(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     assert len(kernel) == len(free)
     for vec, f in zip(kernel, free):
@@ -181,7 +181,7 @@ def test_parameter_mode_matches_sympy_rref(case):
             expected[pc] = -ref[r, f]
         assert all(same(a, b) for a, b in zip(vec, expected))
 
-    x = solve(rows, rhs, ncols, MODE.zero())
+    x = solve(rows, rhs, ncols)
     assert (x is None) == inconsistent
     if consistent:
         assert x is not None
