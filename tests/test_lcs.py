@@ -228,6 +228,20 @@ def test_compare_classes_separates_exact_from_nonexact(acfm111):
     assert cross.cohomologous is None
 
 
+@pytest.mark.parametrize(
+    "ta, tb, cohomologous",
+    [((2, 1, 0), (2, 3, 0), True), ((2, 1, 0), (3, 1, 0), False), ((0, 1, 1), (0, 2, 1), True)],
+)
+def test_compare_classes_on_a_shared_lee_form(acfm111, ta, tb, cohomologous):
+    """t-family classes are t1 times [alpha^eta]: equal iff t1 is, exact iff t1 = 0."""
+    a = is_lcs(acfm111, omega_t(acfm111, *ta))
+    b = is_lcs(acfm111, omega_t(acfm111, *tb))
+    comparison = compare_classes(acfm111, a, b)
+    assert comparison.comparable
+    assert comparison.cohomologous is cohomologous
+    assert (comparison.exact_a, comparison.exact_b) == (ta[0] == 0, tb[0] == 0)
+
+
 def test_verify_moser_family_pass(acfm111):
     family = [
         omega_t(acfm111, 2, Fraction(1) + t, 0)
