@@ -28,6 +28,12 @@ DENSE8_FORMS = (GOLDEN / "h7xr_dense.forms").read_text(encoding="utf-8").splitli
 # has denominators up to 147 and the harmonic coefficients run to 17 digits
 FRAME_TWIST = "-8/147 e1 - 4/147 e2 - 20/21 e3 + 22/147 e4 - 4/7 e5 + 164/147 e6"
 
+# the preset (n, k, lambda) = (1, 2, 3) in a frame with entries in -2..2 (det 87):
+# a class that is not exact, with a non-diagonal Gram matrix of its harmonic basis
+DENSE4_FORM = (
+    "13/87 alpha^gamma + 11/87 alpha^eta + 17/87 beta^gamma + 1/87 beta^eta + 8/87 gamma^eta"
+)
+
 CASES = {
     "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
     "cohomology_dense6_twisted": (
@@ -48,6 +54,7 @@ CASES = {
         0,
     ),
     "lcs_not_exact": (["lcs", "acfm.alg", "--form", "2 alpha^eta + 1 beta^gamma"], 0),
+    "lcs_not_exact_dense4": (["lcs", "acfm_dense4.alg", "--form", DENSE4_FORM], 0),
     "lcs_dense6": (["lcs", "h5xr_dense.alg", "--form", DENSE6_FORMS[0]], 0),
     "moser_dense6": (["moser", "h5xr_dense.alg", "--family", "; ".join(DENSE6_FORMS)], 0),
     "lcs_dense8": (["lcs", "h7xr_dense.alg", "--form", DENSE8_FORMS[0]], 0),
