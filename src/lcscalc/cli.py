@@ -179,9 +179,8 @@ def cmd_lcs(args) -> int:
         lines = ["class: exact", f"primitive: {prim}"]
         report.add("class", {"exact": True, "primitive": prim}, lines)
     else:
-        coords = [scalar_str(c) for c in cohomology.class_coords(alg, cert.lee, form)]
-        space = alg.twisted_complex(cert.lee).harmonic(form.degree)
-        basis = [form_str(f) for f in space.basis]
+        coords = [scalar_str(c) for c in exactness.certificate.coords]
+        basis = [form_str(f) for f in exactness.certificate.harmonic.basis]
         lines = [
             "class: not exact",
             "class coords: " + " ".join(coords),

@@ -2,9 +2,9 @@
 
 Dimensions come from exact kernel/image ranks of the twisted differential;
 the same numbers are recomputed as harmonic dimensions and both routes must
-agree.  Exactness is certified constructively: either an explicit primitive
-(reproducible: fixed monomial order, free variables zero) or nonzero
-coordinates in the harmonic basis.
+agree.  `primitive` is the one place that decides a class: either an
+explicit primitive (reproducible: fixed monomial order, free variables
+zero) or harmonic coordinates whose residue is itself certified exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ def betti(alg: Algebra, omega: Form, degree: int) -> int:
 
 @dataclass(frozen=True)
 class ExactnessCertificate:
-    """Either an explicit primitive or nonzero harmonic coordinates."""
+    """An explicit primitive, or certified harmonic coordinates of the class.
+
+    Not exact: theta - sum c_i h_i is d_w-exact for the coordinates c and
+    the basis h of `harmonic`, and theta itself is not.
+    """
 
     exact: bool
     primitive: Form | None = None
@@ -34,30 +38,22 @@ class ExactnessCertificate:
     harmonic: HarmonicSpace | None = None
 
 
-def _require_d_closed(alg: Algebra, omega: Form, theta: Form):
+def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
+    """Solve d_w(x) = theta exactly, or certify the coordinates of its nonzero class."""
+    cx = alg.twisted_complex(omega)
     image = d_omega(alg, omega, theta)
     if not image.is_zero():
         raise NotClosed(f"form is not d_w-closed: d_w = {image}")
-
-
-def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
-    """Solve d_w(x) = theta exactly, or certify the class is nonzero."""
-    cx = alg.twisted_complex(omega)
-    _require_d_closed(alg, omega, theta)
-    if theta.is_zero():
-        return ExactnessCertificate(True, primitive=alg.basis.zero(max(theta.degree - 1, 0)))
     prim = cx.preimage(theta)
     if prim is not None:
-        if d_omega(alg, omega, prim) != theta:
-            raise CrossCheckError("primitive verification failed")
         return ExactnessCertificate(True, primitive=prim)
     space = cx.harmonic(theta.degree)
     coords = _projection_coords(alg, space, theta)
-    if all(not c for c in coords):
-        raise CrossCheckError(
-            "form is neither exact nor detected by the harmonic projection; "
-            "the decomposition requires unimodular structure data"
-        )
+    residue = theta
+    for c, h in zip(coords, space.basis):
+        residue = residue - c * h
+    if cx.preimage(residue) is None:
+        raise CrossCheckError("projection residue is not exact")
     return ExactnessCertificate(False, coords=tuple(coords), harmonic=space)
 
 
@@ -73,22 +69,15 @@ def _projection_coords(alg: Algebra, space: HarmonicSpace, theta: Form) -> list[
 
 
 def class_coords(alg: Algebra, omega: Form, theta: Form) -> tuple[Scalar, ...]:
-    """Coordinates of the harmonic projection of a d_w-closed form.
+    """Coordinates of the class of a d_w-closed form in the harmonic basis.
 
-    The residue theta minus its projection is certified d_w-exact.
+    They are those of `primitive`'s certificate, and zero for an exact class.
     """
-    cx = alg.twisted_complex(omega)
-    _require_d_closed(alg, omega, theta)
-    space = cx.harmonic(theta.degree)
-    coords = _projection_coords(alg, space, theta)
-    residue = theta
-    for c, h in zip(coords, space.basis):
-        residue = residue - c * h
-    if not residue.is_zero():
-        cert = primitive(alg, omega, residue)
-        if not cert.exact:
-            raise CrossCheckError("projection residue is not exact")
-    return tuple(coords)
+    cert = primitive(alg, omega, theta)
+    if cert.exact:
+        dim = alg.twisted_complex(omega).harmonic(theta.degree).dimension
+        return (alg.zero_scalar(),) * dim
+    return cert.coords
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .cecomplex import Algebra, d
-from .errors import BasisMismatch, DegreeMismatch
+from .cecomplex import Algebra, d, d_omega
+from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
 from .exterior import Form, integer_terms, merge_sign
 from .linalg import IntegerRows, nullspace, rank, solve
 from .scalar import Scalar, _fraction_row
@@ -230,7 +230,12 @@ class TwistedComplex:
         rows[r] * x = theta_r * L / contents[r]: scaling a row keeps the
         reduced row echelon form, so the pivots and the solution are those
         of d_w itself.  In parameter mode the rows are d_w as assembled.
+        The solution is verified here, d_w x = theta recomputed on forms,
+        so every primitive the program reports has been checked; theta = 0
+        has the zero primitive.
         """
+        if theta.is_zero():
+            return self.alg.basis.zero(max(theta.degree - 1, 0))
         degree = theta.degree
         if degree == 0:
             return None
@@ -241,7 +246,10 @@ class TwistedComplex:
         sol = solve(rows, rhs, self.size(degree - 1))
         if sol is None:
             return None
-        return Form(self.alg.basis, degree - 1, zip(self.alg.basis.monomials(degree - 1), sol))
+        prim = Form(self.alg.basis, degree - 1, zip(self.alg.basis.monomials(degree - 1), sol))
+        if d_omega(self.alg, self.omega, prim) != theta:
+            raise CrossCheckError("primitive verification failed")
+        return prim
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""

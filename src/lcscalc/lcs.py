@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
-from .cohomology import ExactnessCertificate, class_coords, primitive
+from .cohomology import ExactnessCertificate, primitive
 from .errors import (
     BasisMismatch, CrossCheckError, Degenerate, DegreeMismatch, InvalidParams, LeeNotClosed,
     NoSolution, NotAutomorphism, OddDimension, ZeroForm,
@@ -276,14 +276,11 @@ class ClassComparison:
 
 
 def compare_classes(alg: Algebra, a: LcsForm, b: LcsForm) -> ClassComparison:
-    exact_a = primitive(alg, a.lee, a.omega_form).exact
-    exact_b = primitive(alg, b.lee, b.omega_form).exact
+    ca = primitive(alg, a.lee, a.omega_form)
+    cb = primitive(alg, b.lee, b.omega_form)
     if a.lee != b.lee:
-        return ClassComparison(False, exact_a, exact_b)
-    same = class_coords(alg, a.lee, a.omega_form) == class_coords(
-        alg, b.lee, b.omega_form
-    )
-    return ClassComparison(True, exact_a, exact_b, cohomologous=same)
+        return ClassComparison(False, ca.exact, cb.exact)
+    return ClassComparison(True, ca.exact, cb.exact, cohomologous=ca.coords == cb.coords)
 
 
 # ---------------------------------------------------------------------------

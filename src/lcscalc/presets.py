@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cecomplex import Algebra, d_omega
-from .cohomology import class_coords
+from .cohomology import primitive
 from .errors import CrossCheckError, Degenerate, InvalidParams, MathError
 from .exterior import Basis, Form
 from .lcs import is_lcs, top_power
@@ -187,8 +187,9 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     """Certify the t and s families of the preset with these parameters.
 
     At every nondegenerate point of THEOREM1_GRID the Lee form must be the
-    family's twist and the class coordinates c1 times the representative's,
-    not all zero; otherwise MathError is raised.
+    family's twist and the class c1 times the representative's, not zero:
+    form - c1 * representative is exact, while c1 is not zero and the
+    representative is not exact.  Otherwise MathError is raised.
     """
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
     alg = acfm(params)
@@ -197,7 +198,7 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
         pfaffian = family_pfaffian(family, params)
         twist = twist_form(alg, twist_sign)
         rep = alg.basis.monomial_form(rep_monomial)
-        rep_coords = class_coords(alg, twist, rep)
+        rep_exact = primitive(alg, twist, rep).exact
         checked = 0
         for c1, c2, c3 in THEOREM1_GRID:
             form = _family(alg, family, c1, c2, c3)
@@ -207,8 +208,7 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
                 continue
             if cert.lee != twist:
                 raise MathError(f"family {family}: unexpected Lee form {cert.lee}")
-            coords = class_coords(alg, twist, form)
-            if coords != tuple(c1 * c for c in rep_coords) or not any(coords):
+            if rep_exact or not c1 or not primitive(alg, twist, form - c1 * rep).exact:
                 raise MathError(f"family {family}: unexpected class coordinates")
             checked += 1
         results.append(Theorem1Family(family, pfaffian, twist, rep, checked))

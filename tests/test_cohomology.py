@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,12 @@ from lcscalc.cohomology import (
     cohomology_report,
     primitive,
 )
-from lcscalc.errors import NotClosed, OmegaNotClosed, ParamModeUnsupported
+from lcscalc.errors import CrossCheckError, NotClosed, OmegaNotClosed, ParamModeUnsupported
 from lcscalc.hodge import harmonic_space
 from lcscalc.presets import acfm_rational, exact_lcs, omega_t, twist_form
+from lcscalc.specfile import parse_algebra_file, parse_algebra_text
+
+NONUNIMODULAR = Path(__file__).parent / "golden" / "nonunimodular.alg"
 
 
 def test_betti_boundary_degrees(acfm111):
@@ -86,6 +90,26 @@ def test_class_coords_examples(acfm111):
         Fraction(1) if i == position else Fraction(0) for i in range(space.dimension)
     )
     assert rep_coords == expected
+
+
+@pytest.mark.parametrize(
+    "omega, theta, expected",
+    [("-1 e3", "2 e1^e3", (0, 0)), ("-1 e3", "2 e2^e3", (0, 0)), ("0", "-2 e1^e2^e3", (0,))],
+)
+def test_class_coords_of_an_exact_form_are_zero(omega, theta, expected):
+    """Off unimodular data an exact form can have a nonzero harmonic projection."""
+    alg = parse_algebra_file(str(NONUNIMODULAR))
+    w, form = F(alg, omega), F(alg, theta)
+    assert primitive(alg, w, form).exact
+    assert class_coords(alg, w, form) == expected
+
+
+def test_primitive_refuses_a_residue_that_is_not_exact():
+    """The harmonic e1^e2 + e3^e4 is d e3; the residue e2^e4 of theta is not exact."""
+    alg = parse_algebra_text("generators e1 e2 e3 e4\nd e1 = 1 e1^e4\nd e3 = 1 e1^e2 + 1 e3^e4\n")
+    theta = F(alg, "1 e1^e2 + 1 e3^e4 + 1 e2^e4")
+    with pytest.raises(CrossCheckError, match="projection residue is not exact"):
+        primitive(alg, alg.basis.zero(1), theta)
 
 
 def test_class_coords_linearity(acfm111):

@@ -205,11 +205,14 @@ def test_theorem1_raises_on_a_wrong_lee_form(monkeypatch):
 
 
 def test_theorem1_raises_on_wrong_class_coordinates(monkeypatch):
-    real = presets.class_coords
+    """Every class reported exact (the representative's is not), then every class
+    reported not exact (each difference form - c1 * representative is)."""
+    real = presets.primitive
+    for exact in (True, False):
 
-    def zeros(alg, w, form):
-        return tuple(0 * c for c in real(alg, w, form))
+        def reported(alg, w, form, exact=exact):
+            return dataclasses.replace(real(alg, w, form), exact=exact)
 
-    monkeypatch.setattr(presets, "class_coords", zeros)
-    with pytest.raises(MathError, match="family t: unexpected class coordinates"):
-        theorem1(1, 2, 3)
+        monkeypatch.setattr(presets, "primitive", reported)
+        with pytest.raises(MathError, match="family t: unexpected class coordinates"):
+            theorem1(1, 2, 3)
