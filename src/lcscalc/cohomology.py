@@ -48,24 +48,17 @@ def primitive(alg: Algebra, omega: Form, theta: Form) -> ExactnessCertificate:
     if prim is not None:
         return ExactnessCertificate(True, primitive=prim)
     space = cx.harmonic(theta.degree)
-    coords = _projection_coords(alg, space, theta)
+    gram = [[inner(alg, hi, hj) for hj in space.basis] for hi in space.basis]
+    rhs = [inner(alg, theta, hi) for hi in space.basis]
+    coords = solve(gram, rhs, len(gram)) if gram else []
+    if coords is None:
+        raise CrossCheckError("harmonic Gram matrix is singular")
     residue = theta
     for c, h in zip(coords, space.basis):
         residue = residue - c * h
     if cx.preimage(residue) is None:
         raise CrossCheckError("projection residue is not exact")
     return ExactnessCertificate(False, coords=tuple(coords), harmonic=space)
-
-
-def _projection_coords(alg: Algebra, space: HarmonicSpace, theta: Form) -> list[Scalar]:
-    if not space.basis:
-        return []
-    gram = [[inner(alg, hi, hj) for hj in space.basis] for hi in space.basis]
-    rhs = [inner(alg, theta, hi) for hi in space.basis]
-    coords = solve(gram, rhs, len(space.basis))
-    if coords is None:
-        raise CrossCheckError("harmonic Gram matrix is singular")
-    return coords
 
 
 def class_coords(alg: Algebra, omega: Form, theta: Form) -> tuple[Scalar, ...]:
