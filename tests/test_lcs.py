@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ from lcscalc.presets import (
     twist_form,
 )
 from lcscalc.scalar import parse_scalar, scalar_str
-from lcscalc.specfile import parse_algebra_text
+from lcscalc.specfile import parse_algebra_file, parse_algebra_text
 
 
 @pytest.fixture
@@ -355,3 +356,35 @@ def test_symbolic_certificate_text_in_a_dense_frame():
     assert form_str(prim.primitive) == (
         "(-t2 - 2*k*t3)/(4*k) e1 + (-t2 + 2*k*t3)/(4*k) e3"
     )
+
+
+@pytest.mark.parametrize(
+    "form, target, pfaffian, lee, prim_text",
+    [
+        (
+            "1/3*k alpha^eta + 1/2*lambda beta^gamma",
+            "1/2*lambda beta^gamma",
+            "(k*lambda)/(3)",
+            "-k gamma",
+            "(lambda)/(4*k) beta",
+        ),
+        (
+            "(k+1)/3 alpha^eta + 2/k beta^gamma + 1/5*lambda alpha^beta - 1/5*k gamma^eta",
+            "2/k beta^gamma + 1/5*lambda alpha^beta - 1/5*k gamma^eta",
+            "(100 + 100*k - 6*k^2*lambda)/(75*k)",
+            "-k gamma",
+            "(1)/(k^2) beta + 1/5 eta",
+        ),
+    ],
+)
+def test_symbolic_certificate_text_on_the_params_preset(form, target, pfaffian, lee, prim_text):
+    """Parameter-mode is_lcs and primitive on tests/golden/params.alg, pinned
+    to their exact text: constant denominators from parsed coefficients and a
+    polynomial denominator left by the solve."""
+    alg = parse_algebra_file(str(Path(__file__).parent / "golden" / "params.alg"))
+    cert = is_lcs(alg, F(alg, form))
+    assert scalar_str(cert.pfaffian) == pfaffian
+    assert form_str(cert.lee) == lee
+    prim = primitive(alg, cert.lee, F(alg, target))
+    assert prim.exact
+    assert form_str(prim.primitive) == prim_text
