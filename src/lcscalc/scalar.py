@@ -14,7 +14,9 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
+from operator import add, sub
 from typing import Callable, Iterator, Union
 
 from .errors import (
@@ -57,10 +59,16 @@ def _psub(a: dict, b: dict) -> dict:
 
 
 def _pmul(a: dict, b: dict) -> dict:
+    for p, q in ((a, b), (b, a)):
+        if len(q) == 1:
+            ((e, c),) = q.items()
+            if not any(e):
+                # a constant factor scales coefficients; no exponent sums
+                return {ep: cp * c for ep, cp in p.items()}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -88,7 +96,17 @@ def _pcontent_int(p: dict) -> int:
 
 
 def _pdiv_exact(a: dict, b: dict) -> dict:
-    """Exact division a/b; raises ArithmeticError if b does not divide a."""
+    """Exact division a/b; raises ArithmeticError if b does not divide a.
+
+    A multi-term divisor runs the heap division of Monagan and Pearce
+    (J. Symbolic Comput. 46, 2011): the remainder's exponents sit in a heap
+    keyed `(-degree, e)`, which pops them in descending `_grlex` order, so
+    each pop is the remainder's leading term.  Each step cancels that term
+    and subtracts the divisor's other terms in place; in a graded monomial
+    order they all land below it.  A term cancelled to zero keeps its heap
+    entry, and one that reappears gets a second, so a popped exponent no
+    longer in the remainder is stale and skipped.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(b) == 1:
@@ -101,19 +119,31 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
                 raise ArithmeticError("inexact polynomial division")
             q[e] = ca // cb
         return q
-    q: dict = {}
-    r = dict(a)
     eb = max(b, key=_grlex)
     cb = b[eb]
-    while r:
-        er = max(r, key=_grlex)
-        cr = r[er]
-        e = tuple(x - y for x, y in zip(er, eb))
-        if any(x < 0 for x in e) or cr % cb:
+    tail = [(e, c) for e, c in b.items() if e != eb]
+    q: dict = {}
+    r = dict(a)
+    heap = [(-sum(e), e) for e in r]
+    heapify(heap)
+    while heap:
+        er = heappop(heap)[1]
+        cr = r.pop(er, 0)
+        if not cr:
+            continue
+        e = tuple(map(sub, er, eb))
+        if min(e) < 0 or cr % cb:
             raise ArithmeticError("inexact polynomial division")
-        c = cr // cb
-        q[e] = c
-        r = _psub(r, _pmul({e: c}, b))
+        q[e] = c = cr // cb
+        for et, ct in tail:
+            m = tuple(map(add, e, et))
+            s = r.get(m, 0) - c * ct
+            if not s:
+                del r[m]
+                continue
+            if m not in r:
+                heappush(heap, (-sum(m), m))
+            r[m] = s
     return q
 
 
@@ -209,11 +239,27 @@ class ParamScalar:
 
     @staticmethod
     def _make(symbols: tuple[str, ...], num: dict, den: dict) -> "ParamScalar":
+        """The canonical form of num/den.
+
+        A constant denominator c needs no polynomial gcd: gcd(num, c) is the
+        integer gcd(content(num), c), taken with the sign of c so that the
+        reduced denominator is positive.
+        """
         if not den:
             raise DivisionByZero("scalar division by zero")
         nvars = len(symbols)
         if not num:
             return ParamScalar(symbols, {}, _pconst(nvars, 1))
+        if len(den) == 1:
+            ((e, c),) = den.items()
+            if not any(e):
+                g = gcd(_pcontent_int(num), c)
+                if c < 0:
+                    g = -g
+                if g != 1:
+                    num = {ea: ca // g for ea, ca in num.items()}
+                    den = {e: c // g}
+                return ParamScalar(symbols, num, den)
         g = _pgcd(num, den)
         if g != _pconst(nvars, 1):
             num = _pdiv_exact(num, g)

@@ -16,12 +16,14 @@ from lcscalc.scalar import (
     MAX_NESTING,
     ParamScalar,
     ScalarMode,
+    _padd,
     _pconst,
     _pdiv_exact,
     _pgcd,
     _pmul,
     parse_scalar,
     scalar_str,
+    tokenize,
 )
 
 from helpers import general_pdiv_exact, prs_gcd
@@ -103,20 +105,27 @@ def test_from_fraction_builds_the_canonical_form_directly(q):
     assert hash(direct) == hash(made) == hash(q)
 
 
-def test_int_times_param_runs_one_gcd(monkeypatch):
+def test_constant_denominators_run_no_polynomial_gcd(monkeypatch):
+    # over a constant denominator the gcd is an integer gcd with the content
     from lcscalc import scalar
 
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return _pgcd(a, b)
+    def counted(f):
+        def wrapper(a, b):
+            calls.append((f.__name__, a, b))
+            return f(a, b)
 
-    monkeypatch.setattr(scalar, "_pgcd", counted)
-    assert 2 * sym("k") == sym("k") + sym("k")
-    calls.clear()
-    2 * sym("k")
-    assert len(calls) == 1
+        return wrapper
+
+    monkeypatch.setattr(scalar, "_pgcd", counted(_pgcd))
+    monkeypatch.setattr(scalar, "_pdiv_exact", counted(_pdiv_exact))
+    k = sym("k")
+    assert 2 * k == k + k
+    half = Fraction(1, 3) * k + Fraction(1, 6) * k
+    assert scalar_str(half) == "(k)/(2)"
+    assert scalar_str(Fraction(-4, 6) * (k + 1)) == "(-2 - 2*k)/(3)"
+    assert calls == []
 
 
 def test_constants_display_as_rationals():
@@ -240,6 +249,25 @@ def test_one_term_division_matches_general_path(p, m):
         assert _pdiv_exact(p, m) == expected
 
 
+multi_term = st.dictionaries(exponents, nonzero, min_size=2, max_size=5)
+
+
+@given(polys, multi_term, st.one_of(st.just({}), polys, monomials))
+def test_heap_division_matches_max_scan(a, b, extra):
+    # a*b divides exactly; a*b + extra mostly does not
+    dividend = _padd(_pmul(a, b), extra)
+    try:
+        expected = general_pdiv_exact(dividend, b)
+    except ArithmeticError:
+        assert extra
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(dividend, b)
+    else:
+        assert _pdiv_exact(dividend, b) == expected
+        if not extra:
+            assert expected == a
+
+
 def test_one_term_division_raises_when_inexact():
     with pytest.raises(ArithmeticError):
         _pdiv_exact({(1, 0, 0): 3}, {(0, 1, 0): 1})
@@ -300,3 +328,34 @@ def test_integer_literal_limit():
     with pytest.raises(ExprSyntaxError) as info:
         parse_scalar("1 + " + "7" * (MAX_DIGITS + 1), RATIONAL)
     assert info.value.col == 5
+
+
+# ---------------------------------------------------------------------------
+# tokenizer on Unicode digits, numerals and letters
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        # an identifier continues on any str.isalnum() character; a decimal
+        # digit of any script is an integer
+        ("k\u00b2 + \u0663", [("ident", "k\u00b2", 1), ("+", "+", 4), ("int", 3, 6)]),
+        ("_x1 \u00e9t\u00e9", [("ident", "_x1", 1), ("ident", "\u00e9t\u00e9", 5)]),
+    ],
+)
+def test_tokenize_unicode_words(text, tokens):
+    got = [(t.kind, t.value, t.col) for t in tokenize(text)]
+    assert got == tokens + [("end", None, len(text) + 1)]
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    # superscript two is a digit but not decimal, one half is numeric only:
+    # neither starts a token; a newline is not a blank
+    [("2\u00b2", 2), ("\u00bd*k", 1), ("k\n", 2)],
+)
+def test_tokenize_refuses_numerals_that_are_not_decimal(text, col):
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
+        tokenize(text)
+    assert info.value.col == col

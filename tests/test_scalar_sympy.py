@@ -43,6 +43,37 @@ def expressions(draw, depth=4):
     return a / b, sa / sb
 
 
+@st.composite
+def constant_denominator_expressions(draw, depth=4):
+    """Like `expressions`, with rational leaves c/q and '/' rare.
+
+    Most intermediate values have a constant denominator up to a product of
+    q's, so their canonical form is an integer gcd with the content.
+    """
+    if depth == 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            i = draw(st.integers(min_value=0, max_value=len(NAMES) - 1))
+            return MODE.symbol(NAMES[i]), GENS[i]
+        c = draw(st.integers(min_value=-30, max_value=30))
+        q = draw(st.integers(min_value=1, max_value=97))
+        return MODE.from_fraction(Fraction(c, q)), sympy.Rational(c, q)
+    op = draw(st.sampled_from(["+", "+", "-", "-", "*", "*", "^", "/"]))
+    a, sa = draw(constant_denominator_expressions(depth - 1))
+    if op == "^":
+        e = draw(st.integers(min_value=0, max_value=3))
+        return a ** e, sa ** e
+    b, sb = draw(constant_denominator_expressions(depth - 1))
+    if op == "+":
+        return a + b, sa + sb
+    if op == "-":
+        return a - b, sa - sb
+    if op == "*":
+        return a * b, sa * sb
+    if not b:
+        return a, sa
+    return a / b, sa / sb
+
+
 def _integer_dict(poly, scale) -> dict:
     out = {}
     for e, c in poly.terms():
@@ -73,6 +104,13 @@ def canonical_from_sympy(expr):
 
 @given(expressions())
 def test_canonical_form_matches_sympy_cancel(pair):
+    value, expr = pair
+    num, den = canonical_from_sympy(expr)
+    assert (value.num, value.den) == (num, den)
+
+
+@given(constant_denominator_expressions())
+def test_constant_denominator_canonical_form_matches_sympy_cancel(pair):
     value, expr = pair
     num, den = canonical_from_sympy(expr)
     assert (value.num, value.den) == (num, den)
