@@ -314,14 +314,19 @@ def lie_derivative(alg: Algebra, v: VectorField, a: Form) -> Form:
 
 
 def is_unimodular(alg: Algebra) -> bool:
-    """True when every adjoint map of the derived bracket table is traceless."""
+    """True when every adjoint map ad X_i is traceless.
+
+    With A^k_ab the coefficient of e_a ^ e_b in d e_k (a < b), the bracket
+    [X_a, X_b] = -sum_k A^k_ab X_k gives
+    tr ad X_i = sum_{k<i} A^k_ki - sum_{k>i} A^k_ik, read off the structure
+    data without a bracket table.
+    """
     alg.require_valid()
-    table = alg.brackets()
-    n = alg.dim
-    for i in range(n):
-        trace = alg.zero_scalar()
-        for j in range(n):
-            trace = trace + table.frame_bracket(i, j).coeffs[j]
-        if trace:
-            return False
-    return True
+    traces = [0] * alg.dim
+    for k, dg in enumerate(alg.dgen):
+        for (a, b), c in dg.terms.items():
+            if a == k:
+                traces[b] = traces[b] + c
+            elif b == k:
+                traces[a] = traces[a] - c
+    return not any(traces)

@@ -7,21 +7,32 @@ certificate the module computes infinitesimal automorphisms, the extended
 Lee homomorphism l(X) = mu_X + w(X), exactness cross-checks, deformation
 family verification, and the foliation-style checks (integrability,
 involutivity, restricted rank).
+
+The linear systems of a 2-form are read off its terms, as the d_w matrices
+are read off the d table: w -> w ^ Omega, X -> i(X) Omega and
+(X, mu) -> L_X(Omega) - mu * Omega are signed copies of Omega's
+coefficients, the last combined with the d tables in integer numerators.
+No Form is built to assemble them.  The certificates stay on the Form
+route: w ^ Omega = -d(Omega) and d(w) = 0 for the Lee form, L_X(Omega) and
+d_w(i_X Omega) for each automorphism pair, i(X) Omega for a dual field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import factorial, gcd
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
 from .cohomology import ExactnessCertificate, primitive
 from .errors import (
     BasisMismatch, CrossCheckError, Degenerate, DegreeMismatch, InvalidParams, LeeNotClosed,
-    NoSolution, NotAutomorphism, OddDimension, ZeroForm,
+    MixedModes, NoSolution, NotAutomorphism, OddDimension, ZeroForm,
 )
-from .exterior import Form, VectorField, evaluate_one_form, frame_field, interior
-from .linalg import nullspace, operator_matrix, rank, solve
+from .exterior import (
+    Form, VectorField, evaluate_one_form, frame_field, integer_terms, interior,
+)
+from .linalg import nullspace, rank, solve
 from .scalar import Scalar
 
 
@@ -50,7 +61,10 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
 
     A holds Omega's coefficients, A_ij = Omega_ij for i < j.  The Pfaffian on
     an ascending index tuple S expands along its first row, memoized on S per
-    call: Pf(S) = sum_m (-1)^(m-1) A_{s_0 s_m} Pf(S - {s_0, s_m}).
+    call: Pf(S) = sum_m (-1)^(m-1) A_{s_0 s_m} Pf(S - {s_0, s_m}).  For a
+    rational algebra and form it expands on Omega's integer numerators over
+    m, the lcm of its denominators; Pf is homogeneous of degree N/2, so the
+    value is one Fraction((N/2)! Pf, m^(N/2)).
     """
     if alg.dim % 2:
         raise OddDimension(f"top power needs an even number of generators, got {alg.dim}")
@@ -58,7 +72,12 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
         raise BasisMismatch("form over a different basis")
     if not omega2.is_zero() and omega2.degree != 2:
         raise DegreeMismatch("top power needs a 2-form")
-    a, zero, memo = omega2.terms, alg.zero_scalar(), {(): alg.one_scalar()}
+    n = alg.dim // 2
+    scaled = None if alg.mode.is_param else integer_terms(omega2.terms)
+    if scaled is None:
+        a, zero, memo = omega2.terms, alg.zero_scalar(), {(): alg.one_scalar()}
+    else:
+        a, zero, memo = dict(scaled[1]), 0, {(): 1}
 
     def pf(rest: tuple[int, ...]) -> Scalar:
         value = memo.get(rest)
@@ -72,7 +91,9 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
             memo[rest] = value
         return value
 
-    value = factorial(alg.dim // 2) * pf(tuple(range(alg.dim)))
+    value = factorial(n) * pf(tuple(range(alg.dim)))
+    if scaled is not None:
+        return Fraction(value, scaled[0] ** n)
     return value if value else zero
 
 
@@ -82,21 +103,84 @@ def lee_form(alg: Algebra, omega2: Form) -> Form:
     return is_lcs(alg, omega2).lee
 
 
+def _wedge_rows(alg: Algebra, omega2: Form) -> list[list]:
+    """Matrix of w -> w ^ Omega on 1-forms, read off Omega's terms.
+
+    In the row of a 3-monomial I, column I_p holds (-1)^p Omega_{I - I_p}:
+    moving e_{I_p} in front of the rest of I takes p transpositions.
+    """
+    terms = omega2.terms
+    rows = []
+    for idx in alg.basis.monomials(3):
+        row = [0] * alg.dim
+        for pos, i in enumerate(idx):
+            c = terms.get(idx[:pos] + idx[pos + 1 :])
+            if c:
+                row[i] = -c if pos % 2 else c
+        rows.append(row)
+    return rows
+
+
+def _contraction_rows(alg: Algebra, omega2: Form) -> list[list]:
+    """Matrix of X -> i(X) Omega: row j, column i holds (i(e_i) Omega)_j.
+
+    i(e_i)(e_a ^ e_b) = delta_ia e_b - delta_ib e_a, so the entry is Omega_ij
+    for i < j, -Omega_ji for i > j and 0 on the diagonal.
+    """
+    rows = [[0] * alg.dim for _ in range(alg.dim)]
+    for (i, j), c in omega2.terms.items():
+        rows[j][i], rows[i][j] = c, -c
+    return rows
+
+
+def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]]:
+    """(L, rows): L times the matrix of (X, mu) -> L_X(Omega) - mu * Omega, in ints.
+
+    By Cartan's formula column i, the image of X_i, is
+    i(e_i)(d Omega) + sum_j (i(e_i) Omega)_j d e_j, and the column of mu is
+    -Omega.  With Omega as integer numerators a over m and the d tables over
+    D, every entry is an integer numerator over L = m * D.
+    """
+    scaled, den = integer_terms(omega2.terms), alg.d_den
+    if scaled is None or den is None:
+        raise MixedModes(
+            "a form or structure data with symbolic coefficients needs a parameter-mode algebra"
+        )
+    a = dict(scaled[1])
+    table2, table1 = alg.d_table(2), alg.d_table(1)
+    d_omega2: dict = {}
+    for idx, c in a.items():
+        for key, t in table2[idx].items():
+            d_omega2[key] = d_omega2.get(key, 0) + c * t
+    columns: list[dict] = [{} for _ in range(alg.dim)]
+    for (p, q, r), c in d_omega2.items():
+        for i, key, v in ((p, (q, r), c), (q, (p, r), -c), (r, (p, q), c)):
+            columns[i][key] = columns[i].get(key, 0) + v
+    for (i, j), c in a.items():
+        for col, k, v in ((columns[i], j, c), (columns[j], i, -c)):
+            for key, t in table1[(k,)].items():
+                col[key] = col.get(key, 0) + v * t
+    rows = [
+        [col.get(key, 0) for col in columns] + [-a.get(key, 0) * den]
+        for key in alg.basis.monomials(2)
+    ]
+    return scaled[0] * den, rows
+
+
 def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     """Certify nondegeneracy, recover the Lee form, check it closed and closing.
 
-    -d(Omega) from the solve is reused to check d(Omega) + w ^ Omega = 0.
+    The system w ^ Omega = -d(Omega) is read off Omega's terms
+    (`_wedge_rows`); -d(Omega) from the solve is reused to check
+    d(Omega) + w ^ Omega = 0 by one wedge.
     """
     pf = top_power(alg, omega2)
     if not pf:
         raise Degenerate("top wedge power vanishes")
     alg.require_valid()
-    gens = [alg.basis.gen(i) for i in range(alg.dim)]
-    images = [g.wedge(omega2) for g in gens]
-    target = list(alg.basis.monomials(3))
-    rows = operator_matrix(images, target)
+    rows = _wedge_rows(alg, omega2)
     rhs_form = -d(alg, omega2)
-    rhs = [rhs_form.coefficient(m) for m in target]
+    rhs = [rhs_form.coefficient(m) for m in alg.basis.monomials(3)]
     sol = solve(rows, rhs, alg.dim)
     if sol is None:
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
@@ -110,17 +194,19 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
 
 
 def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
-    """Solve L_X(Omega) = mu * Omega jointly in (X, mu)."""
+    """Solve L_X(Omega) = mu * Omega jointly in (X, mu).
+
+    The matrix is read off Omega's terms and the d tables
+    (`_automorphism_rows`).  Each row is divided by its content; scaling a
+    row keeps the kernel, which `nullspace` returns with a unit entry at
+    each free column.
+    """
     alg.require_valid()
     alg.require_rational("automorphism algebra computation")
-    omega2 = lcs.omega_form
-    # L_X(Omega) by Cartan's formula, with d(Omega) computed once for all X
-    d_omega2 = d(alg, omega2)
-    fields = [frame_field(alg.basis, i) for i in range(alg.dim)]
-    images = [interior(x, d_omega2) + d(alg, interior(x, omega2)) for x in fields]
-    images.append(-omega2)  # column for the unknown mu
-    target = list(alg.basis.monomials(2))
-    rows = operator_matrix(images, target)
+    rows = []
+    for row in _automorphism_rows(alg, lcs.omega_form)[1]:
+        g = gcd(*row)
+        rows.append([x // g for x in row] if g > 1 else row)
     vectors = nullspace(rows, alg.dim + 1)
     pairs = []
     for vec in vectors:
@@ -148,12 +234,8 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
     """The unique X with i(X) Omega = theta, re-verified after solving."""
     if not theta.is_zero() and theta.degree != 1:
         raise DegreeMismatch("dual field needs a 1-form")
-    images = [
-        interior(frame_field(alg.basis, i), lcs.omega_form) for i in range(alg.dim)
-    ]
-    target = list(alg.basis.monomials(1))
-    rows = operator_matrix(images, target)
-    rhs = [theta.coefficient(m) for m in target]
+    rows = _contraction_rows(alg, lcs.omega_form)
+    rhs = [theta.coefficient(m) for m in alg.basis.monomials(1)]
     sol = solve(rows, rhs, alg.dim)
     if sol is None:
         raise Degenerate("contraction with the 2-form is not invertible")

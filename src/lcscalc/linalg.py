@@ -123,15 +123,3 @@ def solve(rows: list[list], rhs: list, ncols: int):
             x[pc] = quotient(work[r][ncols], pv)
     return x
 
-
-def operator_matrix(images: list, target_monomials: list) -> list[list]:
-    """Matrix of a linear map from the list of basis images.
-
-    Row i, column j holds the coefficient of target monomial i in the image
-    of source element j: the int 0 where it has none, which `ring_rows`
-    reads in either mode.
-    """
-    return [
-        [img.coefficient(mono) for img in images]
-        for mono in target_monomials
-    ]

@@ -191,6 +191,15 @@ def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
     ]
 
 
+def operator_matrix(images: list, target_monomials: list) -> list[list]:
+    """Matrix of a linear map from the list of basis images (Forms).
+
+    Row i, column j holds the coefficient of target monomial i in the image
+    of source element j: the int 0 where it has none.
+    """
+    return [[img.coefficient(mono) for img in images] for mono in target_monomials]
+
+
 # ---------------------------------------------------------------------------
 # Fraction-only row reduction (rank, kernel and solve oracles)
 # ---------------------------------------------------------------------------

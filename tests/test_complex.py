@@ -41,6 +41,7 @@ from helpers import (
     invert_matrix,
     koszul_d,
     koszul_twisted_matrix,
+    operator_matrix,
     perturb_algebra,
     random_good_algebra,
     random_invertible,
@@ -51,7 +52,6 @@ from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report, primitive
 from lcscalc.exterior import Basis, Form, form_str
 from lcscalc.hodge import delta_omega, harmonic_space
-from lcscalc.linalg import operator_matrix
 from lcscalc.scalar import ScalarMode
 from lcscalc.specfile import parse_algebra_file, parse_form_expr
 from test_golden import FRAME_TWIST
