@@ -7,6 +7,11 @@ polynomials kept in a canonical form: numerator and denominator are coprime
 (polynomial gcd, integer content included), and the denominator's first
 term in ascending graded-lexicographic order has a positive coefficient.
 Equality and zero tests are therefore structural and exact.
+
+Scalar text is read by a recursive-descent parser over flat tokens:
+`tokenize` makes one `(kind, value, col)` tuple per token, and the cursor
+keeps the line, so no object is built per token.  The form grammar in
+`specfile` reuses the scalar atoms, factors and powers.
 """
 
 from __future__ import annotations
@@ -639,92 +644,90 @@ MAX_NESTING = 100
 MAX_DIGITS = 4300
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple]:
+    """Split an expression into flat `(kind, value, col)` tuples.
 
-    def __init__(self, kind: str, value, line: int, col: int):
-        self.kind = kind  # "int" | "ident" | a punctuation char | "end"
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.value!r})"
-
-
-def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
-    """Split an expression into tokens, tracking 1-based positions.
-
-    `line` and `col` place the first character of the text in its file.
+    kind is "int" (value the int), "ident" (value the name), a punctuation
+    character (value the same character) or "end" (value None), which
+    closes every list.  Blanks are space, tab and carriage return; a digit
+    is a decimal digit of any script, and an identifier starts with a
+    letter or '_' and continues on letters, digits, numerals and '_'.  `col`
+    places the first character of the text in its file, so each tuple
+    carries its 1-based column; the line is kept by the `_Cursor`.
     """
-    out: list[Token] = []
+    out: list[tuple] = []
+    append = out.append
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch in " \t\r":
             i += 1
-            continue
-        pos = col + i
-        if ch.isdecimal():
-            j = i
+        elif ch in _PUNCT:
+            append((ch, ch, col + i))
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ExprSyntaxError(
-                    f"integer literal of {j - i} digits is above the limit of "
-                    f"{MAX_DIGITS}",
+                    f"integer literal of {j - i} digits is above the limit of {MAX_DIGITS}",
                     line,
-                    pos,
+                    col + i,
                 )
-            out.append(Token("int", int(text[i:j]), line, pos))
+            append(("int", int(text[i:j]), col + i))
             i = j
         elif ch.isalpha() or ch == "_":
-            j = i
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            out.append(Token("ident", text[i:j], line, pos))
+            append(("ident", text[i:j], col + i))
             i = j
-        elif ch in _PUNCT:
-            out.append(Token(ch, ch, line, pos))
-            i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, pos)
-    out.append(Token("end", None, line, col + len(text)))
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col + i)
+    append(("end", None, col + n))
     return out
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Position in the token list of one text, with its line and nesting depth."""
+
+    __slots__ = ("tokens", "pos", "depth", "line")
+
+    def __init__(self, text: str, line: int = 1, col: int = 1):
+        self.tokens = tokenize(text, line, col)
         self.pos = 0
         self.depth = 0
+        self.line = line
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "end":
+        if t[0] != "end":
             self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
+    def error(self, message: str, col: int) -> ExprSyntaxError:
+        return ExprSyntaxError(message, self.line, col)
+
+    def expect(self, kind: str) -> tuple:
         t = self.peek()
-        if t.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {t.value!r}" if t.kind != "end"
+        if t[0] != kind:
+            raise self.error(
+                f"expected {kind!r}, found {t[1]!r}" if t[0] != "end"
                 else f"expected {kind!r}, found end of input",
-                t.line,
-                t.col,
+                t[2],
             )
         return self.next()
 
 
 def _parse_scalar_expr(cur: _Cursor, mode: ScalarMode) -> Scalar:
     value = _parse_scalar_term(cur, mode)
-    while cur.peek().kind in "+-":
-        op = cur.next().kind
+    while cur.peek()[0] in "+-":
+        op = cur.next()[0]
         rhs = _parse_scalar_term(cur, mode)
         value = value + rhs if op == "+" else value - rhs
     return value
@@ -732,8 +735,8 @@ def _parse_scalar_expr(cur: _Cursor, mode: ScalarMode) -> Scalar:
 
 def _parse_scalar_term(cur: _Cursor, mode: ScalarMode) -> Scalar:
     value = _parse_scalar_factor(cur, mode)
-    while cur.peek().kind in "*/":
-        op = cur.next().kind
+    while cur.peek()[0] in "*/":
+        op = cur.next()[0]
         rhs = _parse_scalar_factor(cur, mode)
         if op == "*":
             value = value * rhs
@@ -746,8 +749,8 @@ def _parse_scalar_term(cur: _Cursor, mode: ScalarMode) -> Scalar:
 
 def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode) -> Scalar:
     sign = 1
-    while cur.peek().kind in "+-":
-        if cur.next().kind == "-":
+    while cur.peek()[0] in "+-":
+        if cur.next()[0] == "-":
             sign = -sign
     value = _parse_exponent(cur, _parse_scalar_atom(cur, mode))
     return -value if sign < 0 else value
@@ -759,65 +762,52 @@ def _parse_exponent(cur: _Cursor, base: Scalar) -> Scalar:
     The largest power of a polynomial with t terms has C(t+e-1, e) terms
     (the monomials of degree e in t unknowns), so that bounds its size.
     """
-    if cur.peek().kind != "^":
+    if cur.peek()[0] != "^":
         return base
     e = 1
-    while cur.peek().kind == "^":
+    while cur.peek()[0] == "^":
         caret = cur.next()
-        t = cur.peek()
-        if t.kind != "int":
-            raise ExprSyntaxError(
-                "exponent must be a nonnegative integer", caret.line, caret.col
-            )
+        kind, value, col = cur.peek()
+        if kind != "int":
+            raise cur.error("exponent must be a nonnegative integer", caret[2])
         cur.next()
-        e *= t.value
+        e *= value
         if e > MAX_EXPONENT:
-            raise ExprSyntaxError(
-                f"exponent {_int_str(e)} is above the limit of {MAX_EXPONENT}",
-                t.line,
-                t.col,
-            )
+            raise cur.error(f"exponent {_int_str(e)} is above the limit of {MAX_EXPONENT}", col)
     if isinstance(base, ParamScalar):
         terms = max(len(base.num), len(base.den))
         if comb(terms + e - 1, e) > MAX_POWER_TERMS:
-            raise ExprSyntaxError(
-                f"power of a {terms}-term polynomial to {e} may exceed "
-                f"{MAX_POWER_TERMS} terms",
-                t.line,
-                t.col,
+            raise cur.error(
+                f"power of a {terms}-term polynomial to {e} may exceed {MAX_POWER_TERMS} terms",
+                col,
             )
     return base ** e
 
 
 def _parse_scalar_atom(cur: _Cursor, mode: ScalarMode) -> Scalar:
-    t = cur.peek()
-    if t.kind == "int":
+    kind, value, col = cur.peek()
+    if kind == "int":
         cur.next()
-        return mode.from_fraction(t.value)
-    if t.kind == "ident":
-        if mode.symbols is None or t.value not in mode.symbols:
+        return mode.from_fraction(value)
+    if kind == "ident":
+        if mode.symbols is None or value not in mode.symbols:
             raise UndeclaredParameter(
-                f"parameter {t.value!r} is not declared (line {t.line}, column {t.col})"
+                f"parameter {value!r} is not declared (line {cur.line}, column {col})"
             )
         cur.next()
-        return mode.symbol(t.value)
-    if t.kind == "(":
+        return mode.symbol(value)
+    if kind == "(":
         if cur.depth == MAX_NESTING:
-            raise ExprSyntaxError(
-                f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col
-            )
+            raise cur.error(f"parentheses nested deeper than {MAX_NESTING}", col)
         cur.next()
         cur.depth += 1
         value = _parse_scalar_expr(cur, mode)
         cur.expect(")")
         cur.depth -= 1
         return value
-    raise ExprSyntaxError(
-        "expected a number, parameter or '('"
-        if t.kind == "end"
-        else f"unexpected {t.value!r}",
-        t.line,
-        t.col,
+    raise cur.error(
+        "expected a number, parameter or '('" if kind == "end" else f"unexpected {value!r}",
+        col,
     )
 
 
@@ -831,9 +821,9 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     MAX_POWER_TERMS, MAX_NESTING and MAX_DIGITS; input beyond them raises
     ExprSyntaxError.
     """
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     value = _parse_scalar_expr(cur, mode)
-    t = cur.peek()
-    if t.kind != "end":
-        raise ExprSyntaxError(f"trailing input {t.value!r}", t.line, t.col)
+    kind, tail, col = cur.peek()
+    if kind != "end":
+        raise cur.error(f"trailing input {tail!r}", col)
     return value

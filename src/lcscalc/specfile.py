@@ -11,22 +11,25 @@ File layout (UTF-8, '#' comments, blank lines ignored, \\r\\n tolerated)::
 
 A form expression is a signed sum of terms; each term is an optional
 scalar prefix (same grammar as scalars, juxtaposition multiplies) followed
-by an optional generator chain joined with '^'.  `serialize` output parses
-back to the same value.
+by an optional generator chain joined with '^'.  The integer literals of a
+term multiply and divide as Python ints, and one scalar of the mode is made
+per term.  `serialize` output parses back to the same value.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .cecomplex import Algebra
 from .errors import DivisionByZero, ExprSyntaxError, InvalidMetric
 from .exterior import Basis, Form, form_str
 from .scalar import (
+    ParamScalar,
     ScalarMode,
     _Cursor,
     _parse_exponent,
     _parse_scalar_atom,
     scalar_str,
-    tokenize,
 )
 
 
@@ -35,75 +38,100 @@ def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode):
     return _parse_exponent(cur, _parse_scalar_atom(cur, mode))
 
 
-def _parse_form_term(cur: _Cursor, basis: Basis, mode: ScalarMode) -> tuple[int, tuple]:
+def _ratio(mode: ScalarMode, num: int, den: int):
+    q = Fraction(num, den)
+    return q if mode.symbols is None else ParamScalar.from_fraction(mode.symbols, q)
+
+
+def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, tuple]:
     """One additive term, as its degree and one raw `(index tuple, coefficient)` pair.
 
     Juxtaposition multiplies scalar factors; '*' may also join the last
-    factor to the generator chain.  A chain longer than the dimension repeats
-    a generator, so it is zero (as in `Form.wedge`): a zero pair of degree N.
+    factor to the generator chain.  Integer literals without a '^' (`13/87`,
+    `3*`) multiply and divide as Python ints; the first other factor (a
+    parameter, '(' or a power) hands them over to the scalar grammar as one
+    mode scalar, which then takes every later factor.  A chain longer than
+    the dimension repeats a generator, so it is zero (as in `Form.wedge`): a
+    zero pair of degree N.  `index` maps generator names to their positions;
+    only an identifier token can match one.
     """
-    coeff = None
+    tokens = cur.tokens
+    num = den = 1
+    literal = False  # num/den has taken a literal
+    coeff = None  # the mode scalar, from the first factor that is not a plain literal
     while True:
-        t = cur.peek()
-        if t.kind == "ident" and t.value in basis.names:
+        kind, value, col = tokens[cur.pos]
+        if value in index or kind not in ("int", "ident", "("):
             break
-        if t.kind not in ("int", "ident", "("):
-            break
-        factor = _parse_scalar_factor(cur, mode)
-        coeff = factor if coeff is None else coeff * factor
-        while cur.peek().kind in "*/":
-            op = cur.next()
-            nxt = cur.peek()
-            if nxt.kind == "ident" and nxt.value in basis.names:
-                if op.kind == "/":
-                    raise ExprSyntaxError(
-                        "cannot divide by a generator", nxt.line, nxt.col
-                    )
-                break
-            rhs = _parse_scalar_factor(cur, mode)
-            if op.kind == "/":
-                if not rhs:
+        op = "*"  # how the next factor joins
+        while True:
+            if coeff is None and kind == "int" and tokens[cur.pos + 1][0] != "^":
+                cur.pos += 1
+                if op == "*":
+                    num *= value
+                elif value:
+                    den *= value
+                else:
                     raise DivisionByZero("scalar division by zero")
-                coeff = coeff / rhs
+                literal = True
             else:
-                coeff = coeff * rhs
+                factor = _parse_scalar_factor(cur, mode)
+                if op == "/" and not factor:
+                    raise DivisionByZero("scalar division by zero")
+                if coeff is None and literal:
+                    coeff = _ratio(mode, num, den)
+                if coeff is None:
+                    coeff = factor
+                else:
+                    coeff = coeff * factor if op == "*" else coeff / factor
+            op = tokens[cur.pos][0]
+            if op != "*" and op != "/":
+                break
+            cur.pos += 1
+            kind, value, col = tokens[cur.pos]
+            if value in index:
+                if op == "/":
+                    raise cur.error("cannot divide by a generator", col)
+                break
     gens: list[int] = []
-    while cur.peek().kind == "ident" and cur.peek().value in basis.names:
-        gens.append(basis.index(cur.next().value))
-        if cur.peek().kind != "^":
+    i = index.get(tokens[cur.pos][1])
+    while i is not None:
+        gens.append(i)
+        cur.pos += 1
+        caret, _, caret_col = tokens[cur.pos]
+        if caret != "^":
             break
-        caret = cur.next()
-        nxt = cur.peek()
-        if not (nxt.kind == "ident" and nxt.value in basis.names):
-            raise ExprSyntaxError(
-                "'^' in a form term must join generator names", caret.line, caret.col
-            )
+        cur.pos += 1
+        i = index.get(tokens[cur.pos][1])
+        if i is None:
+            raise cur.error("'^' in a form term must join generator names", caret_col)
     if coeff is None:
-        if not gens:
-            t = cur.peek()
-            raise ExprSyntaxError(
-                "expected a scalar or generator" if t.kind == "end"
-                else f"unexpected {t.value!r}",
-                t.line,
-                t.col,
+        if literal:
+            coeff = _ratio(mode, num, den)
+        elif gens:
+            coeff = mode.one()
+        else:
+            kind, value, col = tokens[cur.pos]
+            raise cur.error(
+                "expected a scalar or generator" if kind == "end" else f"unexpected {value!r}",
+                col,
             )
-        coeff = mode.one()
-    if len(gens) > basis.dim:
-        return basis.dim, ((), mode.zero())
+    if len(gens) > len(index):
+        return len(index), ((), mode.zero())
     return len(gens), (tuple(gens), coeff)
 
 
-def _parse_form(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
+def _parse_form(cur: _Cursor, basis: Basis, index: dict, mode: ScalarMode) -> Form:
     """A signed sum of terms, with the value and the errors of chained `+`.
 
     The pairs of the terms are summed by one Form; only a term of another
     degree meets the running sum through `+`, which allows that only if
     either is zero.
     """
-    op = cur.next().kind if cur.peek().kind in "+-" else "+"
+    op = cur.next()[0] if cur.peek()[0] in "+-" else "+"
     degree, pairs = None, []
     while True:
-        term_degree, (idx, c) = _parse_form_term(cur, basis, mode)
+        term_degree, (idx, c) = _parse_form_term(cur, index, mode)
         pair = (idx, -c if op == "-" else c)
         if degree is None or term_degree == degree:
             degree = term_degree
@@ -111,9 +139,9 @@ def _parse_form(cur: _Cursor, basis: Basis, mode: ScalarMode) -> Form:
         else:
             total = Form(basis, degree, pairs) + Form(basis, term_degree, [pair])
             degree, pairs = total.degree, list(total.terms.items())
-        if cur.peek().kind not in "+-":
+        if cur.peek()[0] not in "+-":
             return Form(basis, degree, pairs)
-        op = cur.next().kind
+        op = cur.next()[0]
 
 
 def parse_form_expr(
@@ -123,11 +151,12 @@ def parse_form_expr(
 
     `line` and `col` place the text in its file for diagnostics.
     """
-    cur = _Cursor(tokenize(text, line, col))
-    form = _parse_form(cur, basis, mode)
-    t = cur.peek()
-    if t.kind != "end":
-        raise ExprSyntaxError(f"trailing input {t.value!r}", t.line, t.col)
+    cur = _Cursor(text, line, col)
+    index = {name: i for i, name in enumerate(basis.names)}
+    form = _parse_form(cur, basis, index, mode)
+    kind, value, col = cur.peek()
+    if kind != "end":
+        raise cur.error(f"trailing input {value!r}", col)
     return form
 
 
@@ -227,9 +256,9 @@ def parse_algebra_text(text: str) -> Algebra:
     metric = None
     if metric_line is not None:
         entries, lineno, col = metric_line
-        cur = _Cursor(tokenize(entries, lineno, col))
+        cur = _Cursor(entries, lineno, col)
         scalars = []
-        while cur.peek().kind != "end":
+        while cur.peek()[0] != "end":
             scalars.append(_parse_scalar_atom(cur, mode))
         if len(scalars) != basis.dim:
             raise InvalidMetric(

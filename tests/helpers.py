@@ -15,8 +15,10 @@ from functools import reduce
 from itertools import combinations, permutations
 
 from lcscalc.cecomplex import Algebra
+from lcscalc.errors import ExprSyntaxError
 from lcscalc.exterior import Basis, Form, VectorField, frame_field
 from lcscalc.scalar import (
+    MAX_DIGITS,
     _coeffs_in,
     _deg_in,
     _grlex,
@@ -34,6 +36,54 @@ def F(alg, text: str) -> Form:
 
 def V(alg, *coeffs) -> VectorField:
     return VectorField(alg.basis, tuple(Fraction(c) for c in coeffs))
+
+
+# ---------------------------------------------------------------------------
+# character-loop tokenizer (the oracle for `scalar.tokenize`)
+# ---------------------------------------------------------------------------
+
+
+def char_loop_tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple]:
+    """`(kind, value, col)` tuples by one pass over the characters, closed by an "end" tuple.
+
+    Blanks are space, tab and carriage return; a run of decimal digits is an
+    int, a letter or '_' starts an identifier that runs on `isalnum` or '_',
+    one of `+-*/^()=` is its own token, and anything else is an error.
+    """
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r":
+            i += 1
+            continue
+        pos = col + i
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer literal of {j - i} digits is above the limit of {MAX_DIGITS}",
+                    line,
+                    pos,
+                )
+            out.append(("int", int(text[i:j]), pos))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("ident", text[i:j], pos))
+            i = j
+        elif ch in "+-*/^()=":
+            out.append((ch, ch, pos))
+            i += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, pos)
+    out.append(("end", None, col + len(text)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lcscalc
 from lcscalc import cli, presets
 from lcscalc.cecomplex import JacobiResult
 from lcscalc.cli import main
 from lcscalc.errors import ExprSyntaxError, InvalidMetric, LcsCalcError, UndeclaredParameter
-from lcscalc.exterior import form_str
+from lcscalc.exterior import Form, form_str
+from lcscalc.scalar import parse_scalar
 from lcscalc.specfile import (
     algebra_to_text,
     parse_algebra_text,
@@ -150,6 +153,42 @@ def test_form_sums_keep_their_degree_rules(text, expected):
     except LcsCalcError as exc:
         got = f"{type(exc).__name__}: {exc}"
     assert got == expected
+
+
+# factors of a form term: plain integer literals, which the term parser
+# multiplies as ints, and factors it hands over to the scalar grammar
+TERM_FACTORS = ["0", "1", "2", "13", "87", "210", "k", "(k + 1)", "2^3", "(1/2)", "n^2", "0^0"]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([" ", "*", "/"]), st.sampled_from(TERM_FACTORS)),
+             min_size=1, max_size=5),
+    st.sampled_from(["", " alpha", "*beta^gamma", " alpha^beta^gamma^eta"]),
+    st.sampled_from(["", "-", "+"]),
+    st.booleans(),
+)
+def test_form_term_coefficients_match_the_scalar_grammar(factors, chain, sign, params):
+    """A term's coefficient is its factors read by `parse_scalar`, juxtaposition as '*'."""
+    alg = parse_algebra_text(ACFM_PARAM_FILE if params else ACFM_FILE)
+    factors = [("", factors[0][1])] + factors[1:]
+    text = sign + "".join(op + f for op, f in factors) + chain
+    scalar_text = sign + "".join(("*" if op == " " else op) + f for op, f in factors)
+    try:
+        coeff = parse_scalar(scalar_text.lstrip("*"), alg.mode)
+    except LcsCalcError as exc:
+        expected = type(exc), str(exc)
+    else:
+        names = chain.strip(" *").split("^") if chain else []
+        idx = tuple(alg.basis.index(name) for name in names)
+        expected = Form(alg.basis, len(idx), {idx: coeff})
+    try:
+        got = parse_form_expr(text, alg.basis, alg.mode)
+    except LcsCalcError as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+    if isinstance(got, Form) and got.terms:
+        (c,) = got.terms.values()
+        assert type(c) is type(alg.one_scalar())
 
 
 # ---------------------------------------------------------------------------

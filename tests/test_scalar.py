@@ -26,7 +26,7 @@ from lcscalc.scalar import (
     tokenize,
 )
 
-from helpers import general_pdiv_exact, prs_gcd
+from helpers import char_loop_tokenize, general_pdiv_exact, prs_gcd
 
 RATIONAL = ScalarMode.rational()
 PMODE = ScalarMode.params("n", "k", "lambda", "t1", "t2", "t3")
@@ -345,8 +345,7 @@ def test_integer_literal_limit():
     ],
 )
 def test_tokenize_unicode_words(text, tokens):
-    got = [(t.kind, t.value, t.col) for t in tokenize(text)]
-    assert got == tokens + [("end", None, len(text) + 1)]
+    assert tokenize(text) == tokens + [("end", None, len(text) + 1)]
 
 
 @pytest.mark.parametrize(
@@ -359,3 +358,21 @@ def test_tokenize_refuses_numerals_that_are_not_decimal(text, col):
     with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
         tokenize(text)
     assert info.value.col == col
+
+
+def _tokens_or_error(fn, text, line, col):
+    try:
+        return fn(text, line, col)
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+@given(
+    st.text(alphabet="1\u00b2\u0663 a_\u00e9^(-)/*;#=\t\r\n\u00bd0k", max_size=24)
+    | st.text(max_size=12),
+    st.integers(1, 9),
+    st.integers(1, 40),
+)
+def test_tokenize_matches_the_character_loop(text, line, col):
+    got = _tokens_or_error(tokenize, text, line, col)
+    assert got == _tokens_or_error(char_loop_tokenize, text, line, col)
