@@ -326,7 +326,7 @@ def is_unimodular(alg: Algebra) -> bool:
     for k, dg in enumerate(alg.dgen):
         for (a, b), c in dg.terms.items():
             if a == k:
-                traces[b] = traces[b] + c
+                traces[b] += c
             elif b == k:
-                traces[a] = traces[a] - c
+                traces[a] -= c
     return not any(traces)

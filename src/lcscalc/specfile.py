@@ -24,7 +24,6 @@ from .cecomplex import Algebra
 from .errors import DivisionByZero, ExprSyntaxError, InvalidMetric
 from .exterior import Basis, Form, form_str
 from .scalar import (
-    ParamScalar,
     ScalarMode,
     _Cursor,
     _parse_exponent,
@@ -40,7 +39,7 @@ def _parse_scalar_factor(cur: _Cursor, mode: ScalarMode):
 
 def _ratio(mode: ScalarMode, num: int, den: int):
     q = Fraction(num, den)
-    return q if mode.symbols is None else ParamScalar.from_fraction(mode.symbols, q)
+    return q if mode.symbols is None else mode.from_fraction(q)
 
 
 def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, tuple]:
@@ -78,7 +77,7 @@ def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, 
                 factor = _parse_scalar_factor(cur, mode)
                 if op == "/" and not factor:
                     raise DivisionByZero("scalar division by zero")
-                if coeff is None and literal:
+                if coeff is None and literal:  # hand the literals over
                     coeff = _ratio(mode, num, den)
                 if coeff is None:
                     coeff = factor

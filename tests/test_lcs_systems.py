@@ -18,13 +18,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import oracle_brackets, operator_matrix, random_good_algebra, top_power_by_wedging
 from lcscalc.cecomplex import Algebra, d, is_unimodular
+from lcscalc.errors import MixedModes
 from lcscalc.exterior import Basis, Form, frame_field, interior
-from lcscalc.lcs import _automorphism_rows, _contraction_rows, _wedge_rows, top_power
+from lcscalc.lcs import (
+    LcsForm, _automorphism_rows, _contraction_rows, _wedge_rows, automorphism_algebra, top_power,
+)
 from lcscalc.scalar import ScalarMode
 from lcscalc.specfile import parse_algebra_text
 
@@ -92,6 +96,14 @@ def test_automorphism_rows_are_cartan_over_forms(seed):
     scale, rows = _automorphism_rows(alg, omega2)
     assert all(type(x) is int for row in rows for x in row)
     assert [[Fraction(x, scale) for x in row] for row in rows] == expected
+
+
+def test_automorphism_rows_refuse_symbolic_data_in_a_rational_algebra():
+    _, alg = _algebra(7)
+    omega2 = PARAMS.symbol("k") * _nondegenerate(random.Random(7), alg)
+    cert = LcsForm(omega2, alg.basis.zero(1), top_power(alg, omega2))
+    with pytest.raises(MixedModes):
+        automorphism_algebra(alg, cert)
 
 
 @given(seeds, st.booleans())
