@@ -44,6 +44,7 @@ CASES = {
         ["cohomology", "dense6_metric.alg", "--omega", "1 e1 - 1 e6"],
         0,
     ),
+    "cohomology_metric_untwisted": (["cohomology", "dense6_metric.alg", "--omega", "0"], 0),
     "cohomology_frame_twist": (["cohomology", "frame_twist.alg", "--omega", FRAME_TWIST], 0),
     "cohomology_nonunimodular": (
         ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
@@ -88,6 +89,15 @@ CASES = {
     "acfm_pfaffians_numeric": (
         ["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--pfaffian-t", "--pfaffian-s"],
         0,
+    ),
+    "moser_lee_differs": (
+        [
+            "moser",
+            "acfm.alg",
+            "--family",
+            "2 alpha^eta + 1 beta^gamma; 2 beta^eta + 1 alpha^gamma",
+        ],
+        2,
     ),
     "moser_fail_first": (
         ["moser", "acfm.alg", "--family", "1 alpha^beta; 2 alpha^eta + 1 beta^gamma"],
