@@ -9,13 +9,12 @@ Sign conventions, with N the number of generators and l the input degree:
 * twist contraction: U_w(theta) = (-1)^(N*l + N) * (w ^ * theta);
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
 
-The matrices of d_w and delta_w are read off the d table that `d` reads
-(`Algebra.d_table`) without building a form, by one assembly (`_assemble`).
-The star of a monomial is one signed, weighted monomial, so column I of
-delta_w is the entry of e_{I^c} minus w ^ e_{I^c}, re-indexed by
-complements: delta_w comes from its definition, never from the matrix of
-d_w.  Its entry (K, I) under a metric is the identity-metric entry times
-g_K / g_I, with g_X = prod_{i in X} g_i, so no square root enters a matrix.
+The matrix of d_w is read off the d table that `d` reads (`Algebra.d_table`)
+without building a form, by one assembly (`_assemble`).  The star of a
+monomial is one signed, weighted monomial and d - w^ = d_{-w}, so delta_w on
+degree l is d_{-w} leaving degree N - l read through the star: entry (J, I)
+is (-1)^(N*l + N + 1) * sign(J^c, J) * sign(I, I^c) * g_J / g_I times entry
+(J^c, I^c), g_X = prod_{i in X} g_i, and complements reverse the lex order.
 
 For rational data each matrix is held as primitive integer rows: L times
 the operator, L the lcm of the table's denominator D and the twist's
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm, prod
 
 from .cecomplex import Algebra, d, d_omega
@@ -40,10 +40,6 @@ from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
 from .exterior import Form, integer_terms, merge_sign
 from .linalg import IntegerRows, nullspace, rank, solve
 from .scalar import Scalar, _fraction_row
-
-
-def _complement(n: int, idx: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if i not in idx)
 
 
 def _star_sign(idx: tuple[int, ...]) -> int:
@@ -58,7 +54,7 @@ def star(alg: Algebra, a: Form) -> Form:
     weights = None if alg.identity_metric else alg.metric_weights()
     out: dict = {}
     for idx, c in a.terms.items():
-        comp = _complement(alg.dim, idx)
+        comp = tuple(i for i in range(alg.dim) if i not in idx)
         if weights:
             c = c * (prod(weights[i] for i in comp) / prod(weights[i] for i in idx))
         out[comp] = c if _star_sign(idx) > 0 else -c
@@ -130,23 +126,17 @@ class HarmonicSpace:
         return len(self.basis)
 
 
-def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
-    """Rows of d_w (step 1) or delta_w (step -1) leaving a degree, their contents and L.
+def _assemble(alg: Algebra, omega: Form, degree: int):
+    """Rows of d_w leaving a degree, their contents and L.
 
-    Column I of d_w is (d + w^) e_I.  Column I of delta_w is flip *
-    sign(I, I^c) * (d - w^) e_{I^c}, whose term e_J goes to row J^c with
-    sign(J, J^c); its metric factor g_K / g_I is left to
-    `TwistedComplex._harmonic`.  With an integer d table the rows are L
+    Column I of d_w is (d + w^) e_I.  With an integer d table the rows are L
     times the operator, L = lcm(D, the twist's denominators), each divided
     by its content: primitive `IntegerRows`, row r of the matrix being
     rows[r] * contents[r] / L.  Otherwise the rows hold the scalars, and
     the contents and L are None.
     """
-    n = alg.dim
-    if min(degree, degree + step) < 0 or max(degree, degree + step) > n:
+    if degree < 0 or degree >= alg.dim:
         return IntegerRows(), None, None
-    if step < 0 and not alg.identity_metric:
-        alg.metric_weights()  # delta_w is defined through the star, exact for squares only
     den = alg.d_den
     twist = integer_terms(omega.terms) if den else None
     scale = lcm(den, twist[0]) if twist else None
@@ -155,28 +145,20 @@ def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
     else:
         dscale = Fraction(1, den) if den else 1
         twist = [(i, c) for (i,), c in omega.terms.items()]
-    sources = list(alg.basis.monomials(degree))
+    table = alg.d_table(degree)  # in lex order, as the columns
     zero = 0 if scale else alg.zero_scalar()
-    rows = {m: [zero] * len(sources) for m in alg.basis.monomials(degree + step)}
-    if step > 0:
-        table, place = alg.d_table(degree), {m: (m, 1) for m in rows}
-    else:
-        table, flip = alg.d_table(n - degree), -1 if (n * degree + n + 1) % 2 else 1
-        place = {_complement(n, m): (m, flip * _star_sign(_complement(n, m))) for m in rows}
-    for j, idx in enumerate(sources):
-        src = idx if step > 0 else _complement(n, idx)
-        column = dict(table[src])
+    rows = {m: [zero] * len(table) for m in alg.basis.monomials(degree + 1)}
+    for j, (idx, column) in enumerate(table.items()):
+        column = dict(column)
         if dscale != 1:
             column = {key: t * dscale for key, t in column.items()}
         for i, c in twist:
-            if i not in src:
-                key, odd = merge_sign((i,), src)
-                c = c if odd != (step > 0) else -c
+            if i not in idx:
+                key, odd = merge_sign((i,), idx)
+                c = -c if odd else c
                 column[key] = column[key] + c if key in column else c
-        sign = 1 if step > 0 else _star_sign(idx)
         for key, c in column.items():
-            row, s = place[key]
-            rows[row][j] = c if s * sign > 0 else -c
+            rows[key][j] = c
     rows = list(rows.values())
     if not scale:
         return rows, None, None
@@ -188,18 +170,17 @@ def _assemble(alg: Algebra, omega: Form, degree: int, step: int):
 class TwistedComplex:
     """d_w and delta_w of one algebra and closed twist, filled in lazily.
 
-    Per degree it holds the assembled rows of the two operators, the kernel
-    of d_w (whose size gives the rank), the rank of delta_w and the
-    harmonic basis; each is computed at most once.  Obtain one from
-    `Algebra.twisted_complex`, which checks the structure data and the twist
-    once per twist and hands every complex of that twist the same store.
-    The store refers back to neither the algebra nor the complex, so
-    dropping the algebra frees it at once.  Both operators are read off the
-    algebra's d table by `_assemble`, as primitive integer rows for rational
-    data.  delta_w is (-1)^(N*l + N + 1) * star (d - w^) star there,
-    assembled from its definition and never from d_w, so the harmonic
-    dimensions stay an independent check on the ranks.  Primitives are
-    solved in parameter mode too; ranks, kernels and harmonic bases are not.
+    Per degree it holds the rows of d_w from `_assemble`, its kernel or
+    rank, and the harmonic basis; each is computed at most once.  Obtain one
+    from `Algebra.twisted_complex`, which checks the structure data and the
+    twist once per twist and hands every complex of that twist the same
+    store.  The store refers back to neither the algebra nor the complex, so
+    dropping the algebra frees it at once.  delta_w's rows and ranks are
+    d_{-w}'s, from the complex of -w (this store when w = 0), read through
+    the star.  So the harmonic dimensions set ker d_w in degree l against
+    d_{-w} in degree N - l: twisted Poincare-Hodge duality, still a check on
+    the ranks.  Primitives are solved in parameter mode too; ranks, kernels
+    and harmonic bases are not.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -208,20 +189,38 @@ class TwistedComplex:
         self._store = store
 
     def _once(self, key: tuple, make):
-        """The value stored under (kind, [step,] degree), from make() on first use."""
+        """The value stored under (kind, degree), from make() on first use."""
         if key not in self._store:
             self._store[key] = make()
         return self._store[key]
+
+    @cached_property
+    def _mirror(self) -> TwistedComplex:
+        """The complex of -w, whose d_{-w} is delta_w read through the star."""
+        return self.alg.twisted_complex(-self.omega)
 
     def size(self, degree: int) -> int:
         """Number of monomials of a degree (0 outside 0..N)."""
         return comb(self.alg.dim, degree) if degree >= 0 else 0
 
     def rows(self, degree: int, step: int):
-        """`_assemble`'s rows, contents and L of d_w (step 1) or delta_w (step -1)."""
-        return self._once(
-            ("rows", step, degree), lambda: _assemble(self.alg, self.omega, degree, step)
-        )
+        """Rows, contents and L of d_w (step 1) or delta_w (step -1) leaving a degree.
+
+        delta_w's are d_{-w}'s read through the star, without its metric factor g_J / g_I.
+        """
+        if step > 0:
+            return self._once(("rows", degree), lambda: _assemble(self.alg, self.omega, degree))
+        self.alg.metric_weights()  # delta_w is defined through the star, exact for squares only
+        n, monomials = self.alg.dim, self.alg.basis.monomials
+        rows, contents, scale = self._mirror.rows(n - degree, 1)
+        flip = -1 if (n * degree + n + 1) % 2 else 1
+        columns = [_star_sign(idx) for idx in monomials(degree)]  # sign(I, I^c)
+        # row J is d_{-w}'s row J^c, in reverse order, times flip * sign(J^c, J)
+        signed = [
+            [x if s * t > 0 else -x for x, t in zip(reversed(row), columns)]
+            for row, s in zip(rows, [flip * _star_sign(m) for m in monomials(n - degree + 1)])
+        ][::-1]
+        return type(rows)(signed), contents and contents[::-1], scale
 
     def preimage(self, theta: Form) -> Form | None:
         """The x with d_w x = theta and free variables zero, or None if there is none.
@@ -260,18 +259,20 @@ class TwistedComplex:
         )
 
     def d_rank(self, degree: int) -> int:
-        """Rank of d_w leaving a degree (0 below degree 0)."""
-        if degree < 0:
+        """Rank of d_w leaving a degree (0 outside 0..N-1), off a kernel reduced already."""
+        self.alg.require_rational("twisted cohomology")
+        if not 0 <= degree < self.alg.dim:
             return 0
-        return self.size(degree) - len(self.kernel(degree))
+        if ("kernel", degree) in self._store:
+            return self.size(degree) - len(self.kernel(degree))
+        return self._once(
+            ("rank", degree), lambda: rank(self.rows(degree, 1)[0], self.size(degree))
+        )
 
     def delta_rank(self, degree: int) -> int:
-        """Rank of delta_w leaving a degree (0 outside 1..N)."""
-        self.alg.require_rational("twisted cohomology")
-        n = self.size(degree)
-        return self._once(
-            ("delta_rank", degree), lambda: rank(self.rows(degree, -1)[0], n) if n else 0
-        )
+        """Rank of delta_w leaving a degree, that of d_{-w} leaving N - l (0 outside 1..N)."""
+        self.alg.metric_weights()  # delta_w is defined through the star, exact for squares only
+        return self._mirror.d_rank(self.alg.dim - degree)
 
     def betti(self, degree: int) -> int:
         """dim ker d_w - dim im d_w in one degree."""
@@ -291,7 +292,7 @@ class TwistedComplex:
         """K*c in Python ints.
 
         Under a metric delta_w = diag(g_K) * delta' * diag(1/g_I) with delta'
-        the assembled rows; the row factor keeps the kernel, and the column
+        its rows; the row factor keeps the kernel, and the column
         factor goes into K: c spans the kernel of delta' * diag(1/g_I) * K.
         """
         kernel = self.kernel(degree)
@@ -324,11 +325,8 @@ class TwistedComplex:
 
     def decomposition(self, degree: int) -> tuple[int, int, int]:
         """Dimensions of the harmonic, twisted-exact and twisted-coexact parts."""
-        return (
-            self.harmonic(degree).dimension,
-            self.d_rank(degree - 1),
-            self.delta_rank(degree + 1),
-        )
+        h = self.harmonic(degree).dimension
+        return h, self.d_rank(degree - 1), self.delta_rank(degree + 1)
 
 
 def harmonic_space(alg: Algebra, omega: Form, degree: int) -> HarmonicSpace:

@@ -8,15 +8,19 @@
 (b) every harmonic basis equals the kernel of the Koszul d_w stacked on
     delta_w taken as `delta_omega` of each monomial, under the
     Fraction-only row reduction of `helpers`, also under a metric whose
-    weights are not all 1, where the assembled d_w and delta_w equal
-    `operator_matrix` over `d_omega` and `delta_omega` of each monomial,
+    weights are not all 1, where the rows of d_w and delta_w (d_{-w} read
+    through the star) equal `operator_matrix` over `d_omega` and
+    `delta_omega` of each monomial,
     and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
-(c) a cohomology report assembles each matrix once and stays within 3N+1
-    rank/nullspace calls on N generators;
+(c) a cohomology report assembles each (twist, degree) matrix once and
+    stays within 3N+1 rank/nullspace calls on N generators, and without a
+    twist it makes no rank call: delta_w's ranks are d's, read off its
+    kernels; the rank of delta_w equals the Fraction rank of `delta_omega`
+    on each monomial, also on non-unimodular algebras;
 (d) the primitive integer rows of both operators, times their contents
     over L, are the Koszul matrix and its transpose, also for twists whose
-    denominators are prime to the structure's D, and every assembled row
-    and kernel vector is primitive;
+    denominators are prime to the structure's D, and every row and kernel
+    vector is primitive;
 (e) each primitive is the free-variables-zero solution of the Koszul d_w
     system under the Fraction-only solve of `helpers`.
 """
@@ -33,6 +37,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     change_of_basis,
@@ -45,15 +51,17 @@ from helpers import (
     perturb_algebra,
     random_good_algebra,
     random_invertible,
+    rref_rank,
 )
 from lcscalc import hodge, linalg
 from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
+from lcscalc.errors import InvalidMetric
 from lcscalc.cohomology import cohomology_report, primitive
 from lcscalc.exterior import Basis, Form, form_str
 from lcscalc.hodge import delta_omega, harmonic_space
 from lcscalc.scalar import ScalarMode
-from lcscalc.specfile import parse_algebra_file, parse_form_expr
+from lcscalc.specfile import parse_algebra_file, parse_algebra_text, parse_form_expr
 from test_golden import FRAME_TWIST
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,9 +213,9 @@ def test_matrices_match_the_form_route_under_a_metric(seed, mode):
 
     `d` reads the same d table as the matrices, so a wrong table entry shows
     on both sides and this test does not catch it; it checks the twist terms
-    and how `_assemble` composes the star with d - w^ (the overall sign,
-    the re-indexing by complements), and that the weight products g_K / g_I
-    are all that its delta_w rows leave out.  The table itself is checked by
+    and how `TwistedComplex.rows` reads d_{-w} through the star (the overall
+    sign, the re-indexing by complements), and that the weight products
+    g_K / g_I are all that its delta_w rows leave out.  The table itself is checked by
     the Koszul and metric-adjoint oracles above.
     """
     alg, w = dense_preset_product(seed, 6, mode)
@@ -398,8 +406,9 @@ def test_primitive_in_param_mode_keeps_its_free_variables_zero():
 def _count_calls(monkeypatch) -> list:
     """Log every call of rank, nullspace and `hodge._assemble`.
 
-    `_assemble` is the one builder of both operators: the complex reads its
-    kernels, ranks, harmonic bases and primitives off its rows.  Each
+    `_assemble` is the one builder of d_w, and delta_w is d_{-w} read
+    through the star: the complex reads its kernels, ranks, harmonic bases
+    and primitives off these rows.  Each
     function is wrapped under every lcscalc name bound to it, so a call
     through any module alias is counted.
     """
@@ -423,8 +432,12 @@ def _reductions(log) -> int:
 
 
 def _most_builds_of_one_matrix(log) -> int:
-    """The most builds of one (degree, step) matrix; step 1 is d_w, -1 delta_w."""
-    builds = Counter(args[2:4] for name, args in log if name == "_assemble")
+    """The most builds of one (twist, degree) matrix.
+
+    delta_w reads the matrices of d_{-w}, so a twisted report builds d_w
+    and d_{-w} leaving each degree, once each.
+    """
+    builds = Counter(args[1:3] for name, args in log if name == "_assemble")
     return max(builds.values())
 
 
@@ -447,3 +460,56 @@ def test_library_calls_share_the_complex(monkeypatch):
     assert cohomology_report(alg, w) == report
     assert _reductions(log) <= 3 * alg.dim + 1
     assert _most_builds_of_one_matrix(log) == 1
+
+
+def test_untwisted_report_makes_no_rank_call(monkeypatch, capsys):
+    """Without a twist delta_w is d read through the star, and d's kernels are reduced already."""
+    log = _count_calls(monkeypatch)
+    monkeypatch.chdir(GOLDEN)
+    assert main(["cohomology", "dense6.alg", "--omega", "0"]) == 0
+    capsys.readouterr()
+    assert [name for name, _ in log if name == "rank"] == []
+    assert _reductions(log) > 0
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 5),
+    twisted=st.booleans(),
+    metric=st.booleans(),
+)
+@example(seed=1, n=4, twisted=True, metric=True)  # not unimodular
+def test_delta_rows_and_rank_match_the_form_route(seed, n, twisted, metric):
+    """delta_w's rows and rank, read off d_{-w} leaving N - l, are those of delta_omega.
+
+    Many draws are not unimodular, where delta_w is not the adjoint of d_w.
+    The metric weights are squares of rationals, so the star stays exact.
+    """
+    rng = random.Random(seed)
+    alg = random_good_algebra(rng, n)
+    if metric:
+        weights = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) ** 2 for _ in range(n)]
+        alg = Algebra(alg.basis, alg.dgen, weights)
+    w = alg.basis.zero(1)
+    if twisted:
+        for form in _closed_one_forms(alg):
+            w = w + rng.choice([-2, -1, 1, 2]) * form
+    cx = alg.twisted_complex(w)
+    for degree in range(n + 2):
+        delta = _form_route(alg, lambda a: delta_omega(alg, w, a), degree, -1)
+        assert cx.delta_rank(degree) == rref_rank(delta)
+        if degree <= n:  # the Form route's matrix leaving degree N + 1 is a row of no columns
+            assert _matrix(cx, degree, -1) == delta
+
+
+@pytest.mark.parametrize("omega", ["0", "1 e1"])
+def test_delta_refuses_a_metric_that_is_not_a_square(omega):
+    """delta_w is defined through the star, which is exact for square metric entries only."""
+    alg = parse_algebra_text("generators e1 e2 e3\nd e3 = 1 e1^e2\nmetric diag 2 1 1\n")
+    cx = alg.twisted_complex(parse_form_expr(omega, alg.basis, alg.mode))
+    for degree in range(alg.dim + 1):
+        with pytest.raises(InvalidMetric):
+            cx.delta_rank(degree)
+        with pytest.raises(InvalidMetric):
+            cx.harmonic(degree)
