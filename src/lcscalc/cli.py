@@ -140,6 +140,8 @@ def cmd_cohomology(args) -> int:
     degrees, lines = [], []
     for degree, space in enumerate(coh.harmonic_bases):
         h, im_d, im_delta = cx.decomposition(degree)
+        if h + im_d + im_delta != cx.size(degree):
+            raise CrossCheckError(f"decomposition dimensions do not fill degree {degree}")
         basis = [form_str(f) for f in space.basis]
         lines.append(
             f"degree {degree}: dim {coh.dims[degree]}; "

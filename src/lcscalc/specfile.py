@@ -42,7 +42,7 @@ def _ratio(mode: ScalarMode, num: int, den: int):
     return q if mode.symbols is None else mode.from_fraction(q)
 
 
-def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, tuple]:
+def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode, neg: bool) -> tuple[int, tuple]:
     """One additive term, as its degree and one raw `(index tuple, coefficient)` pair.
 
     Juxtaposition multiplies scalar factors; '*' may also join the last
@@ -52,10 +52,11 @@ def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, 
     mode scalar, which then takes every later factor.  A chain longer than
     the dimension repeats a generator, so it is zero (as in `Form.wedge`): a
     zero pair of degree N.  `index` maps generator names to their positions;
-    only an identifier token can match one.
+    only an identifier token can match one.  The sign of a `neg` term starts
+    the integer numerator, or else negates the coefficient once.
     """
     tokens = cur.tokens
-    num = den = 1
+    num, den = -1 if neg else 1, 1
     literal = False  # num/den has taken a literal
     coeff = None  # the mode scalar, from the first factor that is not a plain literal
     while True:
@@ -105,16 +106,16 @@ def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode) -> tuple[int, 
         if i is None:
             raise cur.error("'^' in a form term must join generator names", caret_col)
     if coeff is None:
-        if literal:
+        if literal or gens:
             coeff = _ratio(mode, num, den)
-        elif gens:
-            coeff = mode.one()
         else:
             kind, value, col = tokens[cur.pos]
             raise cur.error(
                 "expected a scalar or generator" if kind == "end" else f"unexpected {value!r}",
                 col,
             )
+    elif neg and not literal:
+        coeff = -coeff
     if len(gens) > len(index):
         return len(index), ((), mode.zero())
     return len(gens), (tuple(gens), coeff)
@@ -130,8 +131,7 @@ def _parse_form(cur: _Cursor, basis: Basis, index: dict, mode: ScalarMode) -> Fo
     op = cur.next()[0] if cur.peek()[0] in "+-" else "+"
     degree, pairs = None, []
     while True:
-        term_degree, (idx, c) = _parse_form_term(cur, index, mode)
-        pair = (idx, -c if op == "-" else c)
+        term_degree, pair = _parse_form_term(cur, index, mode, op == "-")
         if degree is None or term_degree == degree:
             degree = term_degree
             pairs.append(pair)

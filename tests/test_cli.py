@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lcscalc
-from lcscalc import cli, presets
+from lcscalc import cli, hodge, presets
 from lcscalc.cecomplex import JacobiResult
 from lcscalc.cli import main
 from lcscalc.errors import ExprSyntaxError, InvalidMetric, LcsCalcError, UndeclaredParameter
@@ -18,9 +18,12 @@ from lcscalc.exterior import Form, form_str
 from lcscalc.scalar import parse_scalar
 from lcscalc.specfile import (
     algebra_to_text,
+    parse_algebra_file,
     parse_algebra_text,
     parse_form_expr,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ACFM_FILE = """\
 # four-dimensional solvable example, n = k = lambda = 1
@@ -189,6 +192,88 @@ def test_form_term_coefficients_match_the_scalar_grammar(factors, chain, sign, p
     if isinstance(got, Form) and got.terms:
         (c,) = got.terms.values()
         assert type(c) is type(alg.one_scalar())
+
+
+def _fractions_made(fn) -> int:
+    """Fractions constructed while fn runs: calls of the constructors of `fractions.Fraction`.
+
+    Before Python 3.12 every Fraction passes through `__new__`; from 3.12 on
+    arithmetic results come from `_from_coprime_ints`, which skips it.
+    """
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_form_terms_make_one_fraction_each():
+    """A '-' term's sign goes into its integer numerator, not into a second Fraction."""
+    alg = parse_algebra_file(str(GOLDEN / "h7xr_dense.alg"))
+    for text in (GOLDEN / "h7xr_dense.forms").read_text(encoding="utf-8").splitlines():
+        form = parse_form_expr(text, alg.basis, alg.mode)
+        assert " - " in text and len(form.terms) == 28
+        assert _fractions_made(lambda: parse_form_expr(text, alg.basis, alg.mode)) == 28
+
+
+@pytest.mark.parametrize(
+    "text,shown",
+    [
+        ("(k + 1) alpha", "(1 + k) alpha"),
+        ("-(k + 1) alpha^eta + k beta^gamma - 2 beta^gamma",
+         "(-1 - k) alpha^eta + (-2 + k) beta^gamma"),
+        ("(k + 1)/(k - 1) alpha^beta", "(-1 - k)/(1 - k) alpha^beta"),
+    ],
+)
+def test_sum_coefficients_round_trip_in_parentheses(text, shown):
+    """A coefficient with a top-level sign is rendered in parentheses, and parses back."""
+    alg = parse_algebra_text(ACFM_PARAM_FILE)
+    form = parse_form_expr(text, alg.basis, alg.mode)
+    assert form_str(form) == shown
+    assert parse_form_expr(shown, alg.basis, alg.mode) == form
+
+
+# directive errors of an algebra file: message, line and column
+DIRECTIVE_ERRORS = [
+    ("generators a b\nparams k\n", "params must precede generators", 2),
+    ("params k\nparams t\ngenerators a b\n", "duplicate params line", 2),
+    ("params k t k\ngenerators a b\n", "parameter names must be distinct", 1),
+    ("generators a b\ngenerators c d\n", "duplicate generators line", 2),
+    ("# none\ngenerators\n", "generators line declares no names", 2),
+    ("generators a b\nd a 1 a^b\n", "d line needs '='", 2),
+    ("generators a b\nd a = 1 a^b\nd a = 2 a^b\n", "duplicate d line for 'a'", 3),
+    ("generators a b\nmetric diag 1 1\nmetric diag 4 4\n", "duplicate metric line", 3),
+    ("generators a b\nmetric full 1 0 0 1\n", "only 'metric diag' is supported", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message,line",
+    DIRECTIVE_ERRORS,
+    ids=[
+        "params-after-generators", "duplicate-params", "repeated-parameter",
+        "duplicate-generators", "empty-generators", "d-without-equals", "duplicate-d",
+        "duplicate-metric", "metric-not-diag",
+    ],
+)
+def test_directive_errors_carry_their_line(text, message, line):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_algebra_text(text)
+    assert type(info.value) is ExprSyntaxError
+    assert str(info.value) == f"{message} (line {line}, column 1)"
+    assert (info.value.line, info.value.col) == (line, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +567,35 @@ def test_jacobi_failure_after_d2_is_a_cross_check_error(acfm_path, capsys, monke
     assert captured.err == (
         "lcscalc: failure: CrossCheckError: Jacobi identity fails although d*d = 0\n"
     )
+
+
+def test_decomposition_that_does_not_fill_a_degree_is_a_cross_check_error(
+    acfm_path, capsys, monkeypatch
+):
+    """harmonic + image_d + image_delta = C(N, l) is checked before the report prints."""
+    rank = hodge.TwistedComplex.delta_rank
+    monkeypatch.setattr(hodge.TwistedComplex, "delta_rank", lambda cx, l: rank(cx, l) + 1)
+    assert main(["cohomology", acfm_path, "--omega", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lcscalc: failure: CrossCheckError: decomposition dimensions do not fill degree 0\n"
+    )
+
+
+def test_missing_input_file_is_one_line(tmp_path, capsys):
+    path = tmp_path / "missing.alg"
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lcscalc: error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_moser_family_of_empty_members_is_an_input_error(acfm_path, capsys):
+    assert main(["moser", acfm_path, "--family", ";"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lcscalc: input error: InvalidParams: family must be nonempty\n"
 
 
 def test_structure_data_with_nonzero_d_squared_is_a_failure(tmp_path, capsys):
