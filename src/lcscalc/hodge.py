@@ -197,6 +197,8 @@ class TwistedComplex:
     @cached_property
     def _mirror(self) -> TwistedComplex:
         """The complex of -w, whose d_{-w} is delta_w read through the star."""
+        if not self.alg.identity_metric:
+            self.alg.metric_weights()  # the star is exact for square metric entries only
         return self.alg.twisted_complex(-self.omega)
 
     def size(self, degree: int) -> int:
@@ -210,7 +212,6 @@ class TwistedComplex:
         """
         if step > 0:
             return self._once(("rows", degree), lambda: _assemble(self.alg, self.omega, degree))
-        self.alg.metric_weights()  # delta_w is defined through the star, exact for squares only
         n, monomials = self.alg.dim, self.alg.basis.monomials
         rows, contents, scale = self._mirror.rows(n - degree, 1)
         flip = -1 if (n * degree + n + 1) % 2 else 1
@@ -259,7 +260,7 @@ class TwistedComplex:
         )
 
     def d_rank(self, degree: int) -> int:
-        """Rank of d_w leaving a degree (0 outside 0..N-1), off a kernel reduced already."""
+        """Rank of d_w leaving a degree (0 outside 0..N-1): off a reduced kernel, else `rank`."""
         self.alg.require_rational("twisted cohomology")
         if not 0 <= degree < self.alg.dim:
             return 0
@@ -271,7 +272,6 @@ class TwistedComplex:
 
     def delta_rank(self, degree: int) -> int:
         """Rank of delta_w leaving a degree, that of d_{-w} leaving N - l (0 outside 1..N)."""
-        self.alg.metric_weights()  # delta_w is defined through the star, exact for squares only
         return self._mirror.d_rank(self.alg.dim - degree)
 
     def betti(self, degree: int) -> int:
