@@ -10,8 +10,8 @@
     Fraction-only row reduction of `helpers`, also under a metric whose
     weights are not all 1, where the rows of d_w and delta_w (d_{-w} read
     through the star) equal `operator_matrix` over `d_omega` and
-    `delta_omega` of each monomial,
-    and delta_w is the metric adjoint G^-1 (d_w)^T G of the Koszul matrix;
+    `delta_omega` of each monomial, and delta_w is the metric adjoint
+    G^-1 (d_w)^T G of the Koszul matrix;
 (c) a cohomology report assembles each (twist, degree) matrix once and
     stays within 3N+1 rank/nullspace calls on N generators, and without a
     twist it makes no rank call: delta_w's ranks are d's, read off its
@@ -56,8 +56,8 @@ from helpers import (
 from lcscalc import hodge, linalg
 from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
-from lcscalc.errors import InvalidMetric
 from lcscalc.cohomology import cohomology_report, primitive
+from lcscalc.errors import InvalidMetric
 from lcscalc.exterior import Basis, Form, form_str
 from lcscalc.hodge import delta_omega, harmonic_space
 from lcscalc.scalar import ScalarMode
@@ -215,8 +215,8 @@ def test_matrices_match_the_form_route_under_a_metric(seed, mode):
     on both sides and this test does not catch it; it checks the twist terms
     and how `TwistedComplex.rows` reads d_{-w} through the star (the overall
     sign, the re-indexing by complements), and that the weight products
-    g_K / g_I are all that its delta_w rows leave out.  The table itself is checked by
-    the Koszul and metric-adjoint oracles above.
+    g_K / g_I are all that its delta_w rows leave out.  The table itself is
+    checked by the Koszul and metric-adjoint oracles above.
     """
     alg, w = dense_preset_product(seed, 6, mode)
     alg = with_square_metric(alg)
@@ -408,9 +408,8 @@ def _count_calls(monkeypatch) -> list:
 
     `_assemble` is the one builder of d_w, and delta_w is d_{-w} read
     through the star: the complex reads its kernels, ranks, harmonic bases
-    and primitives off these rows.  Each
-    function is wrapped under every lcscalc name bound to it, so a call
-    through any module alias is counted.
+    and primitives off these rows.  Each function is wrapped under every
+    lcscalc name bound to it, so a call through any module alias is counted.
     """
     log = []
     for fn in (linalg.rank, linalg.nullspace, hodge._assemble):
