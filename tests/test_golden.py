@@ -34,6 +34,11 @@ DENSE4_FORM = (
     "13/87 alpha^gamma + 11/87 alpha^eta + 17/87 beta^gamma + 1/87 beta^eta + 8/87 gamma^eta"
 )
 
+# the shared Lee form of moser_dense6 and of lcs_dense8: twists of the nilpotent
+# h5 x R and h7 x R, whose twisted complexes are acyclic in every degree
+DENSE6_LEE = "-22/63 e1 + 152/315 e2 - 38/315 e3 + 302/315 e4 + 2/105 e5 - 62/315 e6"
+DENSE8_LEE = "24/5 e1 - 218/15 e2 + 4/15 e3 + 2 e4 - 8 e5 + 106/15 e6 + 172/15 e7 + 4 e8"
+
 CASES = {
     "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
     "cohomology_dense6_twisted": (
@@ -50,6 +55,12 @@ CASES = {
         ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
         0,
     ),
+    "cohomology_acyclic": (["cohomology", "h5xr_dense.alg", "--omega", DENSE6_LEE], 0),
+    "cohomology_acyclic_metric": (
+        ["cohomology", "h5xr_dense_metric.alg", "--omega", DENSE6_LEE],
+        0,
+    ),
+    "cohomology_acyclic_dense8": (["cohomology", "h7xr_dense.alg", "--omega", DENSE8_LEE], 0),
     "lcs_exact": (
         ["lcs", "acfm.alg", "--form", "3 alpha^beta - 2 gamma^eta + 1 beta^gamma"],
         0,
