@@ -158,7 +158,7 @@ class Algebra:
             )
 
     def require_closed(self, omega: Form):
-        """Check a twist is a closed 1-form; a closed twist gets its store."""
+        """Check a twist is a closed 1-form; a closed twist and its negative get their stores."""
         if omega.basis != self.basis:
             raise BasisMismatch("twist form over a different basis")
         if not omega.is_zero() and omega.degree != 1:
@@ -171,6 +171,7 @@ class Algebra:
         if not dw.is_zero():
             raise OmegaNotClosed(f"twist {omega} is not closed: d = {dw}")
         self._twisted[omega] = {}
+        self._twisted.setdefault(-omega, {})  # d(-w) = -d(w)
 
     def require_rational(self, what: str):
         if self.mode.is_param:

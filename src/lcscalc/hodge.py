@@ -22,6 +22,19 @@ denominators, each row divided by its content.  Ranks, kernels and
 primitives are computed on these rows in Python ints; no scalar copy of a
 matrix is made.
 
+A complex whose every cohomology group vanishes (a nilpotent algebra with a
+nonzero closed twist, by Dixmier) is certified acyclic from ranks modulo a
+prime (`linalg.rank_mod`), without a kernel.  d and w are checked to give
+d_w o d_w = 0, so the exact ranks r_l of d_w leaving degree l satisfy
+r_{l-1} + r_l <= C(N, l), and a rank modulo p is at most the rank over Q.
+Given r_0 and r_1 exactly, modular ranks with r_{l-1} + r_l = C(N, l) in
+every degree l >= 2 and r_{N-1} = 1 are therefore the exact ranks, and
+every H^l_w is zero.  The harmonic spaces are certified on their own: a
+full column rank modulo p of the stacked [d_w; delta_w] proves that one is
+zero.  A rank that falls short, through nonzero cohomology or a prime that
+divides a pivot, leaves the degree to the exact route, so no output
+depends on the prime.
+
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
 identity metric always qualifies.  The inner product is computed directly
@@ -38,7 +51,7 @@ from math import comb, gcd, lcm, prod
 from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
 from .exterior import Form, integer_terms, merge_sign
-from .linalg import IntegerRows, nullspace, rank, solve
+from .linalg import IntegerRows, nullspace, rank, rank_mod, solve
 from .scalar import Scalar, _fraction_row
 
 
@@ -181,6 +194,14 @@ class TwistedComplex:
     d_{-w} in degree N - l: twisted Poincare-Hodge duality, still a check on
     the ranks.  Primitives are solved in parameter mode too; ranks, kernels
     and harmonic bases are not.
+
+    Acyclic complexes skip the kernels (`_acyclic`).  The attempt is gated
+    on H^0_w = H^1_w = 0 exactly, read off the kernels of d_0 and d_1 that
+    `betti` needs anyway, so a complex with cohomology in low degrees does
+    no modular work; `betti` makes the attempt and `delta_rank` makes it
+    for the complex of -w once this one is certified, so delta_w's ranks
+    are never read off d_w's.  `d_rank` and `harmonic` only read a
+    certificate already made.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -189,7 +210,7 @@ class TwistedComplex:
         self._store = store
 
     def _once(self, key: tuple, make):
-        """The value stored under (kind, degree), from make() on first use."""
+        """The value stored under (kind, degree) or (kind,), from make() on first use."""
         if key not in self._store:
             self._store[key] = make()
         return self._store[key]
@@ -251,6 +272,28 @@ class TwistedComplex:
             raise CrossCheckError("primitive verification failed")
         return prim
 
+    def _acyclic(self) -> tuple[int, ...] | None:
+        """The exact ranks of d_0 ... d_{N-1} if the complex is certified acyclic, else None."""
+        self.alg.require_rational("twisted cohomology")
+        return self._once(("acyclic",), self._certify_acyclic)
+
+    def _certify_acyclic(self) -> tuple[int, ...] | None:
+        """Ranks r_l modulo p that close r_{l-1} + r_l = C(N, l) in every degree.
+
+        H^0_w = H^1_w = 0 exactly gives r_0 = 1 and r_1 = N - 1; the first
+        degree that does not close ends the attempt.
+        """
+        n = self.alg.dim
+        if self.kernel(0) or len(self.kernel(1)) != 1:
+            return None
+        ranks = [1, n - 1][:n]
+        for degree in range(2, n):
+            r = rank_mod(self.rows(degree, 1)[0], self.size(degree))
+            if ranks[-1] + r != self.size(degree):
+                return None
+            ranks.append(r)
+        return tuple(ranks) if ranks[-1] == 1 else None
+
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""
         self.alg.require_rational("twisted cohomology")
@@ -260,10 +303,16 @@ class TwistedComplex:
         )
 
     def d_rank(self, degree: int) -> int:
-        """Rank of d_w leaving a degree (0 outside 0..N-1): off a reduced kernel, else `rank`."""
+        """Rank of d_w leaving a degree (0 outside 0..N-1).
+
+        Read off an acyclicity certificate or a reduced kernel, else from `rank`.
+        """
         self.alg.require_rational("twisted cohomology")
         if not 0 <= degree < self.alg.dim:
             return 0
+        ranks = self._store.get(("acyclic",))
+        if ranks:
+            return ranks[degree]
         if ("kernel", degree) in self._store:
             return self.size(degree) - len(self.kernel(degree))
         return self._once(
@@ -271,11 +320,20 @@ class TwistedComplex:
         )
 
     def delta_rank(self, degree: int) -> int:
-        """Rank of delta_w leaving a degree, that of d_{-w} leaving N - l (0 outside 1..N)."""
-        return self._mirror.d_rank(self.alg.dim - degree)
+        """Rank of delta_w leaving a degree, that of d_{-w} leaving N - l (0 outside 1..N).
+
+        Once this complex is certified acyclic, the complex of -w attempts
+        its own certificate.
+        """
+        mirror = self._mirror
+        if self._store.get(("acyclic",)):
+            mirror._acyclic()
+        return mirror.d_rank(self.alg.dim - degree)
 
     def betti(self, degree: int) -> int:
-        """dim ker d_w - dim im d_w in one degree."""
+        """dim ker d_w - dim im d_w in one degree; 0 throughout an acyclic complex."""
+        if self._acyclic() is not None:
+            return 0
         return len(self.kernel(degree)) - self.d_rank(degree - 1)
 
     def harmonic(self, degree: int) -> HarmonicSpace:
@@ -284,9 +342,46 @@ class TwistedComplex:
         c runs over a kernel basis of delta_w*K.  Divided by its last
         nonzero entry, K*c is the reduced kernel basis of the stacked matrix
         [d_w; delta_w]: a reduced kernel basis depends only on the subspace,
-        and its unit entries sit where the basis vectors end.
+        and its unit entries sit where the basis vectors end.  In a complex
+        certified acyclic, a full column rank of that stacked matrix modulo
+        p proves the space zero without K (`_certified_zero`).
         """
-        return self._once(("harmonic", degree), lambda: self._harmonic(degree))
+        return self._once(
+            ("harmonic", degree),
+            lambda: HarmonicSpace(degree, (), self.omega)
+            if self._certified_zero(degree)
+            else self._harmonic(degree),
+        )
+
+    def _inverse_metric(self, degree: int) -> list[int]:
+        """The integers c / g_I over the monomials I of a degree, one c for all of them."""
+        g = self.alg.metric
+        return _fraction_row(
+            [Fraction(1) / prod(g[i] for i in idx) for idx in self.alg.basis.monomials(degree)]
+        )
+
+    def _stacked(self, degree: int) -> list[list[int]]:
+        """Integer rows with the kernel of [d_w; delta_w] leaving a degree.
+
+        delta_w = diag(g_J) * delta' * diag(1/g_I) with delta' its rows: the
+        row factor keeps the kernel, and the column factor is taken as the
+        integers c / g_I of `_inverse_metric`, so the rows are
+        [d_w; delta' * diag(c / g_I)].
+        """
+        lower = self.rows(degree, -1)[0]
+        if not self.alg.identity_metric:
+            h = self._inverse_metric(degree)
+            lower = [[x * y for x, y in zip(row, h)] for row in lower]
+        return self.rows(degree, 1)[0] + lower
+
+    def _certified_zero(self, degree: int) -> bool:
+        """In a certified acyclic complex, whether [d_w; delta_w] has full column rank modulo p.
+
+        Its premise is not d_w o d_w = 0, so it checks `betti` independently.
+        """
+        if not self._store.get(("acyclic",)):
+            return False
+        return rank_mod(self._stacked(degree), self.size(degree)) == self.size(degree)
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
         """K*c in Python ints.
@@ -304,8 +399,7 @@ class TwistedComplex:
             applied = kernel
             if not self.alg.identity_metric:
                 # 1/g_I times one integer common to all vectors, which keeps c
-                g = self.alg.metric
-                inverse = _fraction_row([1 / prod(g[i] for i in idx) for idx in monos])
+                inverse = self._inverse_metric(degree)
                 applied = [[x * h for x, h in zip(k, inverse)] for k in kernel]
             image = IntegerRows(
                 [sum(row[i] * k[i] for i in s) for k, s in zip(applied, support)] for row in rows

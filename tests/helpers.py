@@ -284,6 +284,24 @@ def rref_rank(rows) -> int:
     return len(fraction_rref(rows, len(rows[0]))[1])
 
 
+def mod_rank(rows, ncols: int, p: int) -> int:
+    """Rank modulo a prime by Gaussian elimination on lists, every entry reduced."""
+    work = [[x % p for x in row] for row in rows]
+    found = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(found, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[found], work[pivot] = work[pivot], work[found]
+        inv = pow(work[found][c], p - 2, p)
+        for i in range(found + 1, len(work)):
+            f = work[i][c] * inv % p
+            if f:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[found])]
+        found += 1
+    return found
+
+
 def fraction_nullspace(rows, ncols):
     work, pivots = fraction_rref(rows, ncols)
     out = []

@@ -1,21 +1,23 @@
-"""rank, nullspace and solve against independent references.
+"""rank, rank_mod, nullspace and solve against independent references.
 
 Rational matrices are checked against the Fraction row reduction in
-`helpers.py`; matrices of rational functions against sympy's reduced row
+`helpers.py`, modular ranks against a list elimination there; matrices of rational functions against sympy's reduced row
 echelon form over QQ(n, k) (test-only oracle, skipped without sympy).
 Results must agree entry by entry and keep the scalar type of the mode.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fraction_nullspace, fraction_solve, rref_rank
+from helpers import fraction_nullspace, fraction_solve, mod_rank, rref_rank
+from lcscalc import linalg
 from lcscalc.errors import MixedModes
-from lcscalc.linalg import IntegerRows, nullspace, rank, solve
+from lcscalc.linalg import IntegerRows, nullspace, rank, rank_mod, solve
 from lcscalc.scalar import ParamScalar, ScalarMode, parse_scalar
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -94,6 +96,35 @@ def test_integer_rows_give_the_rank_and_primitive_kernels(case):
         free = max(i for i, x in enumerate(unit) if x)
         assert vec[free] > 0 and math.gcd(*vec) == 1
         assert [Fraction(x, vec[free]) for x in vec] == unit
+
+
+# negative entries, entries beyond 2^64 and multiples of the prime, which vanish modulo it
+residues = st.one_of(
+    small,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    small.map(lambda x: x * linalg.PRIME),
+).map(Fraction)
+
+
+@given(
+    matrices(residues, 8, 8),
+    st.sampled_from([2, 3, linalg.PRIME]),
+)
+def test_rank_mod_matches_a_list_elimination_and_bounds_the_rank(case, prime):
+    """Packed rows give the rank of an elimination on lists, never above the rank over Q."""
+    rows, ncols = case
+    ints = [[int(x) for x in row] for row in rows]
+    with mock.patch.object(linalg, "PRIME", prime):
+        got = rank_mod(ints, ncols)
+    assert got == mod_rank(ints, ncols, prime)
+    assert got <= rref_rank(rows)
+
+
+def test_rank_mod_of_one_column_and_of_zero_rows():
+    assert rank_mod([[0], [-linalg.PRIME], [2**64 + 5]], 1) == 1
+    assert rank_mod([[0], [linalg.PRIME * 2**70]], 1) == 0
+    assert rank_mod([[0, 0, 0], [0, 0, 0]], 3) == 0
+    assert rank_mod([], 3) == 0 and rank_mod([[], []], 0) == 0
 
 
 @given(systems(rationals, 8, 8))
