@@ -51,7 +51,7 @@ from math import comb, gcd, lcm, prod
 from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
 from .exterior import Form, integer_terms, merge_sign
-from .linalg import IntegerRows, nullspace, rank, rank_mod, solve
+from .linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
 from .scalar import Scalar, _fraction_row
 
 
@@ -288,10 +288,11 @@ class TwistedComplex:
             return None
         ranks = [1, n - 1][:n]
         for degree in range(2, n):
-            r = rank_mod(self.rows(degree, 1)[0], self.size(degree))
-            if ranks[-1] + r != self.size(degree):
+            echelon = echelon_mod(self.rows(degree, 1)[0], self.size(degree))
+            if ranks[-1] + len(echelon) != self.size(degree):
                 return None
-            ranks.append(r)
+            ranks.append(len(echelon))
+            self._store[("echelon", degree)] = echelon  # for the stacked check
         return tuple(ranks) if ranks[-1] == 1 else None
 
     def kernel(self, degree: int) -> list[list[int]]:
@@ -360,28 +361,32 @@ class TwistedComplex:
             [Fraction(1) / prod(g[i] for i in idx) for idx in self.alg.basis.monomials(degree)]
         )
 
-    def _stacked(self, degree: int) -> list[list[int]]:
-        """Integer rows with the kernel of [d_w; delta_w] leaving a degree.
+    def _stacked(self, degree: int) -> tuple[list[list[int]], list[list[int]]]:
+        """Integer rows [d_w; delta' * diag(c / g_I)], with the kernel of [d_w; delta_w].
 
         delta_w = diag(g_J) * delta' * diag(1/g_I) with delta' its rows: the
         row factor keeps the kernel, and the column factor is taken as the
-        integers c / g_I of `_inverse_metric`, so the rows are
-        [d_w; delta' * diag(c / g_I)].
+        integers c / g_I of `_inverse_metric`.  Returns the two blocks.
         """
         lower = self.rows(degree, -1)[0]
         if not self.alg.identity_metric:
             h = self._inverse_metric(degree)
             lower = [[x * y for x, y in zip(row, h)] for row in lower]
-        return self.rows(degree, 1)[0] + lower
+        return self.rows(degree, 1)[0], lower
 
     def _certified_zero(self, degree: int) -> bool:
         """In a certified acyclic complex, whether [d_w; delta_w] has full column rank modulo p.
 
         Its premise is not d_w o d_w = 0, so it checks `betti` independently.
+        d_w's block is reduced already where the certificate took its rank.
         """
         if not self._store.get(("acyclic",)):
             return False
-        return rank_mod(self._stacked(degree), self.size(degree)) == self.size(degree)
+        upper, lower = self._stacked(degree)
+        echelon, size = self._store.pop(("echelon", degree), None), self.size(degree)
+        if echelon is None:
+            return rank_mod(upper + lower, size) == size
+        return len(echelon_mod(lower, size, echelon)) == size
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
         """K*c in Python ints.

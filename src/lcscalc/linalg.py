@@ -16,11 +16,15 @@ deterministic (first nonzero entry in column order), the same pivots a
 field elimination picks, and the reduced row echelon form is unique, so
 kernels, primitives and reports are the same as from division in the field.
 
-`rank_mod` is a forward-only rank of integer rows modulo `PRIME`, the
-largest prime below 2^24.  It never decides a rank on its own: an integer
-matrix has rank modulo p at most its rank over Q, so a modular rank proves
-an exact one only together with an upper bound, such as the one that
-d_w o d_w = 0 puts on neighbouring ranks (`hodge.TwistedComplex`).
+`echelon_mod` and `rank_mod` eliminate integer rows forward modulo
+`PRIME`, the largest prime below 2^24, on packed rows: one Python int per
+row, one 64-bit slot per column, so that a row update is one bigint
+multiply-add.  Slots are reduced only when read; each update adds less
+than 2^48 and a row takes fewer than 2^14 of them, so no carry crosses a
+slot.  A modular rank never decides a rank on its own: an integer matrix
+has rank modulo p at most its rank over Q, so it proves an exact rank only
+against an upper bound, such as the one that d_w o d_w = 0 puts on
+neighbouring ranks (`hodge.TwistedComplex`).
 """
 
 from __future__ import annotations
@@ -95,42 +99,51 @@ def _pack(values: list[int], width: int) -> list[int]:
     return [int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step)]
 
 
-def rank_mod(rows: list[list[int]], ncols: int) -> int:
-    """Rank modulo `PRIME` of integer rows of length ncols, forward elimination only.
+def echelon_mod(rows: list[list[int]], ncols: int, base: dict | None = None) -> dict[int, int]:
+    """Pivot rows modulo `PRIME` of integer rows of length ncols, by pivot column.
 
-    Each row is one Python int holding its entries in 64-bit slots, the
-    current column lowest, so a row update is one bigint multiply-add,
-    row + f * pivot_row.  A pivot row is re-packed once: each slot reduced
-    modulo p and scaled so that the pivot is p - 1, which makes the update
-    with f, the other row's entry modulo p, clear the column.  Other slots
-    are reduced only when read, and every row drops its lowest slot when
-    its column is done.  No carry crosses a slot: a slot starts below p,
-    each update adds less than p^2 < 2^48, and a row takes at most one
-    update per pivot, so at most C(16, 8) = 12,870 < 2^14 of them in a
-    complex on MAX_GENERATORS = 16 generators; 2^24 + 2^14 * 2^48 < 2^64.
+    Forward elimination only.  Each row is one Python int holding its
+    entries in 64-bit slots, the current column lowest, so a row update is
+    one bigint multiply-add, row + f * pivot_row.  A pivot row is re-packed
+    once, from its pivot column on: each slot reduced modulo p and scaled
+    so that the pivot is p - 1, which makes the update with f, the other
+    row's entry modulo p, clear the column.  Other slots are reduced only
+    when read, and every row drops its lowest slot when its column is done.
+    `base`, pivot rows returned for other rows over the same columns, is
+    used first and included in the result, which then is the echelon of
+    all the rows together.
+
+    No carry crosses a slot: a slot starts below p, each update adds less
+    than p^2 < 2^48, and a row takes at most one update per pivot, so at
+    most C(16, 8) = 12,870 < 2^14 of them in a complex on MAX_GENERATORS =
+    16 generators; 2^24 + 2^14 * 2^48 < 2^64.
     """
     p = PRIME
-    if not rows or not ncols:
-        return 0
-    work = _pack([x % p for row in rows for x in row], ncols)
-    found = 0
+    pivots = dict(base or {})
+    work = _pack([x % p for row in rows for x in row], ncols) if ncols else []
     for c in range(ncols):
-        entries = [(row & _SLOT) % p for row in work]
-        for k, f in enumerate(entries):
-            if f:
-                break
-        else:
-            work = [row >> 64 for row in work]
-            continue
-        found += 1
-        scale = p - pow(f, -1, p)
-        slots = array("Q", work[k].to_bytes(8 * (ncols - c), "little"))
-        pivot = _pack([x % p * scale % p for x in slots], ncols - c)[0]
-        del work[k], entries[k]
         if not work:
             break
+        entries = [(row & _SLOT) % p for row in work]
+        pivot = pivots.get(c)
+        if pivot is None:
+            for k, f in enumerate(entries):
+                if f:
+                    break
+            else:
+                work = [row >> 64 for row in work]
+                continue
+            scale = p - pow(f, -1, p)
+            slots = array("Q", work[k].to_bytes(8 * (ncols - c), "little"))
+            pivot = pivots[c] = _pack([x % p * scale % p for x in slots], ncols - c)[0]
+            del work[k], entries[k]
         work = [(row + f * pivot if f else row) >> 64 for row, f in zip(work, entries)]
-    return found
+    return pivots
+
+
+def rank_mod(rows: list[list[int]], ncols: int) -> int:
+    """Rank modulo `PRIME` of integer rows of length ncols (`echelon_mod`)."""
+    return len(echelon_mod(rows, ncols))
 
 
 def nullspace(rows: list[list], ncols: int) -> list[list]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import fraction_nullspace, fraction_solve, mod_rank, rref_rank
 from lcscalc import linalg
 from lcscalc.errors import MixedModes
-from lcscalc.linalg import IntegerRows, nullspace, rank, rank_mod, solve
+from lcscalc.linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
 from lcscalc.scalar import ParamScalar, ScalarMode, parse_scalar
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -109,14 +109,19 @@ residues = st.one_of(
 @given(
     matrices(residues, 8, 8),
     st.sampled_from([2, 3, linalg.PRIME]),
+    st.integers(min_value=0, max_value=8),
 )
-def test_rank_mod_matches_a_list_elimination_and_bounds_the_rank(case, prime):
-    """Packed rows give the rank of an elimination on lists, never above the rank over Q."""
+def test_rank_mod_matches_a_list_elimination_and_bounds_the_rank(case, prime, split):
+    """Packed rows give the rank of an elimination on lists, never above the rank over Q.
+
+    The echelon of the first rows, passed on as `base`, gives the rank of all of them.
+    """
     rows, ncols = case
     ints = [[int(x) for x in row] for row in rows]
     with mock.patch.object(linalg, "PRIME", prime):
         got = rank_mod(ints, ncols)
-    assert got == mod_rank(ints, ncols, prime)
+        joined = echelon_mod(ints[split:], ncols, echelon_mod(ints[:split], ncols))
+    assert got == mod_rank(ints, ncols, prime) == len(joined)
     assert got <= rref_rank(rows)
 
 
