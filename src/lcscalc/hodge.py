@@ -286,14 +286,17 @@ class TwistedComplex:
         n = self.alg.dim
         if self.kernel(0) or len(self.kernel(1)) != 1:
             return None
-        ranks = [1, n - 1][:n]
+        ranks, echelons = [1, n - 1][:n], {}
         for degree in range(2, n):
             echelon = echelon_mod(self.rows(degree, 1)[0], self.size(degree))
             if ranks[-1] + len(echelon) != self.size(degree):
                 return None
             ranks.append(len(echelon))
-            self._store[("echelon", degree)] = echelon  # for the stacked check
-        return tuple(ranks) if ranks[-1] == 1 else None
+            echelons[("echelon", degree)] = echelon  # d_w's block of the stacked check
+        if ranks[-1] != 1:
+            return None
+        self._store.update(echelons)
+        return tuple(ranks)
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""
