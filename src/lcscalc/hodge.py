@@ -23,17 +23,21 @@ primitives are computed on these rows in Python ints; no scalar copy of a
 matrix is made.
 
 A complex whose every cohomology group vanishes (a nilpotent algebra with a
-nonzero closed twist, by Dixmier) is certified acyclic from ranks modulo a
-prime (`linalg.rank_mod`), without a kernel.  d and w are checked to give
-d_w o d_w = 0, so the exact ranks r_l of d_w leaving degree l satisfy
-r_{l-1} + r_l <= C(N, l), and a rank modulo p is at most the rank over Q.
-Given r_0 and r_1 exactly, modular ranks with r_{l-1} + r_l = C(N, l) in
-every degree l >= 2 and r_{N-1} = 1 are therefore the exact ranks, and
-every H^l_w is zero.  The harmonic spaces are certified on their own: a
-full column rank modulo p of the stacked [d_w; delta_w] proves that one is
-zero.  A rank that falls short, through nonzero cohomology or a prime that
-divides a pivot, leaves the degree to the exact route, so no output
-depends on the prime.
+nonzero closed twist, by Dixmier) is certified acyclic from ranks modulo
+the prime `linalg.PRIME` < 2^24, without a kernel past degree 1.  d and w
+are checked to give d_w o d_w = 0, so the exact ranks r_l of d_w leaving
+degree l satisfy r_{l-1} + r_l <= C(N, l), and a rank modulo p is at most
+the rank over Q.  The attempt is gated on H^0_w = H^1_w = 0, read off the
+exact kernels of d_0 and d_1, which gives r_0 = 1 and r_1 = N - 1; modular
+ranks with r_{l-1} + r_l = C(N, l) in every degree l >= 2 and r_{N-1} = 1
+are then the exact ranks, and every H^l_w is zero.  The harmonic spaces
+are certified on their own: a full column rank modulo p of the stacked
+[d_w; delta_w] proves that one is zero.  The rows are reduced packed, one
+Python int per row with a 64-bit slot per column that no carry crosses for
+N <= MAX_GENERATORS (`linalg.echelon_mod`).  A rank that falls short,
+through nonzero cohomology or a prime that divides a pivot, leaves the
+complex or the degree to the exact route, so no output depends on the
+prime.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -350,12 +354,7 @@ class TwistedComplex:
         certified acyclic, a full column rank of that stacked matrix modulo
         p proves the space zero without K (`_certified_zero`).
         """
-        return self._once(
-            ("harmonic", degree),
-            lambda: HarmonicSpace(degree, (), self.omega)
-            if self._certified_zero(degree)
-            else self._harmonic(degree),
-        )
+        return self._once(("harmonic", degree), lambda: self._harmonic(degree))
 
     def _inverse_metric(self, degree: int) -> list[int]:
         """The integers c / g_I over the monomials I of a degree, one c for all of them."""
@@ -398,6 +397,8 @@ class TwistedComplex:
         its rows; the row factor keeps the kernel, and the column
         factor goes into K: c spans the kernel of delta' * diag(1/g_I) * K.
         """
+        if self._certified_zero(degree):
+            return HarmonicSpace(degree, (), self.omega)
         kernel = self.kernel(degree)
         rows = self.rows(degree, -1)[0]
         monos = list(self.alg.basis.monomials(degree))

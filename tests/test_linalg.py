@@ -1,8 +1,9 @@
 """rank, rank_mod, nullspace and solve against independent references.
 
 Rational matrices are checked against the Fraction row reduction in
-`helpers.py`, modular ranks against a list elimination there; matrices of rational functions against sympy's reduced row
-echelon form over QQ(n, k) (test-only oracle, skipped without sympy).
+`helpers.py`, modular ranks against a list elimination there; matrices of
+rational functions against sympy's reduced row echelon form over QQ(n, k)
+(test-only oracle, skipped without sympy).
 Results must agree entry by entry and keep the scalar type of the mode.
 """
 
