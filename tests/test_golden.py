@@ -34,6 +34,9 @@ DENSE4_FORM = (
     "13/87 alpha^gamma + 11/87 alpha^eta + 17/87 beta^gamma + 1/87 beta^eta + 8/87 gamma^eta"
 )
 
+# R acting on the Heisenberg algebra: a symplectic form whose class is not exact
+NONUNIMODULAR4_FORM = "1 e1^e2 + 1 e3^e4 + 1 e2^e4"
+
 # the shared Lee form of moser_dense6 and of lcs_dense8: twists of the nilpotent
 # h5 x R and h7 x R, whose twisted complexes are acyclic in every degree
 DENSE6_LEE = "-22/63 e1 + 152/315 e2 - 38/315 e3 + 302/315 e4 + 2/105 e5 - 62/315 e6"
@@ -55,6 +58,10 @@ CASES = {
         ["cohomology", "nonunimodular.alg", "--omega", "1 e3"],
         0,
     ),
+    "cohomology_nonunimodular_metric": (
+        ["cohomology", "rrr_metric.alg", "--omega", "-1 e4"],
+        0,
+    ),
     "cohomology_acyclic": (["cohomology", "h5xr_dense.alg", "--omega", DENSE6_LEE], 0),
     "cohomology_acyclic_metric": (
         ["cohomology", "h5xr_dense_metric.alg", "--omega", DENSE6_LEE],
@@ -66,6 +73,7 @@ CASES = {
         0,
     ),
     "lcs_not_exact": (["lcs", "acfm.alg", "--form", "2 alpha^eta + 1 beta^gamma"], 0),
+    "lcs_nonunimodular": (["lcs", "nonunimodular4.alg", "--form", NONUNIMODULAR4_FORM], 2),
     "lcs_not_exact_dense4": (["lcs", "acfm_dense4.alg", "--form", DENSE4_FORM], 0),
     "lcs_dense6": (["lcs", "h5xr_dense.alg", "--form", DENSE6_FORMS[0]], 0),
     "moser_dense6": (["moser", "h5xr_dense.alg", "--family", "; ".join(DENSE6_FORMS)], 0),
@@ -118,6 +126,7 @@ CASES = {
 }
 
 STDERR = {
+    "lcs_nonunimodular": "lcscalc: failure: CrossCheckError: projection residue is not exact\n",
     "lcs_degenerate": "lcscalc: failure: Degenerate: top wedge power vanishes\n",
 }
 
