@@ -77,10 +77,10 @@ class Algebra:
     """Invariant complex data: basis, d on generators, diagonal metric, mode.
 
     Instances are immutable after construction; derived data (d*d check,
-    bracket table, metric weights, the d table of each degree, and one
-    store per closed twist for the matrices and reductions of its complex)
-    is memoized, and recomputation is idempotent so concurrent reads are
-    safe.
+    bracket table, metric weights, trace form, the d table of each degree,
+    and one store per closed twist for the matrices and reductions of its
+    complex) is memoized, and recomputation is idempotent so concurrent
+    reads are safe.
     """
 
     def __init__(
@@ -118,6 +118,7 @@ class Algebra:
         self._d2: D2Result | None = None
         self._brackets: BracketTable | None = None
         self._weights: tuple[Fraction, ...] | None = None
+        self._trace: Form | None = None
         # rational structure data as integer numerators over one denominator
         scaled = [integer_terms(f.terms) for f in dgen]
         den = self.d_den = None if None in scaled else lcm(*[s[0] for s in scaled])
@@ -158,7 +159,11 @@ class Algebra:
             )
 
     def require_closed(self, omega: Form):
-        """Check a twist is a closed 1-form; a closed twist and its negative get their stores."""
+        """Check a twist is a closed 1-form; w and tau - w get their stores.
+
+        The trace form tau is closed on valid structure data, and only the
+        complex of a valid algebra reads a store.
+        """
         if omega.basis != self.basis:
             raise BasisMismatch("twist form over a different basis")
         if not omega.is_zero() and omega.degree != 1:
@@ -171,7 +176,7 @@ class Algebra:
         if not dw.is_zero():
             raise OmegaNotClosed(f"twist {omega} is not closed: d = {dw}")
         self._twisted[omega] = {}
-        self._twisted.setdefault(-omega, {})  # d(-w) = -d(w)
+        self._twisted.setdefault(self.trace_form() - omega, {})  # d(tau - w) = -d(w)
 
     def require_rational(self, what: str):
         if self.mode.is_param:
@@ -198,6 +203,28 @@ class Algebra:
                 weights.append(r)
             self._weights = tuple(weights)
         return self._weights
+
+    def trace_form(self) -> Form:
+        """tau = sum_i tr(ad X_i) e^i, zero exactly on unimodular data.
+
+        With A^k_ab the coefficient of e_a ^ e_b in d e_k (a < b), the bracket
+        [X_a, X_b] = -sum_k A^k_ab X_k gives
+        tr ad X_i = sum_{k<i} A^k_ki - sum_{k>i} A^k_ik, read off the structure
+        data (integer numerators over `d_den` when rational) without a
+        bracket table.
+        """
+        if self._trace is None:
+            traces = [0] * self.dim
+            for k, heads in enumerate(self._heads):
+                for (a, b), c in heads:
+                    if a == k:
+                        traces[b] += c
+                    elif b == k:
+                        traces[a] -= c
+            den = self.d_den
+            terms = {(i,): Fraction(t, den) if den else t for i, t in enumerate(traces) if t}
+            self._trace = Form.canonical(self.basis, 1, terms)
+        return self._trace
 
     def d_table(self, degree: int) -> dict[tuple[int, ...], dict]:
         """d of each degree-l monomial, in lex order, as canonical terms.
@@ -315,19 +342,6 @@ def lie_derivative(alg: Algebra, v: VectorField, a: Form) -> Form:
 
 
 def is_unimodular(alg: Algebra) -> bool:
-    """True when every adjoint map ad X_i is traceless.
-
-    With A^k_ab the coefficient of e_a ^ e_b in d e_k (a < b), the bracket
-    [X_a, X_b] = -sum_k A^k_ab X_k gives
-    tr ad X_i = sum_{k<i} A^k_ki - sum_{k>i} A^k_ik, read off the structure
-    data without a bracket table.
-    """
+    """True when every adjoint map ad X_i is traceless: the trace form is zero."""
     alg.require_valid()
-    traces = [0] * alg.dim
-    for k, dg in enumerate(alg.dgen):
-        for (a, b), c in dg.terms.items():
-            if a == k:
-                traces[b] += c
-            elif b == k:
-                traces[a] -= c
-    return not any(traces)
+    return alg.trace_form().is_zero()

@@ -121,20 +121,12 @@ def cmd_check(args) -> int:
 def cmd_cohomology(args) -> int:
     alg = parse_algebra_file(args.file)
     omega = parse_form_expr(args.omega, alg.basis, alg.mode)
-    uni = is_unimodular(alg)
     report = _file_report("twisted cohomology", alg, args.file)
     report.add("omega", form_str(omega))
-    report.add("unimodular", uni)
-    report.add(None, lines=[f"adjointness: {'' if uni else 'not '}applicable"])
+    report.add("unimodular", is_unimodular(alg))
+    # delta_w is the metric adjoint of d_w on every algebra (`hodge`)
+    report.add(None, lines=["adjointness: applicable"])
     cx = alg.twisted_complex(omega)
-    if not uni:
-        # kernel/image dimensions stay meaningful; the harmonic description
-        # needs the adjointness identity and is reported as not applicable
-        report.add("dims", [cx.betti(deg) for deg in range(alg.dim + 1)])
-        shown = "harmonic bases: not applicable (non-unimodular)"
-        report.add("harmonic_bases", "not applicable", [shown])
-        report.emit(args.json)
-        return 0
     coh = cohomology.cohomology_report(alg, omega)
     report.add("dims", list(coh.dims))
     degrees, lines = [], []

@@ -93,8 +93,7 @@ def cohomology_report(alg: Algebra, omega: Form) -> CohomologyReport:
         if b != space.dimension:
             raise CrossCheckError(
                 f"rank and harmonic dimensions disagree in degree {degree} "
-                f"({b} vs {space.dimension}); the harmonic description "
-                "requires unimodular structure data"
+                f"({b} vs {space.dimension})"
             )
         dims.append(b)
         spaces.append(space)

@@ -5,16 +5,21 @@ Sign conventions, with N the number of generators and l the input degree:
 * star on a monomial e_I is sign(I, I^c) e_{I^c}, the permutation sign of
   the concatenated tuple relative to ascending order, times the metric
   weight prod_{i in I^c} w_i / prod_{i in I} w_i (1 for the identity metric);
-* codifferential: delta = (-1)^(N*l + N + 1) * d * on degree l;
+* codifferential: delta = (-1)^(N*l + N + 1) * (d + tau ^) * on degree l,
+  tau = sum_i tr(ad X_i) e^i the trace form (`Algebra.trace_form`), which
+  is zero on unimodular data.  d of an (N-1)-form a is -tau ^ a, so delta
+  is the metric adjoint of d on every algebra;
 * twist contraction: U_w(theta) = (-1)^(N*l + N) * (w ^ * theta);
-* delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d - w ^) *, one conjugation.
+* delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d + (tau - w) ^) *, one
+  conjugation, the metric adjoint of d_w.
 
 The matrix of d_w is read off the d table that `d` reads (`Algebra.d_table`)
 without building a form, by one assembly (`_assemble`).  The star of a
-monomial is one signed, weighted monomial and d - w^ = d_{-w}, so delta_w on
-degree l is d_{-w} leaving degree N - l read through the star: entry (J, I)
-is (-1)^(N*l + N + 1) * sign(J^c, J) * sign(I, I^c) * g_J / g_I times entry
-(J^c, I^c), g_X = prod_{i in X} g_i, and complements reverse the lex order.
+monomial is one signed, weighted monomial and d + (tau - w)^ = d_{tau-w}, so
+delta_w on degree l is d_{tau-w} leaving degree N - l read through the star:
+entry (J, I) is (-1)^(N*l + N + 1) * sign(J^c, J) * sign(I, I^c) * g_J / g_I
+times entry (J^c, I^c), g_X = prod_{i in X} g_i, and complements reverse the
+lex order.
 
 For rational data each matrix is held as primitive integer rows: L times
 the operator, L the lcm of the table's denominator D and the twist's
@@ -90,8 +95,8 @@ def _conjugate(alg: Algebra, a: Form, op, p: int) -> Form:
 
 
 def codiff(alg: Algebra, a: Form) -> Form:
-    """Codifferential; degree 0 maps to 0 by definition."""
-    return _conjugate(alg, a, lambda b: d(alg, b), 1)
+    """Codifferential, delta_w for w = 0; degree 0 maps to 0 by definition."""
+    return delta_omega(alg, alg.basis.zero(1), a)
 
 
 def u_omega(alg: Algebra, omega: Form, a: Form) -> Form:
@@ -102,10 +107,11 @@ def u_omega(alg: Algebra, omega: Form, a: Form) -> Form:
 
 
 def delta_omega(alg: Algebra, omega: Form, a: Form) -> Form:
-    """delta + U_w, as one conjugation of d - w^ by the star."""
+    """delta + U_w, as one conjugation of d + (tau - w)^ by the star."""
     if omega.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
-    return _conjugate(alg, a, lambda b: d(alg, b) - omega.wedge(b), 1)
+    twist = alg.trace_form() - omega
+    return _conjugate(alg, a, lambda b: d(alg, b) + twist.wedge(b), 1)
 
 
 def inner(alg: Algebra, rho: Form, nu: Form) -> Scalar:
@@ -193,18 +199,18 @@ class TwistedComplex:
     twist once per twist and hands every complex of that twist the same
     store.  The store refers back to neither the algebra nor the complex, so
     dropping the algebra frees it at once.  delta_w's rows and ranks are
-    d_{-w}'s, from the complex of -w (this store when w = 0), read through
-    the star.  So the harmonic dimensions set ker d_w in degree l against
-    d_{-w} in degree N - l: twisted Poincare-Hodge duality, still a check on
-    the ranks.  Primitives are solved in parameter mode too; ranks, kernels
-    and harmonic bases are not.
+    d_{tau-w}'s, from the complex of tau - w (this store when 2w = tau),
+    read through the star.  So the harmonic dimensions set ker d_w in degree
+    l against d_{tau-w} in degree N - l: twisted Poincare-Hodge duality,
+    still a check on the ranks.  Primitives are solved in parameter mode
+    too; ranks, kernels and harmonic bases are not.
 
     Acyclic complexes skip the kernels (`_acyclic`).  The attempt is gated
     on H^0_w = H^1_w = 0 exactly, read off the kernels of d_0 and d_1 that
     `betti` needs anyway, so a complex with cohomology in low degrees does
     no modular work; `betti` makes the attempt and `delta_rank` makes it
-    for the complex of -w once this one is certified, so delta_w's ranks
-    are never read off d_w's.  `d_rank` and `harmonic` only read a
+    for the complex of tau - w once this one is certified, so delta_w's
+    ranks are never read off d_w's.  `d_rank` and `harmonic` only read a
     certificate already made.
     """
 
@@ -221,10 +227,10 @@ class TwistedComplex:
 
     @cached_property
     def _mirror(self) -> TwistedComplex:
-        """The complex of -w, whose d_{-w} is delta_w read through the star."""
+        """The complex of tau - w, whose d_{tau-w} is delta_w read through the star."""
         if not self.alg.identity_metric:
             self.alg.metric_weights()  # the star is exact for square metric entries only
-        return self.alg.twisted_complex(-self.omega)
+        return self.alg.twisted_complex(self.alg.trace_form() - self.omega)
 
     def size(self, degree: int) -> int:
         """Number of monomials of a degree (0 outside 0..N)."""
@@ -233,7 +239,7 @@ class TwistedComplex:
     def rows(self, degree: int, step: int):
         """Rows, contents and L of d_w (step 1) or delta_w (step -1) leaving a degree.
 
-        delta_w's are d_{-w}'s read through the star, without its metric factor g_J / g_I.
+        delta_w's are d_{tau-w}'s read through the star, without its metric factor g_J / g_I.
         """
         if step > 0:
             return self._once(("rows", degree), lambda: _assemble(self.alg, self.omega, degree))
@@ -241,7 +247,7 @@ class TwistedComplex:
         rows, contents, scale = self._mirror.rows(n - degree, 1)
         flip = -1 if (n * degree + n + 1) % 2 else 1
         columns = [_star_sign(idx) for idx in monomials(degree)]  # sign(I, I^c)
-        # row J is d_{-w}'s row J^c, in reverse order, times flip * sign(J^c, J)
+        # row J is d_{tau-w}'s row J^c, in reverse order, times flip * sign(J^c, J)
         signed = [
             [x if s * t > 0 else -x for x, t in zip(reversed(row), columns)]
             for row, s in zip(rows, [flip * _star_sign(m) for m in monomials(n - degree + 1)])
@@ -328,10 +334,10 @@ class TwistedComplex:
         )
 
     def delta_rank(self, degree: int) -> int:
-        """Rank of delta_w leaving a degree, that of d_{-w} leaving N - l (0 outside 1..N).
+        """Rank of delta_w leaving a degree, that of d_{tau-w} leaving N - l (0 outside 1..N).
 
-        Once this complex is certified acyclic, the complex of -w attempts
-        its own certificate.
+        Once this complex is certified acyclic, the complex of tau - w
+        attempts its own certificate: by twisted duality it is acyclic too.
         """
         mirror = self._mirror
         if self._store.get(("acyclic",)):
@@ -356,23 +362,17 @@ class TwistedComplex:
         """
         return self._once(("harmonic", degree), lambda: self._harmonic(degree))
 
-    def _inverse_metric(self, degree: int) -> list[int]:
-        """The integers c / g_I over the monomials I of a degree, one c for all of them."""
-        g = self.alg.metric
-        return _fraction_row(
-            [Fraction(1) / prod(g[i] for i in idx) for idx in self.alg.basis.monomials(degree)]
-        )
-
     def _stacked(self, degree: int) -> tuple[list[list[int]], list[list[int]]]:
         """Integer rows [d_w; delta' * diag(c / g_I)], with the kernel of [d_w; delta_w].
 
         delta_w = diag(g_J) * delta' * diag(1/g_I) with delta' its rows: the
         row factor keeps the kernel, and the column factor is taken as the
-        integers c / g_I of `_inverse_metric`.  Returns the two blocks.
+        integers c / g_I, one c for all monomials I.  Returns the two blocks.
         """
         lower = self.rows(degree, -1)[0]
         if not self.alg.identity_metric:
-            h = self._inverse_metric(degree)
+            g, monomials = self.alg.metric, self.alg.basis.monomials(degree)
+            h = _fraction_row([Fraction(1) / prod(g[i] for i in idx) for idx in monomials])
             lower = [[x * y for x, y in zip(row, h)] for row in lower]
         return self.rows(degree, 1)[0], lower
 
@@ -391,27 +391,17 @@ class TwistedComplex:
         return len(echelon_mod(lower, size, echelon)) == size
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
-        """K*c in Python ints.
-
-        Under a metric delta_w = diag(g_K) * delta' * diag(1/g_I) with delta'
-        its rows; the row factor keeps the kernel, and the column
-        factor goes into K: c spans the kernel of delta' * diag(1/g_I) * K.
-        """
+        """K*c in Python ints: c spans the kernel of `_stacked`'s lower block times K."""
         if self._certified_zero(degree):
             return HarmonicSpace(degree, (), self.omega)
         kernel = self.kernel(degree)
-        rows = self.rows(degree, -1)[0]
+        rows = self._stacked(degree)[1]
         monos = list(self.alg.basis.monomials(degree))
         support = [[i for i, x in enumerate(k) if x] for k in kernel]
         coords = [[int(i == j) for i in range(len(kernel))] for j in range(len(kernel))]
         if kernel and rows:
-            applied = kernel
-            if not self.alg.identity_metric:
-                # 1/g_I times one integer common to all vectors, which keeps c
-                inverse = self._inverse_metric(degree)
-                applied = [[x * h for x, h in zip(k, inverse)] for k in kernel]
             image = IntegerRows(
-                [sum(row[i] * k[i] for i in s) for k, s in zip(applied, support)] for row in rows
+                [sum(row[i] * k[i] for i in s) for k, s in zip(kernel, support)] for row in rows
             )
             coords = nullspace(image, len(kernel))
         basis_forms = []

@@ -523,14 +523,13 @@ def test_cohomology_torus(tmp_path, capsys):
     assert "dims: 1 4 6 4 1" in capsys.readouterr().out
 
 
-def test_cohomology_non_unimodular_reports_ranks_only(tmp_path, capsys):
+def test_cohomology_non_unimodular_reports_harmonic_bases(tmp_path, capsys):
     path = tmp_path / "affine.alg"
     path.write_text("generators e1 e2\nd e1 = 1 e1^e2\n")
     assert main(["cohomology", str(path), "--omega", "0"]) == 0
     out = capsys.readouterr().out
-    assert "adjointness: not applicable" in out
-    assert "dims: 1 1 0" in out
-    assert "harmonic bases: not applicable" in out
+    assert "unimodular: false\nadjointness: applicable\ndims: 1 1 0\n" in out
+    assert "degree 1: dim 1; harmonic: 1 e2; decomposition:" in out
 
 
 def test_lcs_report_nonexact(acfm_path, capsys):

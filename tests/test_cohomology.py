@@ -13,7 +13,7 @@ from lcscalc.cohomology import (
     primitive,
 )
 from lcscalc.errors import CrossCheckError, NotClosed, OmegaNotClosed, ParamModeUnsupported
-from lcscalc.hodge import harmonic_space
+from lcscalc.hodge import HarmonicSpace, TwistedComplex, harmonic_space, inner
 from lcscalc.presets import acfm_rational, exact_lcs, omega_t, twist_form
 from lcscalc.specfile import parse_algebra_file, parse_algebra_text
 
@@ -94,22 +94,40 @@ def test_class_coords_examples(acfm111):
 
 @pytest.mark.parametrize(
     "omega, theta, expected",
-    [("-1 e3", "2 e1^e3", (0, 0)), ("-1 e3", "2 e2^e3", (0, 0)), ("0", "-2 e1^e2^e3", (0,))],
+    [
+        ("-1 e3", "2 e1^e3", ()),
+        ("-1 e3", "2 e2^e3", ()),
+        ("0", "-2 e1^e2^e3", ()),
+        ("1 e3", "2 e3", (0, 0)),
+    ],
 )
 def test_class_coords_of_an_exact_form_are_zero(omega, theta, expected):
-    """Off unimodular data an exact form can have a nonzero harmonic projection."""
+    """One zero per harmonic dimension, also off unimodular data.
+
+    delta_w is the metric adjoint of d_w, so an exact form is orthogonal to
+    every harmonic form.
+    """
     alg = parse_algebra_file(str(NONUNIMODULAR))
     w, form = F(alg, omega), F(alg, theta)
     assert primitive(alg, w, form).exact
     assert class_coords(alg, w, form) == expected
+    assert all(inner(alg, form, h) == 0 for h in harmonic_space(alg, w, form.degree).basis)
 
 
-def test_primitive_refuses_a_residue_that_is_not_exact():
-    """The harmonic e1^e2 + e3^e4 is d e3; the residue e2^e4 of theta is not exact."""
+def test_primitive_refuses_a_residue_that_is_not_exact(monkeypatch):
+    """A harmonic space that misses the class leaves a residue that is not exact.
+
+    The harmonic 2-form is e2^e4; in its place e1^e2 + e3^e4 = d e3 takes
+    all of theta but e2^e4, which is not exact.
+    """
     alg = parse_algebra_text("generators e1 e2 e3 e4\nd e1 = 1 e1^e4\nd e3 = 1 e1^e2 + 1 e3^e4\n")
     theta = F(alg, "1 e1^e2 + 1 e3^e4 + 1 e2^e4")
+    zero = alg.basis.zero(1)
+    assert harmonic_space(alg, zero, 2).basis == (F(alg, "1 e2^e4"),)
+    wrong = HarmonicSpace(2, (F(alg, "1 e1^e2 + 1 e3^e4"),), zero)
+    monkeypatch.setattr(TwistedComplex, "harmonic", lambda self, degree: wrong)
     with pytest.raises(CrossCheckError, match="projection residue is not exact"):
-        primitive(alg, alg.basis.zero(1), theta)
+        primitive(alg, zero, theta)
 
 
 def test_class_coords_linearity(acfm111):

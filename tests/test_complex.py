@@ -8,7 +8,7 @@
 (b) every harmonic basis equals the kernel of the Koszul d_w stacked on
     delta_w taken as `delta_omega` of each monomial, under the
     Fraction-only row reduction of `helpers`, also under a metric whose
-    weights are not all 1, where the rows of d_w and delta_w (d_{-w} read
+    weights are not all 1, where the rows of d_w and delta_w (d_{tau-w} read
     through the star) equal `operator_matrix` over `d_omega` and
     `delta_omega` of each monomial, and delta_w is the metric adjoint
     G^-1 (d_w)^T G of the Koszul matrix;
@@ -213,7 +213,7 @@ def test_matrices_match_the_form_route_under_a_metric(seed, mode):
 
     `d` reads the same d table as the matrices, so a wrong table entry shows
     on both sides and this test does not catch it; it checks the twist terms
-    and how `TwistedComplex.rows` reads d_{-w} through the star (the overall
+    and how `TwistedComplex.rows` reads d_{tau-w} through the star (the overall
     sign, the re-indexing by complements), and that the weight products
     g_K / g_I are all that its delta_w rows leave out.  The table itself is
     checked by the Koszul and metric-adjoint oracles above.
@@ -271,8 +271,8 @@ def test_d_matches_koszul_formula_without_jacobi():
 def _stacked_oracle(alg, omega, degree):
     """Kernel of the Koszul d_w stacked on delta_w from `delta_omega` of each monomial.
 
-    delta_w is not the Koszul adjoint on every case here: the 4-generator
-    algebra that `random_good_algebra` draws from Random(5) is not unimodular.
+    Some cases are not unimodular: the 4-generator algebra that
+    `random_good_algebra` draws from Random(5) is one.
     """
     delta = _form_route(alg, lambda a: delta_omega(alg, omega, a), degree, -1)
     rows = koszul_twisted_matrix(alg, omega, degree) + delta
@@ -406,7 +406,7 @@ def test_primitive_in_param_mode_keeps_its_free_variables_zero():
 def _count_calls(monkeypatch) -> list:
     """Log every call of rank, nullspace and `hodge._assemble`.
 
-    `_assemble` is the one builder of d_w, and delta_w is d_{-w} read
+    `_assemble` is the one builder of d_w, and delta_w is d_{tau-w} read
     through the star: the complex reads its kernels, ranks, harmonic bases
     and primitives off these rows.  Each function is wrapped under every
     lcscalc name bound to it, so a call through any module alias is counted.
@@ -433,8 +433,8 @@ def _reductions(log) -> int:
 def _most_builds_of_one_matrix(log) -> int:
     """The most builds of one (twist, degree) matrix.
 
-    delta_w reads the matrices of d_{-w}, so a twisted report builds d_w
-    and d_{-w} leaving each degree, once each.
+    delta_w reads the matrices of d_{tau-w}, so a twisted report builds d_w
+    and d_{tau-w} leaving each degree, once each.
     """
     builds = Counter(args[1:3] for name, args in log if name == "_assemble")
     return max(builds.values())
@@ -480,10 +480,12 @@ def test_untwisted_report_makes_no_rank_call(monkeypatch, capsys):
 )
 @example(seed=1, n=4, twisted=True, metric=True)  # not unimodular
 def test_delta_rows_and_rank_match_the_form_route(seed, n, twisted, metric):
-    """delta_w's rows and rank, read off d_{-w} leaving N - l, are those of delta_omega.
+    """delta_w's rows and rank, read off d_{tau-w} leaving N - l, are those of delta_omega.
 
-    Many draws are not unimodular, where delta_w is not the adjoint of d_w.
-    The metric weights are squares of rationals, so the star stays exact.
+    Many draws are not unimodular, and on every one delta_w is the metric
+    adjoint of the Koszul d_w, an oracle that calls neither `d` nor the
+    star.  The metric weights are squares of rationals, so the star stays
+    exact.
     """
     rng = random.Random(seed)
     alg = random_good_algebra(rng, n)
@@ -500,6 +502,9 @@ def test_delta_rows_and_rank_match_the_form_route(seed, n, twisted, metric):
         assert cx.delta_rank(degree) == rref_rank(delta)
         if degree <= n:  # the Form route's matrix leaving degree N + 1 is a row of no columns
             assert _matrix(cx, degree, -1) == delta
+        if 0 < degree <= n:
+            koszul = koszul_twisted_matrix(alg, w, degree - 1)
+            assert _matrix(cx, degree, -1) == _adjoint(alg, koszul, degree - 1)
 
 
 @pytest.mark.parametrize("omega", ["0", "1 e1"])

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import F
-from lcscalc.cecomplex import d_omega
+from lcscalc.cecomplex import d_omega, is_unimodular
 from lcscalc.errors import DegreeMismatch, InvalidMetric, MixedModes, ParamModeUnsupported
 from lcscalc.exterior import Basis, Form
 from lcscalc.hodge import (
@@ -150,14 +150,30 @@ def test_adjointness_on_unimodular(acfm111):
                     assert lhs == rhs
 
 
-def test_adjointness_fails_without_unimodularity():
-    alg = parse_algebra_text("generators e1 e2\nd e1 = 1 e1^e2\n")
-    zero = alg.basis.zero(1)
-    e1 = alg.basis.gen(0)
-    vol = alg.basis.volume()
-    lhs = inner(alg, d_omega(alg, zero, e1), vol)
-    rhs = inner(alg, e1, delta_omega(alg, zero, vol))
-    assert lhs != rhs
+@pytest.mark.parametrize(
+    "text",
+    [
+        "generators e1 e2\nd e1 = 1 e1^e2\n",
+        "generators e1 e2 e3 e4\nd e1 = 1 e1^e4\nd e2 = -1 e2^e4\nd e3 = 2 e3^e4\n"
+        "metric diag 4 1 (1/9) 9\n",
+    ],
+    ids=["aff1", "RxR3-metric"],
+)
+def test_adjointness_without_unimodularity(text):
+    """<d_w a, b> = <a, delta_w b> on every monomial pair where the trace form is not zero."""
+    alg = parse_algebra_text(text)
+    assert not is_unimodular(alg)
+    last = alg.basis.gen(alg.dim - 1)  # closed, so each multiple is a twist
+    for w in (alg.basis.zero(1), last, -1 * last, 3 * last, -2 * last):
+        for degree in range(alg.dim):
+            for i in alg.basis.monomials(degree):
+                for j in alg.basis.monomials(degree + 1):
+                    rho = alg.basis.monomial_form(i)
+                    nu = alg.basis.monomial_form(j)
+                    lhs = inner(alg, d_omega(alg, w, rho), nu)
+                    assert lhs == inner(alg, rho, delta_omega(alg, w, nu))
+                    if w.is_zero():
+                        assert lhs == inner(alg, rho, codiff(alg, nu))
 
 
 def test_harmonic_space_examples(acfm111):
