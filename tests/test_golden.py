@@ -99,6 +99,7 @@ CASES = {
     ),
     "acfm_theorem1": (["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--theorem1"], 0),
     "check_d2_failure": (["check", "broken.alg"], 2),
+    "check_d2_failure_frac": (["check", "broken_frac.alg"], 2),
     "check_acfm": (["check", "acfm.alg"], 0),
     "check_params": (["check", "params.alg"], 0),
     "acfm_pfaffians_symbolic": (
