@@ -1,9 +1,13 @@
 """Differential structure of an invariant complex given by structure data.
 
 An `Algebra` holds d of every degree-1 generator as a 2-form.  The
-differential extends as an antiderivation, once per degree, into a table
-of d on monomials (`Algebra.d_table`); for rational structure data it holds
-integer numerators over one denominator D, and `d` is one read of it.
+differential extends as an antiderivation, once per degree, into D_l, the
+matrix of the untwisted d leaving degree l (`Algebra.d_matrix`), built in
+one pass over the monomials as bitmasks.  For rational structure data it
+holds integer numerators over one denominator D.  Every reader of d shares
+it: `d` reads its columns, so `check_d2` and `require_closed` read it too,
+and the d_w matrices of `hodge` and the automorphism system of `lcs` copy
+its rows.
 Frame-field brackets are derived from the pairing
 (d e)(X_i, X_j) = -e([X_i, X_j]); the twisted differential adds wedging
 with a closed 1-form.  Degree-0 elements are constants, so their untwisted
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -22,7 +26,7 @@ from .errors import (
     ParamModeUnsupported, StructureError,
 )
 from .exterior import (
-    Basis, Form, VectorField, add_terms, frame_field, integer_terms, interior, merge_sign,
+    Basis, Form, VectorField, frame_field, integer_terms, interior, mask_index,
 )
 from .scalar import ParamScalar, Scalar, ScalarMode
 
@@ -77,8 +81,8 @@ class Algebra:
     """Invariant complex data: basis, d on generators, diagonal metric, mode.
 
     Instances are immutable after construction; derived data (d*d check,
-    bracket table, metric weights, trace form, the d table of each degree,
-    and one store per closed twist for the matrices and reductions of its
+    bracket table, metric weights, trace form, the matrix D_l of d and its
+    column view for each degree, and one store per closed twist for the matrices and reductions of its
     complex) is memoized, and recomputation is idempotent so concurrent
     reads are safe.
     """
@@ -126,7 +130,8 @@ class Algebra:
             [(h, c * (den // s[0])) for h, c in s[1]] if den else f.terms.items()
             for f, s in zip(dgen, scaled)
         ]
-        self._d_tables: dict[int, dict] = {}
+        self._d_rows: dict[int, list[list]] = {}
+        self._d_columns: dict[int, dict] = {}
         self._twisted: dict[Form, dict] = {}
 
     @property
@@ -226,28 +231,20 @@ class Algebra:
             self._trace = Form.canonical(self.basis, 1, terms)
         return self._trace
 
-    def d_table(self, degree: int) -> dict[tuple[int, ...], dict]:
-        """d of each degree-l monomial, in lex order, as canonical terms.
+    def d_matrix(self, degree: int) -> list[list]:
+        """D_l, the rows of the untwisted d leaving a degree (`_d_matrix`), built once."""
+        rows = self._d_rows.get(degree)
+        if rows is None:
+            rows = self._d_rows[degree] = _d_matrix(self, degree)
+        return rows
 
-        d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I without I_m}, built once per
-        degree.  Each head (a, b) of d e_{I_m} goes into the ascending rest at
-        its bisect positions pa, pb with sign (-1)^(m + pa + pb).  For rational
-        structure data the coefficients are integer numerators over `d_den`.
-        """
-        table = self._d_tables.get(degree)
-        if table is None:
-            table = {}
-            for idx in self.basis.monomials(degree):
-                pairs = []
-                for m, i in enumerate(idx):
-                    rest = idx[:m] + idx[m + 1 :]
-                    for head, h in self._heads[i]:
-                        if head[0] not in rest and head[1] not in rest:
-                            key, odd = merge_sign(head, rest)
-                            pairs.append((key, -h if (m + odd) % 2 else h))
-                table[idx] = add_terms(pairs)
-            self._d_tables[degree] = table
-        return table
+    def d_columns(self, degree: int) -> dict[tuple[int, ...], list[tuple]]:
+        """Column I of D_l as its nonzero (row, entry) pairs, for each monomial I; derived once."""
+        columns = self._d_columns.get(degree)
+        if columns is None:
+            nonzero = ([(r, x) for r, x in enumerate(col) if x] for col in zip(*self.d_matrix(degree)))
+            columns = self._d_columns[degree] = dict(zip(self.basis.monomials(degree), nonzero))
+        return columns
 
     def twisted_complex(self, omega: Form) -> TwistedComplex:
         """The complex of d_w and delta_w for a closed twist.
@@ -262,28 +259,57 @@ class Algebra:
         return TwistedComplex(self, omega, self._twisted[omega])
 
 
-def d(alg: Algebra, a: Form) -> Form:
-    """Exterior differential: sum over I of c_I * (d e_I), read off the d table.
+def _d_matrix(alg: Algebra, degree: int) -> list[list]:
+    """D_l: row r is the degree-(l+1) monomial at lex position r, column j the degree-l one.
 
-    A rational form over an integer table is scaled to integer numerators
-    over m, the lcm of its denominators; the products are summed as ints and
-    each result term is one Fraction(sum, m * D).  Other coefficients keep
-    their own arithmetic.  The table's tuples are canonical already.
+    Monomials are bitmasks, bit i for generator i (`mask_index`).  Column I
+    is d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_R with R = I without I_m: a head
+    (a, b) of d e_{I_m} that misses R lands in row R + {a, b} with sign
+    (-1)^(m + |R in [0, a)| + |R in [0, b)|), and as a is not in R the two
+    counts add up to |R in (a, b)| modulo 2.  For rational structure data
+    the entries are integer numerators over `d_den`, else the scalars; an
+    entry stores its first contribution and adds only the later ones.
+    """
+    n = alg.dim
+    heads = [[(1 << a | 1 << b, (1 << b) - (2 << a), h) for (a, b), h in hs] for hs in alg._heads]
+    row_at = mask_index(n, degree + 1)
+    rows = [[0] * comb(n, degree) for _ in row_at]
+    for j, (mask, idx) in enumerate(zip(mask_index(n, degree), alg.basis.monomials(degree))):
+        for m, i in enumerate(idx):
+            rest = mask ^ (1 << i)
+            for ab, between, h in heads[i]:
+                if not rest & ab:
+                    row = rows[row_at[rest | ab]]
+                    v = -h if (m + (rest & between).bit_count()) & 1 else h
+                    x = row[j]
+                    row[j] = x + v if x else v
+    return rows
+
+
+def d(alg: Algebra, a: Form) -> Form:
+    """Exterior differential: D_l times the coefficients of a, read by column.
+
+    Each term c e_I of a adds c times the nonzero entries of column I
+    (`Algebra.d_columns`).  A rational form over integer D_l is scaled to
+    integer numerators over m, the lcm of its denominators; the products
+    are summed as ints and each result term is one Fraction(sum, m * D).
+    Other coefficients keep their own arithmetic.
     """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero() or a.degree >= alg.dim:
         return alg.basis.zero(min(a.degree + 1, alg.dim))
-    table, den = alg.d_table(a.degree), alg.d_den
+    columns, den = alg.d_columns(a.degree), alg.d_den
     scaled = integer_terms(a.terms) if den else None
     pairs = scaled[1] if scaled else [(i, c / den if den else c) for i, c in a.terms.items()]
     out: dict = {}
     for idx, c in pairs:
-        for key, t in table[idx].items():
-            prev = out.get(key)
-            out[key] = c * t if prev is None else prev + c * t
+        for r, t in columns[idx]:
+            prev = out.get(r)
+            out[r] = c * t if prev is None else prev + c * t
+    keys = alg.basis.monomials(a.degree + 1)
     den = scaled[0] * den if scaled else None
-    terms = {key: Fraction(v, den) if den else v for key, v in out.items() if v}
+    terms = {keys[r]: Fraction(v, den) if den else v for r, v in out.items() if v}
     return Form.canonical(alg.basis, a.degree + 1, terms)
 
 

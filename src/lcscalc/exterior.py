@@ -14,9 +14,10 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BasisMismatch, DegreeMismatch
 from .scalar import Scalar, needs_parens, scalar_str
@@ -48,9 +49,9 @@ class Basis:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def monomials(self, degree: int) -> Iterator[tuple[int, ...]]:
+    def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All ascending index tuples of the given degree, in lex order."""
-        return combinations(range(self.dim), degree)
+        return _lex(self.dim, degree)
 
     def monomial_form(self, indices: tuple[int, ...], coeff: Scalar = Fraction(1)) -> "Form":
         return Form(self, len(indices), {tuple(indices): coeff})
@@ -66,6 +67,20 @@ class Basis:
 
     def volume(self) -> "Form":
         return self.monomial_form(tuple(range(self.dim)))
+
+
+@cache
+def _lex(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(combinations(range(n), degree))
+
+
+@cache
+def mask_index(n: int, degree: int) -> dict[int, int]:
+    """Position of each degree-l monomial on n generators in lex order, keyed by its bitmask.
+
+    Bit i of the mask stands for generator i; the keys iterate in lex order.
+    """
+    return {sum(1 << i for i in idx): j for j, idx in enumerate(_lex(n, degree))}
 
 
 def _sort_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int]:

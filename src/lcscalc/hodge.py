@@ -13,8 +13,10 @@ Sign conventions, with N the number of generators and l the input degree:
 * delta_w = delta + U_w = (-1)^(N*l + N + 1) * (d + (tau - w) ^) *, one
   conjugation, the metric adjoint of d_w.
 
-The matrix of d_w is read off the d table that `d` reads (`Algebra.d_table`)
-without building a form, by one assembly (`_assemble`).  The star of a
+The matrix of d_w is D_l + W_l, assembled without building a form
+(`_assemble`): D_l is the untwisted d that `d` reads (`Algebra.d_matrix`),
+built once per algebra and degree and shared by every twist, and W_l is
+the sparse wedge with w, at most N - l entries per column.  The star of a
 monomial is one signed, weighted monomial and d + (tau - w)^ = d_{tau-w}, so
 delta_w on degree l is d_{tau-w} leaving degree N - l read through the star:
 entry (J, I) is (-1)^(N*l + N + 1) * sign(J^c, J) * sign(I, I^c) * g_J / g_I
@@ -22,7 +24,7 @@ times entry (J^c, I^c), g_X = prod_{i in X} g_i, and complements reverse the
 lex order.
 
 For rational data each matrix is held as primitive integer rows: L times
-the operator, L the lcm of the table's denominator D and the twist's
+the operator, L the lcm of D_l's denominator D and the twist's
 denominators, each row divided by its content.  Ranks, kernels and
 primitives are computed on these rows in Python ints; no scalar copy of a
 matrix is made.
@@ -59,7 +61,7 @@ from math import comb, gcd, lcm, prod
 
 from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
-from .exterior import Form, integer_terms, merge_sign
+from .exterior import Form, integer_terms, mask_index
 from .linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
 from .scalar import Scalar, _fraction_row
 
@@ -152,37 +154,34 @@ class HarmonicSpace:
 def _assemble(alg: Algebra, omega: Form, degree: int):
     """Rows of d_w leaving a degree, their contents and L.
 
-    Column I of d_w is (d + w^) e_I.  With an integer d table the rows are L
-    times the operator, L = lcm(D, the twist's denominators), each divided
-    by its content: primitive `IntegerRows`, row r of the matrix being
-    rows[r] * contents[r] / L.  Otherwise the rows hold the scalars, and
-    the contents and L are None.
+    d_w = D_l + W_l: the rows of D_l (`Algebra.d_matrix`), shared by every
+    twist, plus W_l, which puts (-1)^|I in [0, i)| c at row I + {i} of
+    column I for each twist term c e_i with i not in I.  With integer D_l
+    the rows are L times the operator, L = lcm(D, the twist's
+    denominators), each divided by its content: primitive `IntegerRows`,
+    row r of the matrix being rows[r] * contents[r] / L.  Otherwise the
+    rows hold the scalars, and the contents and L are None.
     """
     if degree < 0 or degree >= alg.dim:
         return IntegerRows(), None, None
     den = alg.d_den
-    twist = integer_terms(omega.terms) if den else None
-    scale = lcm(den, twist[0]) if twist else None
-    if scale:
-        dscale, twist = scale // den, [(i, c * (scale // twist[0])) for (i,), c in twist[1]]
+    if den:  # `Algebra.require_closed` gives a rational algebra a rational twist
+        m, twist = integer_terms(omega.terms)
+        scale = lcm(den, m)
+        twist = [(i, c * (scale // m)) for (i,), c in twist]
     else:
-        dscale = Fraction(1, den) if den else 1
-        twist = [(i, c) for (i,), c in omega.terms.items()]
-    table = alg.d_table(degree)  # in lex order, as the columns
-    zero = 0 if scale else alg.zero_scalar()
-    rows = {m: [zero] * len(table) for m in alg.basis.monomials(degree + 1)}
-    for j, (idx, column) in enumerate(table.items()):
-        column = dict(column)
-        if dscale != 1:
-            column = {key: t * dscale for key, t in column.items()}
-        for i, c in twist:
-            if i not in idx:
-                key, odd = merge_sign((i,), idx)
-                c = -c if odd else c
-                column[key] = column[key] + c if key in column else c
-        for key, c in column.items():
-            rows[key][j] = c
-    rows = list(rows.values())
+        scale, twist = None, [(i, c) for (i,), c in omega.terms.items()]
+    dscale = scale // den if scale else 1
+    rows = [[x * dscale for x in row] if dscale > 1 else row[:] for row in alg.d_matrix(degree)]
+    if twist:
+        row_at = mask_index(alg.dim, degree + 1)
+        for j, mask in enumerate(mask_index(alg.dim, degree)):
+            for i, c in twist:
+                if not mask >> i & 1:
+                    row = rows[row_at[mask | 1 << i]]
+                    v = -c if (mask & ((1 << i) - 1)).bit_count() & 1 else c
+                    x = row[j]
+                    row[j] = x + v if x else v
     if not scale:
         return rows, None, None
     contents = [gcd(*row) or 1 for row in rows]

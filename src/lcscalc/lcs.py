@@ -8,10 +8,11 @@ Lee homomorphism l(X) = mu_X + w(X), exactness cross-checks, deformation
 family verification, and the foliation-style checks (integrability,
 involutivity, restricted rank).
 
-The linear systems of a 2-form are read off its terms, as the d_w matrices
-are read off the d table: w -> w ^ Omega, X -> i(X) Omega and
-(X, mu) -> L_X(Omega) - mu * Omega are signed copies of Omega's
-coefficients, the last combined with the d tables in integer numerators.
+The linear systems of a 2-form are read off its terms: w -> w ^ Omega,
+X -> i(X) Omega and (X, mu) -> L_X(Omega) - mu * Omega are signed copies
+of Omega's coefficients, the last combined in integer numerators with the
+matrices D_1 and D_2 of d that the d_w matrices copy
+(`Algebra.d_matrix`).
 No Form is built to assemble them.  The certificates stay on the Form
 route: w ^ Omega = -d(Omega) and d(w) = 0 for the Lee form, L_X(Omega) and
 d_w(i_X Omega) for each automorphism pair, i(X) Omega for a dual field.
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
 from .cohomology import ExactnessCertificate, primitive
@@ -138,32 +140,29 @@ def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]
 
     By Cartan's formula column i, the image of X_i, is
     i(e_i)(d Omega) + sum_j (i(e_i) Omega)_j d e_j, and the column of mu is
-    -Omega.  With Omega as integer numerators a over m and the d tables over
-    D, every entry is an integer numerator over L = m * D.
+    -Omega.  d e_j is column j of D_1 and d Omega is D_2 times Omega's
+    coefficients (`Algebra.d_matrix`); with Omega as integer numerators a
+    over m and D_l over D, every entry is an integer numerator over L = m * D.
     """
     scaled, den = integer_terms(omega2.terms), alg.d_den
     if scaled is None or den is None:
         raise MixedModes(
             "a form or structure data with symbolic coefficients needs a parameter-mode algebra"
         )
-    a = dict(scaled[1])
-    table2, table1 = alg.d_table(2), alg.d_table(1)
-    d_omega2: dict = {}
-    for idx, c in a.items():
-        for key, t in table2[idx].items():
-            d_omega2[key] = d_omega2.get(key, 0) + c * t
-    columns: list[dict] = [{} for _ in range(alg.dim)]
-    for (p, q, r), c in d_omega2.items():
-        for i, key, v in ((p, (q, r), c), (q, (p, r), -c), (r, (p, q), c)):
-            columns[i][key] = columns[i].get(key, 0) + v
+    a, n, monomials = dict(scaled[1]), alg.dim, alg.basis.monomials
+    contraction = [[0] * n for _ in range(n)]  # row i: i(e_i) Omega
     for (i, j), c in a.items():
-        for col, k, v in ((columns[i], j, c), (columns[j], i, -c)):
-            for key, t in table1[(k,)].items():
-                col[key] = col.get(key, 0) + v * t
-    rows = [
-        [col.get(key, 0) for col in columns] + [-a.get(key, 0) * den]
-        for key in alg.basis.monomials(2)
-    ]
+        contraction[i][j], contraction[j][i] = c, -c
+    rows = [[sum(map(mul, row, ci)) for ci in contraction] for row in alg.d_matrix(1)]
+    row_of = {key: row for key, row in zip(monomials(2), rows)}
+    vec = [a.get(idx, 0) for idx in monomials(2)]
+    for (p, q, r), row in zip(monomials(3), alg.d_matrix(2)):
+        if c := sum(map(mul, row, vec)):  # (d Omega)_pqr
+            row_of[q, r][p] += c
+            row_of[p, r][q] -= c
+            row_of[p, q][r] += c
+    for key, row in row_of.items():
+        row.append(-a.get(key, 0) * den)
     return scaled[0] * den, rows
 
 
@@ -196,7 +195,7 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
 def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
     """Solve L_X(Omega) = mu * Omega jointly in (X, mu).
 
-    The matrix is read off Omega's terms and the d tables
+    The matrix is read off Omega's terms and D_1, D_2
     (`_automorphism_rows`).  Each row is divided by its content; scaling a
     row keeps the kernel, which `nullspace` returns with a unit entry at
     each free column.

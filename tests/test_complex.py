@@ -1,10 +1,11 @@
 """The differential and the per-twist complex against independent oracles.
 
-(a) d, and the d_w matrix assembled from its table, equal the
-    invariant-form Koszul formula evaluated on frame fields
+(a) d, and the matrices of d_w and of the mirror d_{tau-w} assembled from
+    D_l, equal the invariant-form Koszul formula evaluated on frame fields
     (`helpers.koszul_d`), with brackets read straight off the structure
-    constants; this holds also for structure data with d*d != 0, since d is
-    an antiderivation either way;
+    constants, also on non-unimodular algebras and for a twist whose
+    denominator does not divide D; this holds also for structure data with
+    d*d != 0, since d is an antiderivation either way;
 (b) every harmonic basis equals the kernel of the Koszul d_w stacked on
     delta_w taken as `delta_omega` of each monomial, under the
     Fraction-only row reduction of `helpers`, also under a metric whose
@@ -12,7 +13,8 @@
     through the star) equal `operator_matrix` over `d_omega` and
     `delta_omega` of each monomial, and delta_w is the metric adjoint
     G^-1 (d_w)^T G of the Koszul matrix;
-(c) a cohomology report assembles each (twist, degree) matrix once and
+(c) a cohomology report builds D_l once per degree, for w and tau - w
+    alike, assembles each (twist, degree) matrix once and
     stays within 3N+1 rank/nullspace calls on N generators, and without a
     twist it makes no rank call: delta_w's ranks are d's, read off its
     kernels; the rank of delta_w equals the Fraction rank of `delta_omega`
@@ -53,7 +55,7 @@ from helpers import (
     random_invertible,
     rref_rank,
 )
-from lcscalc import hodge, linalg
+from lcscalc import cecomplex, hodge, linalg
 from lcscalc.cecomplex import Algebra, d, d_omega
 from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report, primitive
@@ -122,20 +124,49 @@ def _matrix(cx, degree: int, step: int) -> list[list]:
     return rows
 
 
-@pytest.mark.parametrize("seed,n", RATIONAL_CASES)
-def test_assembled_matrix_matches_monomial_route(seed, n):
-    """d_w equals the Koszul formula evaluated on each monomial and frame tuple."""
-    alg, w = dense_preset_product(seed, n, ScalarMode.rational())
+def _mirror_cases() -> dict:
+    """Rational algebras and twists; those read from files are not unimodular, so tau != 0.
+
+    `rrr_metric` with -3/7 e4 has a twist denominator that does not divide
+    D = 1, so its rows are scaled by L / D = 7.
+    """
+    cases = {
+        f"{seed}-{n}": dense_preset_product(seed, n, ScalarMode.rational())
+        for seed, n in RATIONAL_CASES
+    }
+    for name, twist in (
+        ("nonunimodular", "1 e3"), ("rrr_metric", "-1 e4"), ("rrr_metric", "-3/7 e4")
+    ):
+        alg = parse_algebra_file(str(GOLDEN / f"{name}.alg"))
+        cases[f"{name} {twist}"] = alg, parse_form_expr(twist, alg.basis, alg.mode)
+    return cases
+
+
+MIRROR_CASES = _mirror_cases()
+
+
+def _assert_both_twists_match_koszul(alg, w):
+    """d_w and the mirror d_{tau-w}, each read off D_l, equal the Koszul matrices."""
     cx = alg.twisted_complex(w)
-    for degree in range(n + 1):
+    mirror = alg.trace_form() - w
+    for degree in range(alg.dim + 1):
         assert _matrix(cx, degree, 1) == koszul_twisted_matrix(alg, w, degree)
+        assert _scaled_rows(cx._mirror, degree, 1) == koszul_twisted_matrix(alg, mirror, degree)
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_assembled_matrix_matches_monomial_route(case):
+    """d_w and d_{tau-w} equal the Koszul formula evaluated on each monomial and frame tuple."""
+    alg, w = MIRROR_CASES[case]
+    if " " in case:
+        assert not alg.trace_form().is_zero()
+    if case == "rrr_metric -3/7 e4":
+        assert alg.d_den == 1 and alg.twisted_complex(w).rows(1, 1)[2] == 7
+    _assert_both_twists_match_koszul(alg, w)
 
 
 def test_assembled_matrix_matches_monomial_route_in_param_mode():
-    alg, w = dense_preset_product(4, 5, PARAM_MODE)
-    cx = alg.twisted_complex(w)
-    for degree in range(6):
-        assert _matrix(cx, degree, 1) == koszul_twisted_matrix(alg, w, degree)
+    _assert_both_twists_match_koszul(*dense_preset_product(4, 5, PARAM_MODE))
 
 
 # the Koszul oracle is slow in parameter mode, so it checks one such algebra
@@ -404,15 +435,17 @@ def test_primitive_in_param_mode_keeps_its_free_variables_zero():
 
 
 def _count_calls(monkeypatch) -> list:
-    """Log every call of rank, nullspace and `hodge._assemble`.
+    """Log every call of rank, nullspace, `hodge._assemble` and `cecomplex._d_matrix`.
 
     `_assemble` is the one builder of d_w, and delta_w is d_{tau-w} read
     through the star: the complex reads its kernels, ranks, harmonic bases
-    and primitives off these rows.  Each function is wrapped under every
-    lcscalc name bound to it, so a call through any module alias is counted.
+    and primitives off these rows.  `_d_matrix` builds D_l, the untwisted d
+    that `_assemble` copies for every twist and that `d` reads.  Each
+    function is wrapped under every lcscalc name bound to it, so a call
+    through any module alias is counted.
     """
     log = []
-    for fn in (linalg.rank, linalg.nullspace, hodge._assemble):
+    for fn in (linalg.rank, linalg.nullspace, hodge._assemble, cecomplex._d_matrix):
 
         def counted(*args, _fn=fn, **kwargs):
             log.append((_fn.__name__, args))
@@ -442,12 +475,19 @@ def _most_builds_of_one_matrix(log) -> int:
 
 @pytest.mark.parametrize("omega", ["0", "1 e1 - 1 e6"])
 def test_report_builds_each_matrix_once(omega, monkeypatch, capsys):
+    """Each d_w is assembled once, and D_l once per degree for both w and tau - w."""
     log = _count_calls(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     assert main(["cohomology", "dense6.alg", "--omega", omega]) == 0
     capsys.readouterr()
     assert 0 < _reductions(log) <= 3 * 6 + 1
     assert _most_builds_of_one_matrix(log) == 1
+    shared = Counter(args[1] for name, args in log if name == "_d_matrix")
+    assert shared and max(shared.values()) == 1
+    if omega != "0":  # the twist and its mirror both assemble every degree from one D_l
+        assembled = Counter(args[2] for name, args in log if name == "_assemble")
+        assert set(assembled) == set(range(7)) and set(assembled.values()) == {2}
+        assert set(shared) == set(range(6))
 
 
 def test_library_calls_share_the_complex(monkeypatch):
