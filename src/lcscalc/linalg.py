@@ -1,20 +1,28 @@
-"""Exact fraction-free elimination (Bareiss 1968).
+"""Exact fraction-free elimination, one row at a time.
 
 Works for both rationals and rational functions.  Each row of exact scalars
 is first scaled into a ring with exact division (`scalar.ring_rows`):
 Python ints for rationals, integer polynomials in the parameter symbols
 otherwise.  `IntegerRows` are in that ring already and are eliminated as
-they are.  The elimination then stays in the ring: each update
-(p*x - f*y) // prev, with p the current pivot and prev the previous one,
-divides exactly by Sylvester's identity, so no step needs a gcd.
+they are.
 
-`rank` is forward-only: it updates the rows below each pivot and never the
-rows above.  `nullspace` and `solve` run the full Gauss-Jordan loop; at its
-end every pivot holds the same value D, and each entry of the reduced row
-echelon form that is needed is normalised once, as a/D.  Pivoting is
-deterministic (first nonzero entry in column order), the same pivots a
-field elimination picks, and the reduced row echelon form is unique, so
-kernels, primitives and reports are the same as from division in the field.
+`_rref` takes the rows in order and keeps the pivot rows found so far in
+reduced form: each holds the common value D at its own pivot column and 0
+at every other pivot column.  A new row v becomes w = D*v - sum v[c_i]*R_i
+over the pivot rows R_i with pivot column c_i; its entries are minors of
+the rows read, so nothing is divided.  A zero w is dropped: a dependent
+row costs one multiply-subtract per pivot row and no division.  Otherwise
+w's first nonzero column c is a new pivot with value q: every pivot row
+becomes (q*R_i - R_i[c]*w) / D, exact by Sylvester's identity (Bareiss
+1968), and D becomes q.  Only pivot rows are ever divided.  The loop stops
+once every column has a pivot; `solve` then checks each further row on its
+right-hand side alone.  At the end each entry of the reduced row echelon
+form that is needed is normalised once, as a/D.  Each pivot is the first
+nonzero column of a vector in the row space, and the pivots are distinct
+and as many as the rank, so they are the leading columns of the row
+space, the pivots a field elimination picks.  The reduced row echelon
+form is unique, so kernels, primitives and reports are the same as from
+division in the field, in whatever order the pivots arrive.
 
 `echelon_mod` and `rank_mod` eliminate integer rows forward modulo
 `PRIME`, the largest prime below 2^24, on packed rows: one Python int per
@@ -44,48 +52,65 @@ class IntegerRows(list):
     """
 
 
-def _rref(rows: list[list], ncols: int, above: bool = True):
-    """Fraction-free elimination over the first ncols columns.
+def _rref(rows: list[list], ncols: int):
+    """Fraction-free reduced row echelon form over the first ncols columns, row by row.
 
-    With `above` False only the rows below each pivot are updated.  Returns
-    the ring rows, the pivot columns, the last pivot value D and
-    `quotient`: after the full loop entry (i, j) of the reduced row echelon
-    form is quotient(work[i][j], D).
+    Returns the pivot rows, their pivot columns in the order they were
+    found, the common pivot value D and `quotient`: pivot row i is D times
+    the row of the reduced row echelon form with its pivot at column
+    pivots[i], so that row's entry j is quotient(basis[i][j], D).  Entries
+    past column ncols, a right-hand side, are carried along; the result is
+    None when a row reduces to zero on the first ncols columns but not
+    past them.
     """
     if isinstance(rows, IntegerRows):
-        work, prev, quotient = list(rows), 1, None  # rows are replaced, never changed
+        work, d, quotient = rows, 1, None  # rows are read, never changed
     else:
-        work, prev, quotient = ring_rows(rows)  # prev starts as the ring's one
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pr = i
+        work, d, quotient = ring_rows(rows)  # d starts as the ring's one
+    basis, pivots = [], []
+    for v in work:
+        if len(pivots) == ncols:
+            if len(v) == ncols:
                 break
-        if pr is None:
+            # full column rank: only the entries past ncols are left to check
+            for j in range(ncols, len(v)):
+                t = d * v[j]
+                for c, row in zip(pivots, basis):
+                    if v[c]:
+                        t = t - v[c] * row[j]
+                if t:
+                    return None
             continue
-        work[r], work[pr] = work[pr], work[r]
-        row = work[r]
-        p = row[c]
-        for i in range(0 if above else r + 1, len(work)):
-            if i != r:
-                f = work[i][c]
+        w = v
+        if pivots:
+            w = [d * x if x else x for x in v]
+            for c, row in zip(pivots, basis):
+                f = v[c]
                 if f:
-                    work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], row)]
-                else:
-                    work[i] = [p * x // prev for x in work[i]]
-        prev = p
+                    w = [a - f * b if b else a for a, b in zip(w, row)]
+        for c, x in enumerate(w):
+            if x:
+                break
+        else:
+            continue
+        if c >= ncols:
+            return None
+        q = w[c]
+        for i, row in enumerate(basis):
+            f = row[c]
+            if f:
+                basis[i] = [(q * a - f * b) // d if b else q * a // d if a else a
+                            for a, b in zip(row, w)]
+            else:
+                basis[i] = [q * a // d if a else a for a in row]
+        basis.append(w)
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots, prev, quotient
+        d = q
+    return basis, pivots, d, quotient
 
 
 def rank(rows: list[list], ncols: int) -> int:
-    return len(_rref(rows, ncols, above=False)[1])
+    return len(_rref(rows, ncols)[1])
 
 
 PRIME = 16777213  # the largest prime below 2^24
@@ -182,10 +207,10 @@ def solve(rows: list[list], rhs: list, ncols: int):
 
     Returns None when the system is inconsistent.
     """
-    work, pivots, pv, quotient = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
-    for r in range(len(pivots), len(work)):
-        if work[r][ncols]:
-            return None
+    reduced = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if reduced is None:
+        return None
+    work, pivots, pv, quotient = reduced
     x = [quotient(pv - pv, pv)] * ncols
     for r, pc in enumerate(pivots):
         if work[r][ncols]:

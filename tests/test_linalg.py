@@ -1,9 +1,11 @@
 """rank, rank_mod, nullspace and solve against independent references.
 
 Rational matrices are checked against the Fraction row reduction in
-`helpers.py`, modular ranks against a list elimination there; matrices of
-rational functions against sympy's reduced row echelon form over QQ(n, k)
-(test-only oracle, skipped without sympy).
+`helpers.py`, also as `IntegerRows` and as rows of rational functions that
+are rational rows times a nonzero function each, in row orders that make
+pivots arrive out of column order; modular ranks against a list
+elimination there; matrices of rational functions against sympy's reduced
+row echelon form over QQ(n, k) (test-only oracle, skipped without sympy).
 Results must agree entry by entry and keep the scalar type of the mode.
 """
 
@@ -15,11 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fraction_nullspace, fraction_solve, mod_rank, rref_rank
+from helpers import fraction_nullspace, fraction_rref, fraction_solve, mod_rank, rref_rank
 from lcscalc import linalg
 from lcscalc.errors import MixedModes
 from lcscalc.linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
-from lcscalc.scalar import ParamScalar, ScalarMode, parse_scalar
+from lcscalc.scalar import ParamScalar, ScalarMode, _Poly, parse_scalar
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -33,8 +35,12 @@ rationals = st.one_of(
 )
 
 
+def _dot(row, x):
+    return sum((a * b for a, b in zip(row, x)), start=0 * ONE)
+
+
 def _product(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), start=0 * ONE) for col in zip(*b)] for row in a]
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
 
 
 @st.composite
@@ -61,7 +67,7 @@ def systems(draw, entries, max_rows, max_cols, min_size=0):
     rows, ncols = draw(matrices(entries, max_rows, max_cols, min_size))
     if draw(st.booleans()):
         x = [draw(entries) for _ in range(ncols)]
-        rhs = [sum((a * b for a, b in zip(row, x)), start=0 * ONE) for row in rows]
+        rhs = [_dot(row, x) for row in rows]
         return rows, rhs, ncols, True
     return rows, [draw(entries) for _ in rows], ncols, False
 
@@ -149,6 +155,10 @@ def test_inconsistent_and_empty_systems():
     assert solve([], [], 3) == [0, 0, 0]
     assert rank([], 3) == 0 and rank([[], []], 0) == 0
     assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert solve([[]], [ONE], 0) is None
+    assert solve([[], []], [ZERO, ZERO], 0) == []
+    assert nullspace([[], []], 0) == [] and nullspace(IntegerRows(), 2) == [[1, 0], [0, 1]]
+    assert rank(IntegerRows([[], []]), 0) == 0
 
 
 def test_mixed_parameter_sets_are_refused():
@@ -227,3 +237,116 @@ def test_parameter_mode_matches_sympy_rref(case):
         for r, pc in enumerate(pivots):
             expected[pc] = ref[r, ncols]
         assert all(same(a, b) for a, b in zip(x, expected))
+
+
+# ---------------------------------------------------------------------------
+# row order, inconsistent rows and division counts
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def reordered_systems(draw):
+    """A consistent system in a scrambled row order, perhaps with one inconsistent row.
+
+    Some systems start with ncols rows of full column rank (unit lower
+    triangular); kept in that order, every later row, the inconsistent one
+    too, meets only the right-hand-side check.  Up to two rows are
+    duplicated, the order is kept, reversed or shuffled, so pivots arrive
+    out of column order, and the inconsistent row, a sum of rows with its
+    right-hand side off by one, goes first, in the middle or last.
+    """
+    rows, ncols = draw(matrices(rationals, 5, 5))
+    if draw(st.booleans()):
+        rows = [
+            [draw(rationals) if j < i else ONE if j == i else ZERO for j in range(ncols)]
+            for i in range(ncols)
+        ] + rows
+    x = [draw(rationals) for _ in range(ncols)]
+    system = [(row, _dot(row, x)) for row in rows]
+    if system:
+        system += [system[i] for i in draw(st.lists(st.integers(0, len(system) - 1), max_size=2))]
+    order = draw(st.sampled_from(["kept", "reversed", "shuffled"]))
+    if order == "reversed":
+        system.reverse()
+    elif order == "shuffled":
+        system = draw(st.permutations(system))
+    broken = draw(st.sampled_from([None, "first", "middle", "last"]))
+    if broken is not None:
+        picked = [pair for pair in system if draw(st.booleans())]
+        row = [sum((r[j] for r, _ in picked), start=ZERO) for j in range(ncols)]
+        b = sum((b for _, b in picked), start=ONE)
+        at = {"first": 0, "middle": len(system) // 2, "last": len(system)}[broken]
+        system.insert(at, (row, b))
+    return [row for row, _ in system], [b for _, b in system], ncols, broken is None
+
+
+SCALES = [parse_scalar(t, MODE) for t in ["n", "k + 1", "1/(n - k)", "(n*k - 2)/3", "-5"]]
+
+
+@given(reordered_systems(), st.sampled_from(["fractions", "integers", "functions"]), st.data())
+def test_elimination_matches_the_fraction_oracle_in_any_row_order(case, kind, data):
+    """Pivots, kernels and solutions equal those of division in Q.
+
+    Integer rows are the rational rows times their denominators' lcm and give
+    primitive kernel vectors with a positive free entry; rows of rational
+    functions are each rational row and its right-hand side times a nonzero
+    function.  Scaling a row keeps the reduced row echelon form.
+    """
+    rows, rhs, ncols, consistent = case
+    pivots = fraction_rref(rows, ncols)[1]
+    kernel = fraction_nullspace(rows, ncols)
+    solution = fraction_solve(rows, rhs, ncols)
+    assert (solution is not None) == consistent
+    if kind == "integers":
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        ints = IntegerRows([int(x * m) for x in row] for row, m in zip(rows, scales))
+        assert sorted(linalg._rref(ints, ncols)[1]) == pivots
+        assert rank(ints, ncols) == len(pivots)
+        got = nullspace(ints, ncols)
+        assert _all(got, int) and len(got) == len(kernel)
+        for vec, unit in zip(got, kernel):
+            free = max(i for i, x in enumerate(unit) if x)
+            assert vec[free] > 0 and math.gcd(*vec) == 1
+            assert [Fraction(x, vec[free]) for x in vec] == unit
+        return
+    if kind == "functions" and rows:
+        scales = [data.draw(st.sampled_from(SCALES)) for _ in rows]
+        rows = [[s * x for x in row] for row, s in zip(rows, scales)]
+        rhs = [s * b for b, s in zip(rhs, scales)]
+    scalar = ParamScalar if kind == "functions" and rows else Fraction
+    assert sorted(linalg._rref(rows, ncols)[1]) == pivots
+    assert rank(rows, ncols) == len(pivots)
+    got = nullspace(rows, ncols)
+    assert got == kernel and _all(got, scalar)
+    x = solve(rows, rhs, ncols)
+    assert x == solution
+    if x is not None:
+        assert _all([x], scalar)
+
+
+def test_rows_past_full_rank_cost_no_polynomial_division():
+    """Consistent rows after the pivots are checked on the right-hand side alone.
+
+    Only pivot rows are divided, so nine more rows, combinations of the first
+    three, add no exact polynomial division to a 3 x 3 solve over Q(n, k).
+    """
+    n, k, one = MODE.symbol("n"), MODE.symbol("k"), MODE.one()
+    rows = [[n, one, k], [one, k, n * k], [k, n, one]]
+    rhs = [n, k, one]
+    for a, b, c in [(1, 1, 0), (0, 1, 1), (1, 0, 1), (2, -1, 0), (0, 3, -1), (1, 1, 1),
+                    (-1, 0, 2), (n, 0, 1), (1, k, -n)]:
+        rows.append([a * x + b * y + c * z for x, y, z in zip(*rows[:3])])
+        rhs.append(a * rhs[0] + b * rhs[1] + c * rhs[2])
+    divisions = []
+    floordiv = _Poly.__floordiv__
+
+    def counted(self, other):
+        divisions.append(other)
+        return floordiv(self, other)
+
+    with mock.patch.object(_Poly, "__floordiv__", counted):
+        x = solve(rows[:3], rhs[:3], 3)
+        square = len(divisions)
+        assert solve(rows, rhs, 3) == x
+    assert square > 0 and len(divisions) == 2 * square
+    assert all(_dot(row, x) == b for row, b in zip(rows, rhs))
