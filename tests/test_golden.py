@@ -42,6 +42,10 @@ NONUNIMODULAR4_FORM = "1 e1^e2 + 1 e3^e4 + 1 e2^e4"
 DENSE6_LEE = "-22/63 e1 + 152/315 e2 - 38/315 e3 + 302/315 e4 + 2/105 e5 - 62/315 e6"
 DENSE8_LEE = "24/5 e1 - 218/15 e2 + 4/15 e3 + 2 e4 - 8 e5 + 106/15 e6 + 172/15 e7 + 4 e8"
 
+# nondegenerate on the preset, with a unique solution w = 3 alpha + 1 gamma of
+# d(Omega) = -w ^ Omega that is not closed
+LEE_NOT_CLOSED_FORM = "1 alpha^eta + 1 gamma^eta + 1 beta^gamma"
+
 CASES = {
     "cohomology_dense6": (["cohomology", "dense6.alg", "--omega", "0"], 0),
     "cohomology_dense6_twisted": (
@@ -124,10 +128,21 @@ CASES = {
         2,
     ),
     "lcs_degenerate": (["lcs", "acfm.alg", "--form", "1 alpha^beta"], 2),
+    "lcs_lee_not_closed": (["lcs", "acfm.alg", "--form", LEE_NOT_CLOSED_FORM], 2),
+    "lcs_no_lee": (["lcs", "nolee6.alg", "--form", "1 f1^f2 + 1 f3^f4 + 1 f5^f6"], 2),
+    "moser_lee_not_closed": (
+        ["moser", "acfm.alg", "--family", f"2 alpha^eta + 1 beta^gamma; {LEE_NOT_CLOSED_FORM}"],
+        2,
+    ),
 }
 
 STDERR = {
     "lcs_degenerate": "lcscalc: failure: Degenerate: top wedge power vanishes\n",
+    "lcs_lee_not_closed": (
+        "lcscalc: failure: LeeNotClosed: solution 3 alpha + 1 gamma is not closed:"
+        " d = -6 alpha^gamma\n"
+    ),
+    "lcs_no_lee": "lcscalc: failure: NoSolution: no 1-form solves d(Omega) = -w ^ Omega\n",
 }
 
 
