@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
+from typing import Callable
 
 from .cecomplex import Algebra, d, d_omega, lie_derivative
 from .cohomology import ExactnessCertificate, primitive
@@ -34,7 +35,7 @@ from .errors import (
 from .exterior import (
     Form, VectorField, evaluate_one_form, frame_field, integer_terms, interior,
 )
-from .linalg import nullspace, rank, solve
+from .linalg import nullspace, rank
 from .scalar import Scalar
 
 
@@ -58,15 +59,16 @@ class AutomorphismAlgebra:
         return len(self.pairs)
 
 
-def top_power(alg: Algebra, omega2: Form) -> Scalar:
-    """Volume coefficient of Omega^(N/2), (N/2)! Pf(A); nonzero means nondegenerate.
+def _pfaffians(alg: Algebra, omega2: Form) -> tuple[Callable, int]:
+    """(pf, m): Pfaffians of the principal submatrices of Omega's matrix A.
 
-    A holds Omega's coefficients, A_ij = Omega_ij for i < j.  The Pfaffian on
-    an ascending index tuple S expands along its first row, memoized on S per
-    call: Pf(S) = sum_m (-1)^(m-1) A_{s_0 s_m} Pf(S - {s_0, s_m}).  For a
-    rational algebra and form it expands on Omega's integer numerators over
-    m, the lcm of its denominators; Pf is homogeneous of degree N/2, so the
-    value is one Fraction((N/2)! Pf, m^(N/2)).
+    A holds Omega's coefficients, A_ij = Omega_ij for i < j.  pf(S) is the
+    Pfaffian of A on an ascending index tuple S, expanded along its first
+    row and memoized on S: Pf(S) = sum_j (-1)^(j-1) A_{s_0 s_j} Pf(S - {s_0, s_j}).
+    For a rational algebra and form it expands on Omega's integer numerators
+    over m, the lcm of its denominators; Pf is homogeneous of degree |S|/2,
+    so the Pfaffian of A on S is pf(S) / m^(|S|/2).  Otherwise m is 1 and pf
+    expands on the scalars.
     """
     if alg.dim % 2:
         raise OddDimension(f"top power needs an even number of generators, got {alg.dim}")
@@ -74,29 +76,49 @@ def top_power(alg: Algebra, omega2: Form) -> Scalar:
         raise BasisMismatch("form over a different basis")
     if not omega2.is_zero() and omega2.degree != 2:
         raise DegreeMismatch("top power needs a 2-form")
-    n = alg.dim // 2
     scaled = None if alg.mode.is_param else integer_terms(omega2.terms)
     if scaled is None:
-        a, zero, memo = omega2.terms, alg.zero_scalar(), {(): alg.one_scalar()}
+        a, m, zero, one = omega2.terms, 1, alg.zero_scalar(), alg.one_scalar()
     else:
-        a, zero, memo = dict(scaled[1]), 0, {(): 1}
+        a, m, zero, one = dict(scaled[1]), scaled[0], 0, 1
+    memo = {(): one, **a}  # Pf(i, j) = A_ij
 
     def pf(rest: tuple[int, ...]) -> Scalar:
         value = memo.get(rest)
         if value is None:
             value = zero
-            for m in range(1, len(rest)):
-                c = a.get((rest[0], rest[m]))
-                sub = c and pf(rest[1:m] + rest[m + 1 :])
+            for j in range(1, len(rest)):
+                c = a.get((rest[0], rest[j]))
+                sub = c and pf(rest[1:j] + rest[j + 1 :])
                 if sub:
-                    value = value + c * sub if m % 2 else value - c * sub
+                    value = value + c * sub if j % 2 else value - c * sub
             memo[rest] = value
         return value
 
-    value = factorial(n) * pf(tuple(range(alg.dim)))
-    if scaled is not None:
-        return Fraction(value, scaled[0] ** n)
-    return value if value else zero
+    return pf, m
+
+
+def _ratio(num, den) -> Scalar:
+    """num / den exactly: one Fraction for ints (den is an int then), else scalar division."""
+    if isinstance(num, int):
+        return Fraction(num, den)
+    return num if den == 1 else num / den
+
+
+def top_power(alg: Algebra, omega2: Form) -> Scalar:
+    """Volume coefficient of Omega^(N/2), (N/2)! Pf(A); nonzero means nondegenerate.
+
+    Pf(A) is the first-row expansion of `_pfaffians`, on Omega's integer
+    numerators over m for rational data, so the value is one
+    Fraction((N/2)! Pf, m^(N/2)).  `is_lcs` and `dual_field` read the
+    inverse of A off the same expansion's memo.
+    """
+    return _volume(alg, *_pfaffians(alg, omega2))
+
+
+def _volume(alg: Algebra, pf: Callable, m: int) -> Scalar:
+    n = alg.dim // 2
+    return _ratio(factorial(n) * pf(tuple(range(alg.dim))), m**n)
 
 
 def lee_form(alg: Algebra, omega2: Form) -> Form:
@@ -105,34 +127,38 @@ def lee_form(alg: Algebra, omega2: Form) -> Form:
     return is_lcs(alg, omega2).lee
 
 
-def _wedge_rows(alg: Algebra, omega2: Form) -> list[list]:
-    """Matrix of w -> w ^ Omega on 1-forms, read off Omega's terms.
+def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread, divisor: int) -> dict:
+    """Nonzero coefficients {a: value} of a linear image of `form` under B = A^-1, over `divisor`.
 
-    In the row of a 3-monomial I, column I_p holds (-1)^p Omega_{I - I_p}:
-    moving e_{I_p} in front of the rest of I takes p transpositions.
+    B_bc = (-1)^(b+c) Pf(A - {b, c}) / Pf(A) for b < c and B_cb = -B_bc: the
+    adjugate of A over det(A) = Pf(A)^2, read off the memo of `pf`
+    (`_pfaffians`), on whose numerators Pf(A - {b, c}) / Pf(A) carries one
+    factor m.  Entry a sums B_bc * t over the (a, b, c) that `spread(idx)`
+    yields for each term t at idx of `form`; rational terms enter as integer
+    numerators over their lcm, so each entry is one quotient.
     """
-    terms = omega2.terms
-    rows = []
-    for idx in alg.basis.monomials(3):
-        row = [0] * alg.dim
-        for pos, i in enumerate(idx):
-            c = terms.get(idx[:pos] + idx[pos + 1 :])
-            if c:
-                row[i] = -c if pos % 2 else c
-        rows.append(row)
-    return rows
+    full = tuple(range(alg.dim))
+    adjugate: dict = {}
 
+    def entry(b: int, c: int) -> Scalar:
+        if b > c:
+            return -entry(c, b)
+        value = adjugate.get((b, c))
+        if value is None:
+            value = pf(full[:b] + full[b + 1 : c] + full[c + 1 :])
+            adjugate[b, c] = value = -value if (b + c) % 2 else value
+        return value
 
-def _contraction_rows(alg: Algebra, omega2: Form) -> list[list]:
-    """Matrix of X -> i(X) Omega: row j, column i holds (i(e_i) Omega)_j.
-
-    i(e_i)(e_a ^ e_b) = delta_ia e_b - delta_ib e_a, so the entry is Omega_ij
-    for i < j, -Omega_ji for i > j and 0 on the diagonal.
-    """
-    rows = [[0] * alg.dim for _ in range(alg.dim)]
-    for (i, j), c in omega2.terms.items():
-        rows[j][i], rows[i][j] = c, -c
-    return rows
+    scaled = integer_terms(form.terms)
+    den, terms = scaled if scaled is not None else (1, form.terms.items())
+    sums: dict = {}
+    for idx, t in terms:
+        for a, b, c in spread(idx):
+            if e := entry(b, c):
+                prev = sums.get(a)
+                sums[a] = e * t if prev is None else prev + e * t
+    den = divisor * pf(full) * den
+    return {a: _ratio(s if m == 1 else m * s, den) for a, s in sums.items() if s}
 
 
 def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]]:
@@ -169,27 +195,34 @@ def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]
 def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     """Certify nondegeneracy, recover the Lee form, check it closed and closing.
 
-    The system w ^ Omega = -d(Omega) is read off Omega's terms
-    (`_wedge_rows`); -d(Omega) from the solve is reused to check
-    d(Omega) + w ^ Omega = 0 by one wedge.
+    For N = 2n >= 4 generators w -> w ^ Omega is injective and contracting
+    w ^ Omega with B = A^-1 gives -(n-1) w, so the only candidate is
+    w_a = (1/(n-1)) sum_{b<c} B_bc d(Omega)_abc (`_inverse_image`): a term t
+    of d(Omega) at p < q < r adds B_qr t to w_p, -B_pr t to w_q and B_pq t
+    to w_r.  The Pfaffian memo of the top power supplies B.  With N = 2 every
+    1-form solves the system and w = 0.  w ^ Omega = -d(Omega) decides
+    whether a solution exists at all, and d(w) = 0 whether it is closed.
     """
-    pf = top_power(alg, omega2)
-    if not pf:
+    pf, m = _pfaffians(alg, omega2)
+    volume = _volume(alg, pf, m)
+    if not volume:
         raise Degenerate("top wedge power vanishes")
     alg.require_valid()
-    rows = _wedge_rows(alg, omega2)
-    rhs_form = -d(alg, omega2)
-    rhs = [rhs_form.coefficient(m) for m in alg.basis.monomials(3)]
-    sol = solve(rows, rhs, alg.dim)
-    if sol is None:
+    d_omega2 = d(alg, omega2)
+    coeffs = _inverse_image(alg, pf, m, d_omega2, _lee_spread, alg.dim // 2 - 1)
+    lee = Form(alg.basis, 1, {(a,): c for a, c in coeffs.items()})
+    if lee.wedge(omega2) != -d_omega2:
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
-    lee = Form(alg.basis, 1, zip(alg.basis.monomials(1), sol))
     dlee = d(alg, lee)
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")
-    if lee.wedge(omega2) != rhs_form:
-        raise CrossCheckError("certified Lee form does not close the 2-form")
-    return LcsForm(omega2, lee, pf)
+    return LcsForm(omega2, lee, volume)
+
+
+def _lee_spread(idx: tuple[int, ...]) -> tuple:
+    """A term at p < q < r feeds w_p with B_qr, w_q with B_rp and w_r with B_pq."""
+    p, q, r = idx
+    return (p, q, r), (q, r, p), (r, p, q)
 
 
 def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
@@ -230,15 +263,19 @@ def lee_homomorphism(alg: Algebra, lcs: LcsForm, field: VectorField, mu: Scalar)
 
 
 def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
-    """The unique X with i(X) Omega = theta, re-verified after solving."""
+    """The unique X with i(X) Omega = theta, X = -B theta for B = A^-1, re-verified.
+
+    i(X) Omega has coefficients -A X, so X_b = sum_c B_cb theta_c
+    (`_inverse_image`).
+    """
     if not theta.is_zero() and theta.degree != 1:
         raise DegreeMismatch("dual field needs a 1-form")
-    rows = _contraction_rows(alg, lcs.omega_form)
-    rhs = [theta.coefficient(m) for m in alg.basis.monomials(1)]
-    sol = solve(rows, rhs, alg.dim)
-    if sol is None:
+    pf, m = _pfaffians(alg, lcs.omega_form)
+    if not pf(tuple(range(alg.dim))):
         raise Degenerate("contraction with the 2-form is not invertible")
-    field = VectorField(alg.basis, tuple(sol))
+    spread = lambda idx: [(b, idx[0], b) for b in range(alg.dim) if b != idx[0]]  # noqa: E731
+    coeffs = _inverse_image(alg, pf, m, theta, spread, 1)
+    field = VectorField(alg.basis, tuple(coeffs.get(b, 0) for b in range(alg.dim)))
     if interior(field, lcs.omega_form) != theta:
         raise CrossCheckError("dual field verification failed")
     return field

@@ -282,9 +282,17 @@ def operator_matrix(images: list, target_monomials: list) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
+def _field(x):
+    """An int as a Fraction; a Fraction or a `ParamScalar` as it is."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def fraction_rref(rows, ncols):
-    """RREF over the first ncols columns by division in Q; (rows, pivot columns)."""
-    work = [[Fraction(x) for x in row] for row in rows]
+    """RREF over the first ncols columns by division in the field; (rows, pivot columns).
+
+    The entries are Fractions, or `ParamScalar`s for a parameter-mode system.
+    """
+    work = [[_field(x) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -356,9 +364,10 @@ def fraction_solve(rows, rhs, ncols):
 
 
 def invert_matrix(rows):
+    """The inverse by Gauss-Jordan elimination in the field of the entries, or None if singular."""
     n = len(rows)
     work = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        [_field(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
         for i, row in enumerate(rows)
     ]
     r = 0

@@ -109,7 +109,7 @@ def test_wedge_matches_shuffle_with_hard_denominators():
 
 
 def test_wedge_of_a_generator_and_a_param_form():
-    """`is_lcs` wedges each `Basis.gen` (a Fraction 1) with the 2-form."""
+    """The Lee-system oracle wedges each `Basis.gen` (a Fraction 1) with the 2-form."""
     rng = random.Random(5)
     basis = Basis(tuple(f"e{i + 1}" for i in range(6)))
     omega = _form(rng, basis, 2, _param)

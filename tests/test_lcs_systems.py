@@ -1,16 +1,24 @@
-"""The linear systems of a 2-form, read off its terms, against the Form route.
+"""The linear systems of a 2-form against the Form route and a field elimination.
 
-`lcs` assembles the matrices of w -> w ^ Omega, (X, mu) -> L_X(Omega) - mu *
-Omega and X -> i(X) Omega straight from Omega's coefficients and the d
-tables.  Each is compared here with `helpers.operator_matrix` over the
-images built as Forms: g_i ^ Omega, i(X_i) d(Omega) + d(i(X_i) Omega) and
--Omega, and i(X_i) Omega.  The data are `helpers.random_good_algebra`
-algebras (half of them in a dense frame) and random nondegenerate 2-forms
-with mixed denominators, in rational and, where the map allows it,
-parameter mode.  The integer Pfaffian of `top_power` is compared with the
-volume coefficient of repeated wedging, and `is_unimodular`, which reads the
-traces of ad X_i off the structure data, with the traces of the bracket
-table of `helpers.oracle_brackets`.
+`lcs` assembles the matrix of (X, mu) -> L_X(Omega) - mu * Omega straight
+from Omega's coefficients and the d tables; it is compared with
+`helpers.operator_matrix` over the images i(X_i) d(Omega) + d(i(X_i) Omega)
+and -Omega built as Forms.  The Lee form and the dual field come from the
+inverse B of Omega's matrix, read off the Pfaffian memo of `top_power`
+(`lcs._inverse_image`).  B is compared with `helpers.invert_matrix`, and
+each answer with `helpers.fraction_solve` on `operator_matrix` of the
+images g_i ^ Omega (right-hand side -d(Omega)) or i(X_i) Omega:
+- the Lee form of Omega = d_w eta, for a closed w, on 2, 4, 6 and 8
+  generators, and in parameter mode on 4;
+- NoSolution exactly when the elimination finds no solution, for random
+  nondegenerate forms;
+- the dual field of random 1-forms.
+The data are `helpers.random_good_algebra` algebras (half of them in a
+dense frame) and random nondegenerate 2-forms with mixed denominators, in
+rational and parameter mode.  The integer Pfaffian of `top_power` is
+compared with the volume coefficient of repeated wedging, and
+`is_unimodular`, which reads the traces of ad X_i off the structure data,
+with the traces of the bracket table of `helpers.oracle_brackets`.
 """
 
 from __future__ import annotations
@@ -22,13 +30,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import oracle_brackets, operator_matrix, random_good_algebra, top_power_by_wedging
-from lcscalc.cecomplex import Algebra, d, is_unimodular
-from lcscalc.errors import MixedModes
+from helpers import (
+    change_of_basis, fraction_nullspace, fraction_solve, invert_matrix, koszul_d_matrix,
+    oracle_brackets, operator_matrix, random_good_algebra, random_invertible,
+    top_power_by_wedging,
+)
+from lcscalc.cecomplex import Algebra, d, d_omega, is_unimodular
+from lcscalc.errors import LeeNotClosed, MixedModes, NoSolution
 from lcscalc.exterior import Basis, Form, frame_field, interior
 from lcscalc.lcs import (
-    LcsForm, _automorphism_rows, _contraction_rows, _wedge_rows, automorphism_algebra, top_power,
+    LcsForm, _automorphism_rows, _inverse_image, _pfaffians, automorphism_algebra, dual_field,
+    is_lcs, top_power,
 )
+from lcscalc.presets import acfm_rational, acfm_symbolic
 from lcscalc.scalar import ScalarMode
 from lcscalc.specfile import parse_algebra_text
 
@@ -73,15 +87,6 @@ def _algebra(seed: int, sizes=(4, 6), params: bool = False) -> tuple[random.Rand
     return rng, alg
 
 
-@given(seeds, st.booleans())
-def test_wedge_rows_are_the_matrix_of_wedging_with_omega(seed, params):
-    rng, alg = _algebra(seed, params=params)
-    omega2 = _nondegenerate(rng, alg)
-    images = [alg.basis.gen(i).wedge(omega2) for i in range(alg.dim)]
-    expected = operator_matrix(images, list(alg.basis.monomials(3)))
-    assert _wedge_rows(alg, omega2) == expected
-
-
 @given(seeds)
 def test_automorphism_rows_are_cartan_over_forms(seed):
     rng, alg = _algebra(seed)
@@ -106,13 +111,105 @@ def test_automorphism_rows_refuse_symbolic_data_in_a_rational_algebra():
         automorphism_algebra(alg, cert)
 
 
+def _lee_by_elimination(alg: Algebra, omega2: Form) -> Form | None:
+    """The free-variables-zero solution of w ^ Omega = -d(Omega), or None."""
+    images = [alg.basis.gen(i).wedge(omega2) for i in range(alg.dim)]
+    monos = list(alg.basis.monomials(3))
+    rhs = -d(alg, omega2)
+    sol = fraction_solve(operator_matrix(images, monos), [rhs.coefficient(m) for m in monos], alg.dim)
+    return None if sol is None else Form(alg.basis, 1, zip(alg.basis.monomials(1), sol))
+
+
+# the non-abelian algebra in 2 generators, h3 x R, h5 x R and h7 x R
+NILPOTENT_OR_SOLVABLE = {
+    2: "generators e1 e2\nd e1 = 1 e1^e2\n",
+    4: "generators e1 e2 e3 e4\nd e3 = 1 e1^e2\n",
+    6: "generators e1 e2 e3 e4 e5 e6\nd e5 = 1 e1^e2 + 1 e3^e4\n",
+    8: "generators e1 e2 e3 e4 e5 e6 e7 e8\nd e7 = 1 e1^e2 + 1 e3^e4 + 1 e5^e6\n",
+}
+
+
+def _lcs_form(rng: random.Random, alg: Algebra, scale=1) -> tuple[Form, Form]:
+    """(w, d_w eta) for a random closed w and 1-form eta, nondegenerate: its Lee form is w."""
+    closed = fraction_nullspace(koszul_d_matrix(alg, 1), alg.dim)
+    while True:
+        w = alg.basis.zero(1)
+        for vec in closed:
+            w = w + scale * rng.randint(-3, 3) * Form(alg.basis, 1, zip(alg.basis.monomials(1), vec))
+        eta = Form(alg.basis, 1, {(i,): _scalar(rng, ScalarMode.rational()) for i in range(alg.dim)})
+        omega2 = d_omega(alg, w, eta)
+        if top_power(alg, omega2):
+            return w, omega2
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 @given(seeds, st.booleans())
-def test_contraction_rows_are_the_matrix_of_interior(seed, params):
-    rng, alg = _algebra(seed, sizes=(2, 4, 6), params=params)
+def test_lee_form_is_the_solution_of_the_lee_system(n, seed, frame):
+    rng = random.Random(seed)
+    alg = parse_algebra_text(NILPOTENT_OR_SOLVABLE[n])
+    if n == 4 and rng.random() < 0.5:
+        alg = acfm_rational(rng.randint(1, 3), Fraction(rng.randint(1, 5), 3), rng.randint(-2, 2) or 1)
+    if frame:
+        alg = change_of_basis(alg, random_invertible(rng, n))
+    w, omega2 = _lcs_form(rng, alg)
+    lee = is_lcs(alg, omega2).lee
+    assert lee == _lee_by_elimination(alg, omega2)
+    assert lee == (w if n > 2 else alg.basis.zero(1))
+
+
+@given(seeds)
+def test_param_lee_form_is_the_solution_of_the_lee_system(seed):
+    rng = random.Random(seed)
+    alg = acfm_symbolic()
+    if rng.random() < 0.5:
+        alg = change_of_basis(alg, random_invertible(rng, 4))
+    w, omega2 = _lcs_form(rng, alg, scale=alg.mode.symbol("k"))
+    lee = is_lcs(alg, omega2).lee
+    assert lee == _lee_by_elimination(alg, omega2) == w
+
+
+@given(seeds, st.booleans())
+def test_no_solution_exactly_when_elimination_finds_none(seed, params):
+    """On 4 generators a solution always exists; parameter-mode eliminations on 6 take seconds."""
+    rng, alg = _algebra(seed, sizes=(4,) if params else (4, 6), params=params)
     omega2 = _nondegenerate(rng, alg)
+    expected = _lee_by_elimination(alg, omega2)
+    try:
+        lee = is_lcs(alg, omega2).lee
+    except NoSolution:
+        assert expected is None
+    except LeeNotClosed as exc:
+        assert expected is not None and str(exc).startswith(f"solution {expected} is not closed")
+    else:
+        assert lee == expected
+
+
+@given(seeds, st.booleans())
+def test_dual_field_is_the_solution_of_the_contraction_system(seed, params):
+    rng, alg = _algebra(seed, sizes=(2, 4) if params else (2, 4, 6), params=params)
+    omega2 = _nondegenerate(rng, alg)
+    theta = Form(alg.basis, 1, {(i,): _scalar(rng, alg.mode) for i in range(alg.dim)})
     images = [interior(frame_field(alg.basis, i), omega2) for i in range(alg.dim)]
-    expected = operator_matrix(images, list(alg.basis.monomials(1)))
-    assert _contraction_rows(alg, omega2) == expected
+    monos = list(alg.basis.monomials(1))
+    rows = operator_matrix(images, monos)
+    expected = fraction_solve(rows, [theta.coefficient(m) for m in monos], alg.dim)
+    field = dual_field(alg, LcsForm(omega2, alg.basis.zero(1), top_power(alg, omega2)), theta)
+    assert list(field.coeffs) == expected
+
+
+@given(seeds, st.booleans())
+def test_inverse_of_the_form_matrix_is_the_pfaffian_adjugate(seed, params):
+    """Column c of B: the image of e_c with every b != c fed B_bc."""
+    rng, alg = _algebra(seed, sizes=(2, 4) if params else (2, 4, 6, 8), params=params)
+    omega2 = _nondegenerate(rng, alg)
+    matrix = [[0] * alg.dim for _ in range(alg.dim)]
+    for (i, j), c in omega2.terms.items():
+        matrix[i][j], matrix[j][i] = c, -c
+    pf, m = _pfaffians(alg, omega2)
+    column = lambda idx: [(b, b, idx[0]) for b in range(alg.dim) if b != idx[0]]  # noqa: E731
+    columns = [_inverse_image(alg, pf, m, alg.basis.gen(c), column, 1) for c in range(alg.dim)]
+    got = [[columns[c].get(b, 0) for c in range(alg.dim)] for b in range(alg.dim)]
+    assert got == invert_matrix(matrix)
 
 
 @given(seeds, st.sampled_from([2, 4, 6]))
