@@ -96,9 +96,9 @@ def _preset_data(alg: Algebra) -> tuple[Scalar, Scalar]:
     raise InvalidParams("algebra does not carry the preset structure data")
 
 
-def _family(alg: Algebra, family: str, c1, c2, c3) -> Form:
-    """c1 rep + c2 second + c3 (n*lambda alpha^beta + sign*k gamma^eta)."""
-    k, nlam = _preset_data(alg)
+def _family(alg: Algebra, data: tuple[Scalar, Scalar], family: str, c1, c2, c3) -> Form:
+    """c1 rep + c2 second + c3 (n*lambda alpha^beta + sign*k gamma^eta), data = (k, n*lambda)."""
+    k, nlam = data
     rep, second, sign = FAMILIES[family]
     one, signed_k = alg.one_scalar(), (k if sign > 0 else -k)
     terms = [(rep, c1 * one), (second, c2 * one)]
@@ -108,20 +108,23 @@ def _family(alg: Algebra, family: str, c1, c2, c3) -> Form:
 
 def omega_t(alg: Algebra, t1, t2, t3) -> Form:
     """t1 alpha^eta + t2 beta^gamma + t3 (n*lambda alpha^beta - k gamma^eta)."""
-    return _family(alg, "t", t1, t2, t3)
+    return _family(alg, _preset_data(alg), "t", t1, t2, t3)
 
 
 def omega_s(alg: Algebra, s1, s2, s3) -> Form:
     """s1 beta^eta + s2 alpha^gamma + s3 (n*lambda alpha^beta + k gamma^eta)."""
-    return _family(alg, "s", s1, s2, s3)
+    return _family(alg, _preset_data(alg), "s", s1, s2, s3)
+
+
+def _twist(alg: Algebra, k: Scalar, sign: int) -> Form:
+    if sign not in (1, -1):
+        raise InvalidParams("sign must be +1 or -1")
+    return Form(alg.basis, 1, {(2,): k if sign > 0 else -k})
 
 
 def twist_form(alg: Algebra, sign: int) -> Form:
     """The closed twist sign*k*gamma used by the two families."""
-    k, _ = _preset_data(alg)
-    if sign not in (1, -1):
-        raise InvalidParams("sign must be +1 or -1")
-    return Form(alg.basis, 1, {(2,): k if sign > 0 else -k})
+    return _twist(alg, _preset_data(alg)[0], sign)
 
 
 def exact_lcs(alg: Algebra, sign: int) -> Form:
@@ -130,10 +133,11 @@ def exact_lcs(alg: Algebra, sign: int) -> Form:
     Computed through the complex and checked against the exact part of the
     family with this twist, n*lambda alpha^beta + sign*k gamma^eta.
     """
-    omega = twist_form(alg, sign)
+    data = _preset_data(alg)
+    omega = _twist(alg, data[0], sign)
     result = d_omega(alg, omega, alg.basis.gen(3))
     family = next(name for name, (*_, s) in FAMILIES.items() if s == sign)
-    if result != _family(alg, family, 0, 0, 1):
+    if result != _family(alg, data, family, 0, 0, 1):
         raise CrossCheckError("twisted differential of eta has unexpected value")
     return result
 
@@ -169,7 +173,7 @@ def family_pfaffian(family: str, params: AcfmParams | None = None) -> Scalar:
     else:
         alg = acfm(params, ScalarMode.params(*FAMILY_SYMBOLS))
     coeffs = (alg.mode.symbol(f"{family}{i}") for i in (1, 2, 3))
-    return top_power(alg, _family(alg, family, *coeffs))
+    return top_power(alg, _family(alg, _preset_data(alg), family, *coeffs))
 
 
 @dataclass(frozen=True)
@@ -193,15 +197,16 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     """
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
     alg = acfm(params)
+    data = _preset_data(alg)
     results = []
     for family, (rep_monomial, _, twist_sign) in FAMILIES.items():
         pfaffian = family_pfaffian(family, params)
-        twist = twist_form(alg, twist_sign)
+        twist = _twist(alg, data[0], twist_sign)
         rep = alg.basis.monomial_form(rep_monomial)
         rep_exact = primitive(alg, twist, rep).exact
         checked = 0
         for c1, c2, c3 in THEOREM1_GRID:
-            form = _family(alg, family, c1, c2, c3)
+            form = _family(alg, data, family, c1, c2, c3)
             try:
                 cert = is_lcs(alg, form)
             except Degenerate:
