@@ -560,8 +560,14 @@ class ScalarMode:
 
 
 def _int_str(n: int) -> str:
-    """Decimal text of an integer of any size; str() refuses above 4300 digits."""
-    return str(Decimal(n))
+    """Decimal text of an integer of any size.
+
+    str() refuses integers above the interpreter's digit limit
+    (`sys.set_int_max_str_digits`, 4300 by default and never below 640), so
+    only integers below 2,000 bits, at most 603 digits, take it; the others go
+    through Decimal, which has no limit.
+    """
+    return str(n) if n.bit_length() < 2000 else str(Decimal(n))
 
 
 def _monomial_str(symbols: tuple[str, ...], e: tuple[int, ...]) -> str:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,34 @@ def test_constants_display_as_rationals():
     assert scalar_str(PMODE.zero()) == "0"
     assert half.as_fraction() == Fraction(1, 2)
     assert sym("k").as_fraction() is None
+
+
+def _digits(n: int) -> str:
+    """Decimal text of n > 0 in chunks of 100 digits, which str() renders under any limit."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**100)
+        chunks.append(f"{r:0100d}")
+    return "".join(reversed(chunks)).lstrip("0")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+)
+def test_integers_render_under_the_lowest_digit_limit():
+    """640 is the lowest limit allowed: 2**2000 has 603 digits, 10**640 has 641."""
+    big = 7 * 10**4999 + 3
+    edges = [2**1999, 2**2000 - 1, 2**2000, 10**640, 3**5000]
+    expected = [_digits(big)] + [_digits(n) for n in edges]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(expected[0]) == 5000
+        assert [scalar_str(Fraction(n)) for n in [big] + edges] == expected
+        assert scalar_str(Fraction(-big, 2**2000)) == f"-{expected[0]}/{expected[3]}"
+        assert scalar_str(big * sym("k")) == f"{expected[0]}*k"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=12)
