@@ -223,8 +223,12 @@ def koszul_d(alg: Algebra, theta: Form) -> Form:
     )
 
 
-def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
-    """Matrix of d_w from degree l to l+1: entry (J, I) is (d_w e_I)(X_J)."""
+def koszul_twisted_by_evaluation(alg: Algebra, omega: Form, degree: int):
+    """Matrix of d_w from degree l to l+1: entry (J, I) is (d_w e_I)(X_J), each one evaluated.
+
+    A permutation-expansion determinant per bracket pair: the check of
+    `koszul_twisted_matrix` on at most 5 generators.
+    """
     if degree >= alg.dim:
         return []
     brackets = oracle_brackets(alg)
@@ -241,14 +245,32 @@ def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
     ]
 
 
+def koszul_twisted_matrix(alg: Algebra, omega: Form, degree: int):
+    """Matrix of d_w = d + w ^ from degree l to l+1, in closed form.
+
+    `koszul_d_matrix` plus w ^ e_I = sum_i w_i e_i ^ e_I: e_i ^ e_I is
+    (-1)^|I n [0, i)| e_{I + {i}} for i not in I, so column I gains that sign
+    times w_i at row I + {i}.
+    """
+    out = koszul_d_matrix(alg, degree)
+    rows = {J: r for r, J in enumerate(combinations(range(alg.dim), degree + 1))}
+    for col, I in enumerate(combinations(range(alg.dim), degree)):
+        for (i,), wi in omega.terms.items():
+            if i not in I:
+                below = sum(1 for x in I if x < i)
+                row = out[rows[tuple(sorted(I + (i,)))]]
+                row[col] += -wi if below % 2 else wi
+    return out
+
+
 def koszul_d_matrix(alg: Algebra, degree: int):
     """Matrix of the untwisted d from degree l to l+1 by the Koszul formula, in closed form.
 
     Entry (J, I) is (d e_I)(X_J) = sum_{a<b} (-1)^(a+b) e_I([X_Ja, X_Jb], X_J minus Ja, Jb).
     The frame fields left over are all of I but one index I_p, or e_I
     vanishes on them, and then e_I takes (-1)^p times the bracket's e^(I_p)
-    coefficient.  It equals `koszul_twisted_matrix` with w = 0 without a
-    determinant per entry, so it reaches 8 generators in a fraction of a second.
+    coefficient.  It equals `koszul_twisted_by_evaluation` with w = 0 without
+    a determinant per entry, so it reaches 8 generators in a fraction of a second.
     """
     brackets = [[v.coeffs for v in row] for row in oracle_brackets(alg)]
     out = []

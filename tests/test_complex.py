@@ -3,9 +3,12 @@
 (a) d, and the matrices of d_w and of the mirror d_{tau-w} assembled from
     D_l, equal the invariant-form Koszul formula evaluated on frame fields
     (`helpers.koszul_d`), with brackets read straight off the structure
-    constants, also on non-unimodular algebras and for a twist whose
-    denominator does not divide D; this holds also for structure data with
-    d*d != 0, since d is an antiderivation either way;
+    constants, also on non-unimodular algebras, for a twist whose
+    denominator does not divide D and on the 8-generator h7 x R of the
+    golden corpus; this holds also for structure data with d*d != 0, since
+    d is an antiderivation either way.  The Koszul matrix of d_w is built in
+    closed form (`helpers.koszul_twisted_matrix`), which is checked against
+    one determinant evaluation per entry on at most 5 generators;
 (b) every harmonic basis equals the kernel of the Koszul d_w stacked on
     delta_w taken as `delta_omega` of each monomial, under the
     Fraction-only row reduction of `helpers`, also under a metric whose
@@ -50,6 +53,7 @@ from helpers import (
     invert_matrix,
     koszul_d,
     koszul_d_matrix,
+    koszul_twisted_by_evaluation,
     koszul_twisted_matrix,
     operator_matrix,
     perturb_algebra,
@@ -66,7 +70,7 @@ from lcscalc.exterior import Basis, Form, form_str
 from lcscalc.hodge import delta_omega, harmonic_space
 from lcscalc.scalar import ScalarMode
 from lcscalc.specfile import parse_algebra_file, parse_algebra_text, parse_form_expr
-from test_golden import FRAME_TWIST
+from test_golden import DENSE8_LEE, FRAME_TWIST
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +173,30 @@ def test_assembled_matrix_matches_monomial_route(case):
 
 def test_assembled_matrix_matches_monomial_route_in_param_mode():
     _assert_both_twists_match_koszul(*dense_preset_product(4, 5, PARAM_MODE))
+
+
+def test_assembled_matrix_matches_koszul_on_eight_generators():
+    """h7 x R in a dense frame, twisted by the shared Lee form of the lcs_dense8 forms."""
+    alg = parse_algebra_file(str(GOLDEN / "h7xr_dense.alg"))
+    _assert_both_twists_match_koszul(alg, parse_form_expr(DENSE8_LEE, alg.basis, alg.mode))
+
+
+@pytest.mark.parametrize(
+    "case", [case for case, (alg, _) in sorted(MIRROR_CASES.items()) if alg.dim <= 5]
+)
+def test_closed_form_koszul_matrix_matches_evaluation(case):
+    """Each entry (d_w e_I)(X_J) by determinant evaluation, on at most 5 generators."""
+    alg, w = MIRROR_CASES[case]
+    for omega in (w, alg.trace_form() - w):
+        for degree in range(alg.dim + 1):
+            expected = koszul_twisted_by_evaluation(alg, omega, degree)
+            assert koszul_twisted_matrix(alg, omega, degree) == expected
+
+
+def test_closed_form_koszul_matrix_matches_evaluation_in_param_mode():
+    alg, w = dense_preset_product(4, 5, PARAM_MODE)
+    for degree in range(alg.dim + 1):
+        assert koszul_twisted_matrix(alg, w, degree) == koszul_twisted_by_evaluation(alg, w, degree)
 
 
 # the Koszul oracle is slow in parameter mode, so it checks one such algebra
