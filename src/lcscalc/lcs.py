@@ -8,12 +8,13 @@ Lee homomorphism l(X) = mu_X + w(X), exactness cross-checks, deformation
 family verification, and the foliation-style checks (integrability,
 involutivity, restricted rank).
 
-The linear systems of a 2-form are read off its terms: w -> w ^ Omega,
-X -> i(X) Omega and (X, mu) -> L_X(Omega) - mu * Omega are signed copies
-of Omega's coefficients, the last combined in integer numerators with the
-matrices D_1 and D_2 of d that the d_w matrices copy
-(`Algebra.d_matrix`).
-No Form is built to assemble them.  The certificates stay on the Form
+The Lee form and the dual field come from the inverse B of Omega's
+coefficient matrix A, with no elimination: B is the Pfaffian adjugate, read
+off the memoized first-row expansion that gives the top power
+(`_pfaffians`, `_inverse_image`).  The automorphism system
+(X, mu) -> L_X(Omega) - mu * Omega is read off Omega's terms, combined in
+integer numerators with the matrices D_1 and D_2 of d that the d_w
+matrices copy (`Algebra.d_matrix`).  The certificates stay on the Form
 route: w ^ Omega = -d(Omega) and d(w) = 0 for the Lee form, L_X(Omega) and
 d_w(i_X Omega) for each automorphism pair, i(X) Omega for a dual field.
 """
@@ -192,6 +193,12 @@ def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]
     return scaled[0] * den, rows
 
 
+def _lee_spread(idx: tuple[int, ...]) -> tuple:
+    """A term at p < q < r feeds w_p with B_qr, w_q with B_rp and w_r with B_pq."""
+    p, q, r = idx
+    return (p, q, r), (q, r, p), (r, p, q)
+
+
 def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     """Certify nondegeneracy, recover the Lee form, check it closed and closing.
 
@@ -217,12 +224,6 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")
     return LcsForm(omega2, lee, volume)
-
-
-def _lee_spread(idx: tuple[int, ...]) -> tuple:
-    """A term at p < q < r feeds w_p with B_qr, w_q with B_rp and w_r with B_pq."""
-    p, q, r = idx
-    return (p, q, r), (q, r, p), (r, p, q)
 
 
 def automorphism_algebra(alg: Algebra, lcs: LcsForm) -> AutomorphismAlgebra:
@@ -273,7 +274,10 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
     pf, m = _pfaffians(alg, lcs.omega_form)
     if not pf(tuple(range(alg.dim))):
         raise Degenerate("contraction with the 2-form is not invertible")
-    spread = lambda idx: [(b, idx[0], b) for b in range(alg.dim) if b != idx[0]]  # noqa: E731
+
+    def spread(idx: tuple[int, ...]) -> list:  # a term at c feeds every X_b with B_cb
+        return [(b, idx[0], b) for b in range(alg.dim) if b != idx[0]]
+
     coeffs = _inverse_image(alg, pf, m, theta, spread, 1)
     field = VectorField(alg.basis, tuple(coeffs.get(b, 0) for b in range(alg.dim)))
     if interior(field, lcs.omega_form) != theta:

@@ -115,8 +115,8 @@ def _lee_by_elimination(alg: Algebra, omega2: Form) -> Form | None:
     """The free-variables-zero solution of w ^ Omega = -d(Omega), or None."""
     images = [alg.basis.gen(i).wedge(omega2) for i in range(alg.dim)]
     monos = list(alg.basis.monomials(3))
-    rhs = -d(alg, omega2)
-    sol = fraction_solve(operator_matrix(images, monos), [rhs.coefficient(m) for m in monos], alg.dim)
+    rhs = [(-d(alg, omega2)).coefficient(m) for m in monos]
+    sol = fraction_solve(operator_matrix(images, monos), rhs, alg.dim)
     return None if sol is None else Form(alg.basis, 1, zip(alg.basis.monomials(1), sol))
 
 
@@ -131,12 +131,14 @@ NILPOTENT_OR_SOLVABLE = {
 
 def _lcs_form(rng: random.Random, alg: Algebra, scale=1) -> tuple[Form, Form]:
     """(w, d_w eta) for a random closed w and 1-form eta, nondegenerate: its Lee form is w."""
-    closed = fraction_nullspace(koszul_d_matrix(alg, 1), alg.dim)
+    monos = alg.basis.monomials(1)
+    kernel = fraction_nullspace(koszul_d_matrix(alg, 1), alg.dim)
+    closed = [Form(alg.basis, 1, zip(monos, vec)) for vec in kernel]
     while True:
         w = alg.basis.zero(1)
-        for vec in closed:
-            w = w + scale * rng.randint(-3, 3) * Form(alg.basis, 1, zip(alg.basis.monomials(1), vec))
-        eta = Form(alg.basis, 1, {(i,): _scalar(rng, ScalarMode.rational()) for i in range(alg.dim)})
+        for form in closed:
+            w = w + scale * rng.randint(-3, 3) * form
+        eta = Form(alg.basis, 1, {m: _scalar(rng, ScalarMode.rational()) for m in monos})
         omega2 = d_omega(alg, w, eta)
         if top_power(alg, omega2):
             return w, omega2
@@ -148,7 +150,8 @@ def test_lee_form_is_the_solution_of_the_lee_system(n, seed, frame):
     rng = random.Random(seed)
     alg = parse_algebra_text(NILPOTENT_OR_SOLVABLE[n])
     if n == 4 and rng.random() < 0.5:
-        alg = acfm_rational(rng.randint(1, 3), Fraction(rng.randint(1, 5), 3), rng.randint(-2, 2) or 1)
+        k = Fraction(rng.randint(1, 5), 3)
+        alg = acfm_rational(rng.randint(1, 3), k, rng.randint(-2, 2) or 1)
     if frame:
         alg = change_of_basis(alg, random_invertible(rng, n))
     w, omega2 = _lcs_form(rng, alg)
