@@ -139,16 +139,12 @@ def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread, divis
     numerators over their lcm, so each entry is one quotient.
     """
     full = tuple(range(alg.dim))
-    adjugate: dict = {}
 
-    def entry(b: int, c: int) -> Scalar:
+    def entry(b: int, c: int) -> Scalar:  # B_bc times Pf(A) / m
         if b > c:
             return -entry(c, b)
-        value = adjugate.get((b, c))
-        if value is None:
-            value = pf(full[:b] + full[b + 1 : c] + full[c + 1 :])
-            adjugate[b, c] = value = -value if (b + c) % 2 else value
-        return value
+        value = pf(full[:b] + full[b + 1 : c] + full[c + 1 :])
+        return -value if (b + c) % 2 else value
 
     scaled = integer_terms(form.terms)
     den, terms = scaled if scaled is not None else (1, form.terms.items())
