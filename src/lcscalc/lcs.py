@@ -128,15 +128,16 @@ def lee_form(alg: Algebra, omega2: Form) -> Form:
     return is_lcs(alg, omega2).lee
 
 
-def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread, divisor: int) -> dict:
-    """Nonzero coefficients {a: value} of a linear image of `form` under B = A^-1, over `divisor`.
+def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread) -> tuple[dict, Scalar]:
+    """(numerators, den): a linear image of `form` under B = A^-1 is {a: numerators[a] / den}.
 
     B_bc = (-1)^(b+c) Pf(A - {b, c}) / Pf(A) for b < c and B_cb = -B_bc: the
     adjugate of A over det(A) = Pf(A)^2, read off the memo of `pf`
     (`_pfaffians`), on whose numerators Pf(A - {b, c}) / Pf(A) carries one
     factor m.  Entry a sums B_bc * t over the (a, b, c) that `spread(idx)`
-    yields for each term t at idx of `form`; rational terms enter as integer
-    numerators over their lcm, so each entry is one quotient.
+    yields for each term t at idx of `form`.  Rational terms enter as
+    integer numerators over their lcm; the numerators returned are the
+    nonzero ones, ints for rational data.
     """
     full = tuple(range(alg.dim))
 
@@ -154,8 +155,7 @@ def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread, divis
             if e := entry(b, c):
                 prev = sums.get(a)
                 sums[a] = e * t if prev is None else prev + e * t
-    den = divisor * pf(full) * den
-    return {a: _ratio(s if m == 1 else m * s, den) for a, s in sums.items() if s}
+    return {a: s if m == 1 else m * s for a, s in sums.items() if s}, pf(full) * den
 
 
 def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]]:
@@ -205,6 +205,8 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     to w_r.  The Pfaffian memo of the top power supplies B.  With N = 2 every
     1-form solves the system and w = 0.  w ^ Omega = -d(Omega) decides
     whether a solution exists at all, and d(w) = 0 whether it is closed.
+    The first check runs on w's numerators over their common denominator, so
+    in parameter mode no sum in it takes a polynomial gcd with the Pfaffian.
     """
     pf, m = _pfaffians(alg, omega2)
     volume = _volume(alg, pf, m)
@@ -212,10 +214,12 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
         raise Degenerate("top wedge power vanishes")
     alg.require_valid()
     d_omega2 = d(alg, omega2)
-    coeffs = _inverse_image(alg, pf, m, d_omega2, _lee_spread, alg.dim // 2 - 1)
-    lee = Form(alg.basis, 1, {(a,): c for a, c in coeffs.items()})
-    if lee.wedge(omega2) != -d_omega2:
+    numerators, den = _inverse_image(alg, pf, m, d_omega2, _lee_spread)
+    den = (alg.dim // 2 - 1) * den  # w = numerators / den
+    scaled = Form(alg.basis, 1, {(a,): s for a, s in numerators.items()})
+    if scaled.wedge(omega2) != -(den * d_omega2):
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
+    lee = Form(alg.basis, 1, {(a,): _ratio(s, den) for a, s in numerators.items()})
     dlee = d(alg, lee)
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")
@@ -274,8 +278,9 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
     def spread(idx: tuple[int, ...]) -> list:  # a term at c feeds every X_b with B_cb
         return [(b, idx[0], b) for b in range(alg.dim) if b != idx[0]]
 
-    coeffs = _inverse_image(alg, pf, m, theta, spread, 1)
-    field = VectorField(alg.basis, tuple(coeffs.get(b, 0) for b in range(alg.dim)))
+    numerators, den = _inverse_image(alg, pf, m, theta, spread)
+    coeffs = (_ratio(numerators[b], den) if b in numerators else 0 for b in range(alg.dim))
+    field = VectorField(alg.basis, tuple(coeffs))
     if interior(field, lcs.omega_form) != theta:
         raise CrossCheckError("dual field verification failed")
     return field
