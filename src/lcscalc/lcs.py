@@ -267,7 +267,8 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
     """The unique X with i(X) Omega = theta, X = -B theta for B = A^-1, re-verified.
 
     i(X) Omega has coefficients -A X, so X_b = sum_c B_cb theta_c
-    (`_inverse_image`).
+    (`_inverse_image`).  As in `is_lcs`, i(X) Omega = theta is checked on X's
+    numerators over their common denominator.
     """
     if not theta.is_zero() and theta.degree != 1:
         raise DegreeMismatch("dual field needs a 1-form")
@@ -279,11 +280,11 @@ def dual_field(alg: Algebra, lcs: LcsForm, theta: Form) -> VectorField:
         return [(b, idx[0], b) for b in range(alg.dim) if b != idx[0]]
 
     numerators, den = _inverse_image(alg, pf, m, theta, spread)
-    coeffs = (_ratio(numerators[b], den) if b in numerators else 0 for b in range(alg.dim))
-    field = VectorField(alg.basis, tuple(coeffs))
-    if interior(field, lcs.omega_form) != theta:
+    scaled = VectorField(alg.basis, tuple(numerators.get(b, 0) for b in range(alg.dim)))
+    if interior(scaled, lcs.omega_form) != den * theta:
         raise CrossCheckError("dual field verification failed")
-    return field
+    coeffs = (_ratio(numerators[b], den) if b in numerators else 0 for b in range(alg.dim))
+    return VectorField(alg.basis, tuple(coeffs))
 
 
 @dataclass(frozen=True)
