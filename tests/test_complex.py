@@ -181,22 +181,24 @@ def test_assembled_matrix_matches_koszul_on_eight_generators():
     _assert_both_twists_match_koszul(alg, parse_form_expr(DENSE8_LEE, alg.basis, alg.mode))
 
 
-@pytest.mark.parametrize(
-    "case", [case for case, (alg, _) in sorted(MIRROR_CASES.items()) if alg.dim <= 5]
-)
+def _evaluation_cases() -> dict:
+    """The cases on at most 5 generators, where determinant evaluation is fast enough."""
+    cases = {case: pair for case, pair in MIRROR_CASES.items() if pair[0].dim <= 5}
+    cases["4-5-params"] = dense_preset_product(4, 5, PARAM_MODE)
+    return cases
+
+
+EVALUATION_CASES = _evaluation_cases()
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATION_CASES))
 def test_closed_form_koszul_matrix_matches_evaluation(case):
-    """Each entry (d_w e_I)(X_J) by determinant evaluation, on at most 5 generators."""
-    alg, w = MIRROR_CASES[case]
+    """Each entry (d_w e_I)(X_J) by determinant evaluation, for w and tau - w."""
+    alg, w = EVALUATION_CASES[case]
     for omega in (w, alg.trace_form() - w):
         for degree in range(alg.dim + 1):
             expected = koszul_twisted_by_evaluation(alg, omega, degree)
             assert koszul_twisted_matrix(alg, omega, degree) == expected
-
-
-def test_closed_form_koszul_matrix_matches_evaluation_in_param_mode():
-    alg, w = dense_preset_product(4, 5, PARAM_MODE)
-    for degree in range(alg.dim + 1):
-        assert koszul_twisted_matrix(alg, w, degree) == koszul_twisted_by_evaluation(alg, w, degree)
 
 
 # the Koszul oracle is slow in parameter mode, so it checks one such algebra
