@@ -227,7 +227,8 @@ def koszul_twisted_by_evaluation(alg: Algebra, omega: Form, degree: int):
     """Matrix of d_w from degree l to l+1: entry (J, I) is (d_w e_I)(X_J), each one evaluated.
 
     A permutation-expansion determinant per bracket pair: the check of
-    `koszul_twisted_matrix` on at most 5 generators.
+    `koszul_twisted_matrix` on at most 5 generators and of `koszul_d_matrix`
+    in degrees 0-2 on 8 generators.
     """
     if degree >= alg.dim:
         return []

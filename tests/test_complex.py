@@ -8,7 +8,8 @@
     golden corpus; this holds also for structure data with d*d != 0, since
     d is an antiderivation either way.  The Koszul matrix of d_w is built in
     closed form (`helpers.koszul_twisted_matrix`), which is checked against
-    one determinant evaluation per entry on at most 5 generators;
+    one determinant evaluation per entry on at most 5 generators, and the
+    untwisted one (`helpers.koszul_d_matrix`) also in degrees 0-2 on 8;
 (b) every harmonic basis equals the kernel of the Koszul d_w stacked on
     delta_w taken as `delta_omega` of each monomial, under the
     Fraction-only row reduction of `helpers`, also under a metric whose
@@ -425,7 +426,7 @@ def test_untwisted_kernels_at_eight_generators_match_the_fraction_kernels():
     alg = parse_algebra_file(str(GOLDEN / "h7xr_dense.alg"))
     zero = alg.basis.zero(1)
     for degree in range(3):
-        assert koszul_d_matrix(alg, degree) == koszul_twisted_matrix(alg, zero, degree)
+        assert koszul_d_matrix(alg, degree) == koszul_twisted_by_evaluation(alg, zero, degree)
     cx = alg.twisted_complex(zero)
     for degree in range(alg.dim + 1):
         kernel = cx.kernel(degree)
