@@ -37,14 +37,16 @@ degree l satisfy r_{l-1} + r_l <= C(N, l), and a rank modulo p is at most
 the rank over Q.  The attempt is gated on H^0_w = H^1_w = 0, read off the
 exact kernels of d_0 and d_1, which gives r_0 = 1 and r_1 = N - 1; modular
 ranks with r_{l-1} + r_l = C(N, l) in every degree l >= 2 and r_{N-1} = 1
-are then the exact ranks, and every H^l_w is zero.  The harmonic spaces
-are certified on their own: a full column rank modulo p of the stacked
-[d_w; delta_w] proves that one is zero.  The rows are reduced packed, one
-Python int per row with a 64-bit slot per column that no carry crosses for
-N <= MAX_GENERATORS (`linalg.echelon_mod`).  A rank that falls short,
-through nonzero cohomology or a prime that divides a pivot, leaves the
-complex or the degree to the exact route, so no output depends on the
-prime.
+are then the exact ranks, and every H^l_w is zero.  The rows are reduced
+packed, one Python int per row with a 64-bit slot per column that no
+carry crosses for N <= MAX_GENERATORS (`linalg.echelon_mod`).  The
+harmonic spaces come from the same ranks on both sides of the orthogonal
+decomposition Lambda^l = H_l + im d_w + im delta_w: H_l is zero when
+r_{l-1} and the rank of delta_w leaving l + 1, an exact rank of the
+complex of tau - w and not of this one, add up to C(N, l).  A sum that
+falls short, through nonzero cohomology or a prime that divides a pivot,
+leaves the complex or the degree to the exact route, so no output depends
+on the prime.
 
 The diagonal metric lists the coefficients g_i of g = sum g_i (e^i)^2.  For
 the star to stay exact each g_i must be the square of a rational; the
@@ -62,7 +64,7 @@ from math import comb, gcd, lcm, prod
 from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
 from .exterior import Form, integer_terms, mask_index
-from .linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
+from .linalg import IntegerRows, echelon_mod, nullspace, rank, solve
 from .scalar import Scalar, _fraction_row
 
 
@@ -210,7 +212,8 @@ class TwistedComplex:
     no modular work; `betti` makes the attempt and `delta_rank` makes it
     for the complex of tau - w once this one is certified, so delta_w's
     ranks are never read off d_w's.  `d_rank` and `harmonic` only read a
-    certificate already made.
+    certificate already made; `harmonic` reads delta_w's ranks through
+    `delta_rank`.
     """
 
     def __init__(self, alg: Algebra, omega: Form, store: dict):
@@ -283,7 +286,6 @@ class TwistedComplex:
 
     def _acyclic(self) -> tuple[int, ...] | None:
         """The exact ranks of d_0 ... d_{N-1} if the complex is certified acyclic, else None."""
-        self.alg.require_rational("twisted cohomology")
         return self._once(("acyclic",), self._certify_acyclic)
 
     def _certify_acyclic(self) -> tuple[int, ...] | None:
@@ -295,17 +297,12 @@ class TwistedComplex:
         n = self.alg.dim
         if self.kernel(0) or len(self.kernel(1)) != 1:
             return None
-        ranks, echelons = [1, n - 1][:n], {}
+        ranks = [1, n - 1][:n]
         for degree in range(2, n):
-            echelon = echelon_mod(self.rows(degree, 1)[0], self.size(degree))
-            if ranks[-1] + len(echelon) != self.size(degree):
+            ranks.append(len(echelon_mod(self.rows(degree, 1)[0], self.size(degree))))
+            if ranks[-2] + ranks[-1] != self.size(degree):
                 return None
-            ranks.append(len(echelon))
-            echelons[("echelon", degree)] = echelon  # d_w's block of the stacked check
-        if ranks[-1] != 1:
-            return None
-        self._store.update(echelons)
-        return tuple(ranks)
+        return tuple(ranks) if ranks[-1] == 1 else None
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""
@@ -355,46 +352,39 @@ class TwistedComplex:
         c runs over a kernel basis of delta_w*K.  Divided by its last
         nonzero entry, K*c is the reduced kernel basis of the stacked matrix
         [d_w; delta_w]: a reduced kernel basis depends only on the subspace,
-        and its unit entries sit where the basis vectors end.  In a complex
-        certified acyclic, a full column rank of that stacked matrix modulo
-        p proves the space zero without K (`_certified_zero`).
+        and its unit entries sit where the basis vectors end.
         """
         return self._once(("harmonic", degree), lambda: self._harmonic(degree))
 
-    def _stacked(self, degree: int) -> tuple[list[list[int]], list[list[int]]]:
-        """Integer rows [d_w; delta' * diag(c / g_I)], with the kernel of [d_w; delta_w].
+    def _delta_rows(self, degree: int) -> list[list[int]]:
+        """Integer rows delta' * diag(c / g_I), with the kernel of delta_w leaving a degree.
 
         delta_w = diag(g_J) * delta' * diag(1/g_I) with delta' its rows: the
         row factor keeps the kernel, and the column factor is taken as the
-        integers c / g_I, one c for all monomials I.  Returns the two blocks.
+        integers c / g_I, one c for all monomials I.
         """
-        lower = self.rows(degree, -1)[0]
+        rows = self.rows(degree, -1)[0]
         if not self.alg.identity_metric:
             g, monomials = self.alg.metric, self.alg.basis.monomials(degree)
             h = _fraction_row([Fraction(1) / prod(g[i] for i in idx) for idx in monomials])
-            lower = [[x * y for x, y in zip(row, h)] for row in lower]
-        return self.rows(degree, 1)[0], lower
-
-    def _certified_zero(self, degree: int) -> bool:
-        """In a certified acyclic complex, whether [d_w; delta_w] has full column rank modulo p.
-
-        Its premise is not d_w o d_w = 0, so it checks `betti` independently.
-        d_w's block is reduced already where the certificate took its rank.
-        """
-        if not self._store.get(("acyclic",)):
-            return False
-        upper, lower = self._stacked(degree)
-        echelon, size = self._store.pop(("echelon", degree), None), self.size(degree)
-        if echelon is None:
-            return rank_mod(upper + lower, size) == size
-        return len(echelon_mod(lower, size, echelon)) == size
+            rows = [[x * y for x, y in zip(row, h)] for row in rows]
+        return rows
 
     def _harmonic(self, degree: int) -> HarmonicSpace:
-        """K*c in Python ints: c spans the kernel of `_stacked`'s lower block times K."""
-        if self._certified_zero(degree):
+        """K*c in Python ints: c spans the kernel of `_delta_rows` times K.
+
+        In a complex certified acyclic, the space is zero when the exact
+        ranks of d_w into the degree and of delta_w into it fill it: d_w's
+        from this complex's certificate, delta_w's from the complex of
+        tau - w, so that `cohomology_report`'s check still sets two
+        independent eliminations against each other.
+        """
+        if self._store.get(("acyclic",)) and (
+            self.d_rank(degree - 1) + self.delta_rank(degree + 1) == self.size(degree)
+        ):
             return HarmonicSpace(degree, (), self.omega)
         kernel = self.kernel(degree)
-        rows = self._stacked(degree)[1]
+        rows = self._delta_rows(degree)
         monos = list(self.alg.basis.monomials(degree))
         support = [[i for i, x in enumerate(k) if x] for k in kernel]
         coords = [[int(i == j) for i in range(len(kernel))] for j in range(len(kernel))]

@@ -24,15 +24,15 @@ space, the pivots a field elimination picks.  The reduced row echelon
 form is unique, so kernels, primitives and reports are the same as from
 division in the field, in whatever order the pivots arrive.
 
-`echelon_mod` and `rank_mod` eliminate integer rows forward modulo
-`PRIME`, the largest prime below 2^24, on packed rows: one Python int per
-row, one 64-bit slot per column, so that a row update is one bigint
-multiply-add.  Slots are reduced only when read; each update adds less
-than 2^48 and a row takes fewer than 2^14 of them, so no carry crosses a
-slot.  A modular rank never decides a rank on its own: an integer matrix
-has rank modulo p at most its rank over Q, so it proves an exact rank only
-against an upper bound, such as the one that d_w o d_w = 0 puts on
-neighbouring ranks (`hodge.TwistedComplex`).
+`echelon_mod` eliminates integer rows forward modulo `PRIME`, the largest
+prime below 2^24, on packed rows: one Python int per row, one 64-bit slot
+per column, so that a row update is one bigint multiply-add.  Slots are
+reduced only when read; each update adds less than 2^48 and a row takes
+fewer than 2^14 of them, so no carry crosses a slot.  A modular rank never
+decides a rank on its own: an integer matrix has rank modulo p at most its
+rank over Q, so it proves an exact rank only against an upper bound, such
+as the one that d_w o d_w = 0 puts on neighbouring ranks
+(`hodge.TwistedComplex`).
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _pack(values: list[int], width: int) -> list[int]:
     return [int.from_bytes(data[k : k + step], "little") for k in range(0, len(data), step)]
 
 
-def echelon_mod(rows: list[list[int]], ncols: int, base: dict | None = None) -> dict[int, int]:
+def echelon_mod(rows: list[list[int]], ncols: int) -> dict[int, int]:
     """Pivot rows modulo `PRIME` of integer rows of length ncols, by pivot column.
 
     Forward elimination only.  Each row is one Python int holding its
@@ -134,9 +134,7 @@ def echelon_mod(rows: list[list[int]], ncols: int, base: dict | None = None) -> 
     so that the pivot is p - 1, which makes the update with f, the other
     row's entry modulo p, clear the column.  Other slots are reduced only
     when read, and every row drops its lowest slot when its column is done.
-    `base`, pivot rows returned for other rows over the same columns, is
-    used first and included in the result, which then is the echelon of
-    all the rows together.
+    The rank modulo p is the number of pivot rows.
 
     No carry crosses a slot: a slot starts below p, each update adds less
     than p^2 < 2^48, and a row takes at most one update per pivot, so at
@@ -144,31 +142,24 @@ def echelon_mod(rows: list[list[int]], ncols: int, base: dict | None = None) -> 
     16 generators; 2^24 + 2^14 * 2^48 < 2^64.
     """
     p = PRIME
-    pivots = dict(base or {})
+    pivots = {}
     work = _pack([x % p for row in rows for x in row], ncols) if ncols else []
     for c in range(ncols):
         if not work:
             break
         entries = [(row & _SLOT) % p for row in work]
-        pivot = pivots.get(c)
-        if pivot is None:
-            for k, f in enumerate(entries):
-                if f:
-                    break
-            else:
-                work = [row >> 64 for row in work]
-                continue
-            scale = p - pow(f, -1, p)
-            slots = array("Q", work[k].to_bytes(8 * (ncols - c), "little"))
-            pivot = pivots[c] = _pack([x % p * scale % p for x in slots], ncols - c)[0]
-            del work[k], entries[k]
+        for k, f in enumerate(entries):
+            if f:
+                break
+        else:
+            work = [row >> 64 for row in work]
+            continue
+        scale = p - pow(f, -1, p)
+        slots = array("Q", work[k].to_bytes(8 * (ncols - c), "little"))
+        pivot = pivots[c] = _pack([x % p * scale % p for x in slots], ncols - c)[0]
+        del work[k], entries[k]
         work = [(row + f * pivot if f else row) >> 64 for row, f in zip(work, entries)]
     return pivots
-
-
-def rank_mod(rows: list[list[int]], ncols: int) -> int:
-    """Rank modulo `PRIME` of integer rows of length ncols (`echelon_mod`)."""
-    return len(echelon_mod(rows, ncols))
 
 
 def nullspace(rows: list[list], ncols: int) -> list[list]:

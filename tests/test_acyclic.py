@@ -1,17 +1,21 @@
 """Acyclic twisted complexes, certified from ranks modulo a prime.
 
 A complex with H^0_w = H^1_w = 0 tries to certify every other degree from
-`linalg.rank_mod` through the bound r_{l-1} + r_l <= C(N, l), and each
-harmonic space from the stacked [d_w; delta_w].  The oracles share none of
-that: Koszul matrices and the Form route of d_omega and delta_omega reduced
-in Fractions, and twisted Poincare duality, dims(w) in degree l equal to
-dims(tau - w) in degree N - l, tau the trace form.
+ranks modulo p (`linalg.echelon_mod`) through the bound
+r_{l-1} + r_l <= C(N, l).  Each harmonic space is then zero when the rank
+of d_w into its degree, from that closure, and the rank of delta_w into
+it, from the closure of the complex of tau - w, add up to C(N, l); a
+degree where they fall short takes the exact route.  The oracles share
+none of that: Koszul matrices and the Form route of d_omega and
+delta_omega reduced in Fractions, and twisted Poincare duality, dims(w) in
+degree l equal to dims(tau - w) in degree N - l, tau the trace form.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -20,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fraction_nullspace, koszul_twisted_matrix, random_good_algebra, rref_rank
-from lcscalc import cecomplex, linalg
+from lcscalc import cecomplex, hodge, linalg
 from lcscalc.cecomplex import Algebra, d_omega
 from lcscalc.cli import main
 from lcscalc.cohomology import cohomology_report
@@ -28,7 +32,7 @@ from lcscalc.exterior import Form
 from lcscalc.hodge import delta_omega
 from lcscalc.specfile import parse_algebra_file, parse_algebra_text, parse_form_expr
 from test_complex import _closed_one_forms, _count_calls, _form_route, _stacked_oracle
-from test_golden import CASES, GOLDEN, STDERR
+from test_golden import CASES, DENSE6_LEE, GOLDEN, STDERR
 
 # e(1,1) x e(1,1): each factor has H^0_w = 0 and H^1_w = R for its twist, so
 # by Kunneth the product passes the gate (H^0_w = H^1_w = 0) but has H^2_w = R
@@ -115,8 +119,8 @@ def test_a_certified_complex_keeps_its_own_harmonic_and_delta_ranks(name):
     """Off unimodular data the certificate, delta_w's ranks and the harmonic spaces agree.
 
     delta_w's ranks are d_{tau-w}'s, and by twisted duality the complex of
-    tau - w is certified too; the stacked check proves every harmonic space
-    zero, as the Koszul oracle finds it.
+    tau - w is certified too; the ranks of d_w and delta_w fill every
+    degree, so every harmonic space is zero, as the Koszul oracle finds it.
     """
     alg = parse_algebra_text(NOT_UNIMODULAR[name])
     w = parse_form_expr("1 e1", alg.basis, alg.mode)
@@ -138,7 +142,9 @@ def test_a_certified_complex_keeps_its_own_harmonic_and_delta_ranks(name):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 5), twisted=st.booleans())
 def test_stacked_rows_have_the_kernel_of_the_form_route(seed, n, twisted):
-    """The rows the stacked check reduces have, over Q, the kernel of [d_omega; delta_omega].
+    """The rows of d_w and `_delta_rows` have, over Q, the kernel of [d_omega; delta_omega].
+
+    The exact harmonic route reduces d_w's rows to K and `_delta_rows` times K.
 
     The metric weights are squares of rationals, so the star stays exact;
     many draws have cohomology or are not unimodular, so their kernels are
@@ -155,7 +161,8 @@ def test_stacked_rows_have_the_kernel_of_the_form_route(seed, n, twisted):
         delta_route = _form_route(alg, lambda a: delta_omega(alg, w, a), degree, -1)
         size = comb(n, degree)
         expected = fraction_nullspace(d_route + delta_route, size)
-        assert fraction_nullspace(sum(cx._stacked(degree), []), size) == expected
+        stacked = cx.rows(degree, 1)[0] + cx._delta_rows(degree)
+        assert fraction_nullspace(stacked, size) == expected
 
 
 @pytest.mark.parametrize("omega", ["0", "1 e1 - 1 e6"])
@@ -169,9 +176,61 @@ def test_stacked_rows_under_the_golden_metric(omega):
         delta_route = _form_route(alg, lambda a: delta_omega(alg, w, a), degree, -1)
         size = comb(alg.dim, degree)
         expected = fraction_nullspace(d_route + delta_route, size)
-        assert fraction_nullspace(sum(cx._stacked(degree), []), size) == expected
+        stacked = cx.rows(degree, 1)[0] + cx._delta_rows(degree)
+        assert fraction_nullspace(stacked, size) == expected
         kernels.append(len(expected))
     assert any(kernels)
+
+
+def test_acyclic_report_reduces_each_degree_once_modulo_p(monkeypatch, capsys):
+    """One modular rank per degree 2..N-1 for w and for tau - w, and no view of delta_w's rows.
+
+    The harmonic spaces are read off those ranks alone.
+    """
+    built, reduced = {}, []
+    real_rows, real_echelon = hodge.TwistedComplex.rows, hodge.echelon_mod
+
+    def rows(cx, degree, step):
+        out = real_rows(cx, degree, step)
+        built[id(out[0])] = (str(cx.omega), degree, step)
+        return out
+
+    def echelon(matrix, *args):
+        reduced.append(built.get(id(matrix)))
+        return real_echelon(matrix, *args)
+
+    monkeypatch.setattr(hodge.TwistedComplex, "rows", rows)
+    monkeypatch.setattr(hodge, "echelon_mod", echelon)
+    monkeypatch.chdir(GOLDEN)
+    assert main(CASES["cohomology_acyclic"][0]) == 0
+    capsys.readouterr()
+    alg = parse_algebra_file("h5xr_dense.alg")
+    w = parse_form_expr(DENSE6_LEE, alg.basis, alg.mode)
+    twists = [str(w), str(alg.trace_form() - w)]
+    assert Counter(reduced) == Counter((t, l, 1) for t in twists for l in range(2, alg.dim))
+    assert all(step > 0 for _, _, step in built.values())
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_harmonic_degree_the_ranks_do_not_fill_takes_the_exact_route(change):
+    """A rank of tau - w's certificate moved off by one leaves its degree to K and delta_w*K.
+
+    d_{tau-w} leaving 2 is delta_w leaving N - 2 = 4, so degree 3 no longer
+    adds up to C(6, 3); every other degree still does.
+    """
+    alg = parse_algebra_file(str(GOLDEN / "h5xr_dense.alg"))
+    w = parse_form_expr(DENSE6_LEE, alg.basis, alg.mode)
+    cx = alg.twisted_complex(w)
+    mirror = alg.twisted_complex(alg.trace_form() - w)
+    assert cx._acyclic() is not None and mirror._acyclic() is not None
+    ranks = list(mirror._store[("acyclic",)])
+    ranks[2] += change
+    mirror._store[("acyclic",)] = tuple(ranks)
+    for degree in range(alg.dim + 1):
+        monos = list(alg.basis.monomials(degree))
+        got = [[f.coefficient(m) or Fraction(0) for m in monos] for f in cx.harmonic(degree).basis]
+        assert got == _stacked_oracle(alg, w, degree) == []
+        assert (("kernel", degree) in cx._store) == (degree in (0, 1, 3))
 
 
 @pytest.mark.parametrize("prime", [2, 3])

@@ -11,7 +11,8 @@ images g_i ^ Omega (right-hand side -d(Omega)) or i(X_i) Omega:
 - the Lee form of Omega = d_w eta, for a closed w, on 2, 4, 6 and 8
   generators, and in parameter mode on 4;
 - NoSolution exactly when the elimination finds no solution, for random
-  nondegenerate forms;
+  nondegenerate forms, and in parameter mode on 6 generators at seeded
+  rational points of the parameters;
 - the dual field of random 1-forms.
 The data are `helpers.random_good_algebra` algebras (half of them in a
 dense frame) and random nondegenerate 2-forms with mixed denominators, in
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -43,7 +45,7 @@ from lcscalc.lcs import (
     is_lcs, top_power,
 )
 from lcscalc.presets import acfm_rational, acfm_symbolic
-from lcscalc.scalar import ScalarMode
+from lcscalc.scalar import ParamScalar, ScalarMode
 from lcscalc.specfile import parse_algebra_text
 
 PARAMS = ScalarMode.params("k", "t")
@@ -185,6 +187,56 @@ def test_no_solution_exactly_when_elimination_finds_none(seed, params):
         assert expected is not None and str(exc).startswith(f"solution {expected} is not closed")
     else:
         assert lee == expected
+
+
+def _at(x, point: tuple[Fraction, ...]) -> Fraction | None:
+    """A scalar at a rational point of the parameters, or None where its denominator vanishes."""
+    if not isinstance(x, ParamScalar):
+        return x
+
+    def value(poly):
+        return sum(c * prod(v**e for v, e in zip(point, exps)) for exps, c in poly.items())
+
+    den = value(x.den)
+    return Fraction(value(x.num)) / den if den else None
+
+
+def _form_at(form: Form, point) -> Form | None:
+    terms = {m: _at(c, point) for m, c in form.terms.items()}
+    return None if None in terms.values() else Form(form.basis, form.degree, terms)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_param_verdicts_on_six_generators_hold_at_rational_points(seed):
+    """NoSolution, LeeNotClosed or the Lee form, as the elimination finds at each point.
+
+    Each point keeps the Pfaffian and every denominator of the Lee form
+    nonzero.  A parameter-mode elimination on 6 generators takes seconds,
+    a rational one at a point milliseconds.  These draws end in NoSolution
+    or, for a closed Omega, in the Lee form 0.
+    """
+    rng, alg = _algebra(seed, sizes=(6,), params=True)
+    omega2 = _nondegenerate(rng, alg)
+    try:
+        verdict = is_lcs(alg, omega2).lee
+    except (NoSolution, LeeNotClosed) as exc:
+        verdict = exc
+    points, checked = random.Random(seed), 0
+    while checked < 3:
+        point = tuple(Fraction(points.randint(-99, 99), points.randint(1, 97)) for _ in PARAMS.symbols)
+        at = Algebra(alg.basis, [_form_at(f, point) for f in alg.dgen])
+        omega_at = _form_at(omega2, point)
+        lee_at = _form_at(verdict, point) if isinstance(verdict, Form) else verdict
+        if lee_at is None or not top_power(at, omega_at):
+            continue
+        expected = _lee_by_elimination(at, omega_at)
+        if isinstance(verdict, NoSolution):
+            assert expected is None
+        elif isinstance(verdict, LeeNotClosed):
+            assert expected is not None and not d(at, expected).is_zero()
+        else:
+            assert expected == lee_at
+        checked += 1
 
 
 @given(seeds, st.booleans())

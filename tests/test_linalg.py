@@ -1,4 +1,4 @@
-"""rank, rank_mod, nullspace and solve against independent references.
+"""rank, echelon_mod, nullspace and solve against independent references.
 
 Rational matrices are checked against the Fraction row reduction in
 `helpers.py`, also as `IntegerRows` and as rows of rational functions that
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from helpers import fraction_nullspace, fraction_rref, fraction_solve, mod_rank, rref_rank
 from lcscalc import linalg
 from lcscalc.errors import MixedModes
-from lcscalc.linalg import IntegerRows, echelon_mod, nullspace, rank, rank_mod, solve
+from lcscalc.linalg import IntegerRows, echelon_mod, nullspace, rank, solve
 from lcscalc.scalar import ParamScalar, ScalarMode, _Poly, parse_scalar
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -113,30 +113,22 @@ residues = st.one_of(
 ).map(Fraction)
 
 
-@given(
-    matrices(residues, 8, 8),
-    st.sampled_from([2, 3, linalg.PRIME]),
-    st.integers(min_value=0, max_value=8),
-)
-def test_rank_mod_matches_a_list_elimination_and_bounds_the_rank(case, prime, split):
-    """Packed rows give the rank of an elimination on lists, never above the rank over Q.
-
-    The echelon of the first rows, passed on as `base`, gives the rank of all of them.
-    """
+@given(matrices(residues, 8, 8), st.sampled_from([2, 3, linalg.PRIME]))
+def test_echelon_mod_rank_matches_a_list_elimination_and_bounds_the_rank(case, prime):
+    """Packed rows give the rank of an elimination on lists, never above the rank over Q."""
     rows, ncols = case
     ints = [[int(x) for x in row] for row in rows]
     with mock.patch.object(linalg, "PRIME", prime):
-        got = rank_mod(ints, ncols)
-        joined = echelon_mod(ints[split:], ncols, echelon_mod(ints[:split], ncols))
-    assert got == mod_rank(ints, ncols, prime) == len(joined)
+        got = len(echelon_mod(ints, ncols))
+    assert got == mod_rank(ints, ncols, prime)
     assert got <= rref_rank(rows)
 
 
-def test_rank_mod_of_one_column_and_of_zero_rows():
-    assert rank_mod([[0], [-linalg.PRIME], [2**64 + 5]], 1) == 1
-    assert rank_mod([[0], [linalg.PRIME * 2**70]], 1) == 0
-    assert rank_mod([[0, 0, 0], [0, 0, 0]], 3) == 0
-    assert rank_mod([], 3) == 0 and rank_mod([[], []], 0) == 0
+def test_echelon_mod_rank_of_one_column_and_of_zero_rows():
+    assert len(echelon_mod([[0], [-linalg.PRIME], [2**64 + 5]], 1)) == 1
+    assert len(echelon_mod([[0], [linalg.PRIME * 2**70]], 1)) == 0
+    assert len(echelon_mod([[0, 0, 0], [0, 0, 0]], 3)) == 0
+    assert len(echelon_mod([], 3)) == 0 and len(echelon_mod([[], []], 0)) == 0
 
 
 @given(systems(rationals, 8, 8))
