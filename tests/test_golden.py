@@ -102,6 +102,11 @@ CASES = {
         2,
     ),
     "acfm_theorem1": (["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--theorem1"], 0),
+    # n*k*lambda = 2 puts the grid point (2, 1, 1) on both Pfaffians' zero sets
+    "acfm_theorem1_degenerate": (
+        ["acfm", "--n", "1", "--k", "1", "--lambda", "2", "--theorem1"],
+        0,
+    ),
     "check_d2_failure": (["check", "broken.alg"], 2),
     "check_d2_failure_frac": (["check", "broken_frac.alg"], 2),
     "check_acfm": (["check", "acfm.alg"], 0),
