@@ -36,8 +36,8 @@ are checked to give d_w o d_w = 0, so the exact ranks r_l of d_w leaving
 degree l satisfy r_{l-1} + r_l <= C(N, l), and a rank modulo p is at most
 the rank over Q.  The attempt is gated on H^0_w = H^1_w = 0, read off the
 exact kernels of d_0 and d_1, which gives r_0 = 1 and r_1 = N - 1; modular
-ranks with r_{l-1} + r_l = C(N, l) in every degree l >= 2 and r_{N-1} = 1
-are then the exact ranks, and every H^l_w is zero.  The rows are reduced
+ranks with r_{l-1} + r_l = C(N, l) in every degree l >= 2 are then the
+exact ranks, and every H^l_w is zero.  The rows are reduced
 packed, one Python int per row with a 64-bit slot per column that no
 carry crosses for N <= MAX_GENERATORS (`linalg.echelon_mod`).  The
 harmonic spaces come from the same ranks on both sides of the orthogonal
@@ -292,7 +292,9 @@ class TwistedComplex:
         """Ranks r_l modulo p that close r_{l-1} + r_l = C(N, l) in every degree.
 
         H^0_w = H^1_w = 0 exactly gives r_0 = 1 and r_1 = N - 1; the first
-        degree that does not close ends the attempt.
+        degree that does not close ends the attempt.  Closed up to N - 1,
+        induction from r_1 = C(N - 1, 1) gives r_l = C(N, l) - C(N - 1, l - 1)
+        = C(N - 1, l), so r_{N-1} = 1 and H^N_w is zero with no further test.
         """
         n = self.alg.dim
         if self.kernel(0) or len(self.kernel(1)) != 1:
@@ -302,7 +304,7 @@ class TwistedComplex:
             ranks.append(len(echelon_mod(self.rows(degree, 1)[0], self.size(degree))))
             if ranks[-2] + ranks[-1] != self.size(degree):
                 return None
-        return tuple(ranks) if ranks[-1] == 1 else None
+        return tuple(ranks)
 
     def kernel(self, degree: int) -> list[list[int]]:
         """Kernel basis of d_w: primitive integer vectors, one per free column."""

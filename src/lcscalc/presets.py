@@ -14,7 +14,7 @@ The t and s families of 2-forms,
 are built from one table, `FAMILIES`; their exact part (c3 = 1 alone) is
 what `exact_lcs` checks against the twisted differential of eta.
 `theorem1` certifies the Lee forms (the twists sign*k*gamma) and twisted
-classes of both families on a sampled grid.
+classes of every nondegenerate member of both families by linearity.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from .cecomplex import Algebra, d_omega
 from .cohomology import primitive
-from .errors import CrossCheckError, Degenerate, InvalidParams, MathError
+from .errors import CrossCheckError, InvalidParams, MathError
 from .exterior import Basis, Form
-from .lcs import is_lcs, top_power
+from .lcs import top_power
 from .scalar import Scalar, ScalarMode
 
 ACFM_GENERATORS = ("alpha", "beta", "gamma", "eta")
@@ -190,31 +190,28 @@ class Theorem1Family:
 def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     """Certify the t and s families of the preset with these parameters.
 
-    At every nondegenerate point of THEOREM1_GRID the Lee form must be the
-    family's twist and the class c1 times the representative's, not zero:
-    form - c1 * representative is exact, while c1 is not zero and the
-    representative is not exact.  Otherwise MathError is raised.
+    A family spans rep, second and its exact part (`_family` at the unit
+    triples), and d_w is linear: d_w = 0 on the three gives every member
+    d(Omega) = -w ^ Omega for the closed twist w, which is its Lee form once
+    Pf != 0 (N = 4, so w -> w ^ Omega is injective).  The verified
+    primitives of second and the exact part give one of Omega - c1 rep, and
+    rep is not exact: every member with Pf != 0 has the class c1 [rep].
+    THEOREM1_GRID only counts such members; a failed check, or a counted
+    member with c1 = 0 (a zero class), raises MathError.
     """
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
     alg = acfm(params)
     data = _preset_data(alg)
     results = []
-    for family, (rep_monomial, _, twist_sign) in FAMILIES.items():
+    for family, (*_, twist_sign) in FAMILIES.items():
         pfaffian = family_pfaffian(family, params)
         twist = _twist(alg, data[0], twist_sign)
-        rep = alg.basis.monomial_form(rep_monomial)
-        rep_exact = primitive(alg, twist, rep).exact
-        checked = 0
-        for c1, c2, c3 in THEOREM1_GRID:
-            form = _family(alg, data, family, c1, c2, c3)
-            try:
-                cert = is_lcs(alg, form)
-            except Degenerate:
-                continue
-            if cert.lee != twist:
-                raise MathError(f"family {family}: unexpected Lee form {cert.lee}")
-            if rep_exact or not c1 or not primitive(alg, twist, form - c1 * rep).exact:
-                raise MathError(f"family {family}: unexpected class coordinates")
-            checked += 1
-        results.append(Theorem1Family(family, pfaffian, twist, rep, checked))
+        rep, *rest = (_family(alg, data, family, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        if any(not d_omega(alg, twist, x).is_zero() for x in (rep, *rest)):
+            raise MathError(f"family {family}: unexpected Lee form")
+        grid = [c[0] for c in THEOREM1_GRID if top_power(alg, _family(alg, data, family, *c))]
+        exact = [primitive(alg, twist, x).exact for x in (rep, *rest)]
+        if exact != [False, True, True] or not all(grid):
+            raise MathError(f"family {family}: unexpected class coordinates")
+        results.append(Theorem1Family(family, pfaffian, twist, rep, len(grid)))
     return tuple(results)

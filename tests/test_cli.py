@@ -582,6 +582,21 @@ def test_decomposition_that_does_not_fill_a_degree_is_a_cross_check_error(
     )
 
 
+def test_a_primitive_that_solve_gets_wrong_is_a_cross_check_error(capsys, monkeypatch):
+    """Every primitive is re-checked by d_w x = theta before theorem 1 leans on it."""
+    solve = hodge.solve
+
+    def perturbed(rows, rhs, width):
+        sol = solve(rows, rhs, width)
+        return sol and [x + 1 for x in sol]
+
+    monkeypatch.setattr(hodge, "solve", perturbed)
+    assert main(["acfm", "--n", "1", "--k", "2", "--lambda", "3", "--theorem1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lcscalc: failure: CrossCheckError: primitive verification failed\n"
+
+
 def test_missing_input_file_is_one_line(tmp_path, capsys):
     path = tmp_path / "missing.alg"
     assert main(["check", str(path)]) == 1

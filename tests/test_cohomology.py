@@ -130,6 +130,16 @@ def test_primitive_refuses_a_residue_that_is_not_exact(monkeypatch):
         primitive(alg, zero, theta)
 
 
+def test_a_kernel_that_loses_a_vector_fails_the_report(acfm111, monkeypatch):
+    """betti and harmonic both read ker d_1: one vector short, the ranks and bases disagree."""
+    kernel = TwistedComplex.kernel
+    monkeypatch.setattr(
+        TwistedComplex, "kernel", lambda cx, l: kernel(cx, l)[:-1] if l == 1 else kernel(cx, l)
+    )
+    with pytest.raises(CrossCheckError, match="rank and harmonic dimensions disagree"):
+        cohomology_report(acfm111, acfm111.basis.zero(1))
+
+
 def test_class_coords_linearity(acfm111):
     w = twist_form(acfm111, -1)
     theta = omega_t(acfm111, 3, 2, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from helpers import F
 from lcscalc.cecomplex import check_d2, d
 from lcscalc.cohomology import primitive
 from lcscalc import presets
-from lcscalc.errors import InvalidParams, MathError
+from lcscalc.errors import Degenerate, InvalidParams, MathError
 from lcscalc.lcs import is_lcs, top_power
 from lcscalc.presets import (
     FAMILY_SYMBOLS,
@@ -192,15 +193,85 @@ def test_theorem1_certifies_both_families(n, k, lam):
     assert results[0].instances_checked == (12 if (n, k, lam) == (1, 2, 3) else 11)
 
 
+def _coefficient_draws(seed: int, count: int) -> list[tuple[Fraction, ...]]:
+    rng = random.Random(seed)
+    return [
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("n,k,lam", [(1, 2, 3), (1, 1, 2), (2, Fraction(-3, 2), 1)])
+def test_theorem1_against_the_route_member_by_member(n, k, lam):
+    """is_lcs and primitive on each sampled member, independent of theorem1's linear certificate.
+
+    Every nondegenerate member has the family's twist as its Lee form and
+    form - c1 * representative exact, and its own class is zero exactly when
+    c1 = 0; the grid points counted are those with a nonzero top power.
+    """
+    alg = acfm_rational(n, k, lam)
+    draws = _coefficient_draws(7, 24) + [(Fraction(0), Fraction(2), Fraction(1))]
+    for result, build in zip(theorem1(n, k, lam), (omega_t, omega_s)):
+        rep, twist = result.representative, result.lee
+        nondegenerate = 0
+        for i, coeffs in enumerate(draws + list(THEOREM1_GRID)):
+            form = build(alg, *coeffs)
+            if not top_power(alg, form):
+                with pytest.raises(Degenerate):
+                    is_lcs(alg, form)
+                continue
+            assert is_lcs(alg, form).lee == twist
+            assert primitive(alg, twist, form - coeffs[0] * rep).exact
+            assert primitive(alg, twist, form).exact == (coeffs[0] == 0)
+            nondegenerate += i >= len(draws)
+        assert result.instances_checked == nondegenerate
+
+
 def test_theorem1_raises_on_a_wrong_lee_form(monkeypatch):
-    real = presets.is_lcs
-
-    def shifted(alg, form):
-        cert = real(alg, form)
-        return dataclasses.replace(cert, lee=cert.lee + alg.basis.gen(0))
-
-    monkeypatch.setattr(presets, "is_lcs", shifted)
+    """Each family set against the other's twist, for which its representative is not closed."""
+    real = presets._twist
+    monkeypatch.setattr(presets, "_twist", lambda alg, k, sign: real(alg, k, -sign))
     with pytest.raises(MathError, match="family t: unexpected Lee form"):
+        theorem1(1, 2, 3)
+
+
+SPANNING = {"rep": (1, 0, 0), "second": (0, 1, 0), "exact": (0, 0, 1)}
+
+
+@pytest.mark.parametrize("unit", SPANNING.values(), ids=SPANNING.keys())
+def test_theorem1_raises_on_a_spanning_form_that_is_not_closed(monkeypatch, unit):
+    """alpha^beta, which d_w does not close for either twist, added to one spanning form."""
+    real = presets._family
+
+    def bent(alg, data, family, *coeffs):
+        form = real(alg, data, family, *coeffs)
+        return form + alg.basis.monomial_form((0, 1)) if coeffs == unit else form
+
+    monkeypatch.setattr(presets, "_family", bent)
+    with pytest.raises(MathError, match="family t: unexpected Lee form"):
+        theorem1(1, 2, 3)
+
+
+@pytest.mark.parametrize("unit", SPANNING.values(), ids=SPANNING.keys())
+def test_theorem1_raises_when_one_spanning_form_has_the_wrong_class(monkeypatch, unit):
+    """The representative reported exact, or the second form or exact part reported not exact."""
+    real = presets.primitive
+
+    def reported(alg, w, form):
+        cert = real(alg, w, form)
+        if form == omega_t(alg, *unit):
+            return dataclasses.replace(cert, exact=not cert.exact)
+        return cert
+
+    monkeypatch.setattr(presets, "primitive", reported)
+    with pytest.raises(MathError, match="family t: unexpected class coordinates"):
+        theorem1(1, 2, 3)
+
+
+def test_theorem1_raises_on_a_nondegenerate_member_with_no_representative_part(monkeypatch):
+    # c1 = 0 with Pf = -2 n k lambda c3^2 != 0: an exact class, not a nonzero one
+    monkeypatch.setattr(presets, "THEOREM1_GRID", ((Fraction(0), Fraction(1), Fraction(1)),))
+    with pytest.raises(MathError, match="family t: unexpected class coordinates"):
         theorem1(1, 2, 3)
 
 
