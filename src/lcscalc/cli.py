@@ -277,14 +277,15 @@ def cmd_acfm(args) -> int:
         shown = {name: scalar_str(value) for name, value in shown.items()}
         text = " ".join(f"{name}={value}" for name, value in shown.items())
         report.add("params", shown, [f"params: {text}"])
+    wanted = [f for f, flag in (("t", args.pfaffian_t), ("s", args.pfaffian_s)) if flag]
     theorem1 = presets.theorem1(args.n, args.k, args.lam) if args.theorem1 else ()
-    # reuse the family Pfaffians that theorem 1 has computed
-    pfaffians = {result.family: result.pfaffian for result in theorem1}
-    for family, wanted in (("t", args.pfaffian_t), ("s", args.pfaffian_s)):
-        if wanted:
-            if family not in pfaffians:
-                pfaffians[family] = presets.family_pfaffian(family, params)
-            report.add(f"pfaffian_{family}", scalar_str(pfaffians[family]))
+    if theorem1:
+        # reuse the family Pfaffians that theorem 1 has computed
+        pfaffians = {result.family: result.pfaffian for result in theorem1}
+    else:
+        pfaffians = presets.family_pfaffians(wanted, params) if wanted else {}
+    for family in wanted:
+        report.add(f"pfaffian_{family}", scalar_str(pfaffians[family]))
     if args.param_mode:
         report.emit(args.json)
         return 0

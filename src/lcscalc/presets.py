@@ -161,19 +161,30 @@ THEOREM1_GRID = (
 )
 
 
-def family_pfaffian(family: str, params: AcfmParams | None = None) -> Scalar:
-    """Top power of the t or s family with formal coefficients t1..s3.
+def family_pfaffians(families, params: AcfmParams | None = None) -> dict[str, Scalar]:
+    """Top power of each named t or s family with formal coefficients t1..s3.
 
-    Without `params`, n, k and lambda are formal symbols as well.
+    Without `params`, n, k and lambda are formal symbols as well.  One
+    parameter-mode preset serves every family asked for.
     """
-    if family not in FAMILIES:
-        raise InvalidParams(f"unknown family {family!r}; expected 't' or 's'")
+    for family in families:
+        if family not in FAMILIES:
+            raise InvalidParams(f"unknown family {family!r}; expected 't' or 's'")
     if params is None:
         alg = acfm_symbolic(FAMILY_SYMBOLS)
     else:
         alg = acfm(params, ScalarMode.params(*FAMILY_SYMBOLS))
-    coeffs = (alg.mode.symbol(f"{family}{i}") for i in (1, 2, 3))
-    return top_power(alg, _family(alg, _preset_data(alg), family, *coeffs))
+    data = _preset_data(alg)
+    out = {}
+    for family in families:
+        coeffs = (alg.mode.symbol(f"{family}{i}") for i in (1, 2, 3))
+        out[family] = top_power(alg, _family(alg, data, family, *coeffs))
+    return out
+
+
+def family_pfaffian(family: str, params: AcfmParams | None = None) -> Scalar:
+    """Top power of the t or s family: one entry of `family_pfaffians`."""
+    return family_pfaffians((family,), params)[family]
 
 
 @dataclass(frozen=True)
@@ -202,9 +213,9 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
     alg = acfm(params)
     data = _preset_data(alg)
+    pfaffians = family_pfaffians(FAMILIES, params)
     results = []
     for family, (*_, twist_sign) in FAMILIES.items():
-        pfaffian = family_pfaffian(family, params)
         twist = _twist(alg, data[0], twist_sign)
         rep, *rest = (_family(alg, data, family, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         if any(not d_omega(alg, twist, x).is_zero() for x in (rep, *rest)):
@@ -213,5 +224,5 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
         exact = [primitive(alg, twist, x).exact for x in (rep, *rest)]
         if exact != [False, True, True] or not all(grid):
             raise MathError(f"family {family}: unexpected class coordinates")
-        results.append(Theorem1Family(family, pfaffian, twist, rep, len(grid)))
+        results.append(Theorem1Family(family, pfaffians[family], twist, rep, len(grid)))
     return tuple(results)

@@ -8,6 +8,15 @@ polynomials kept in a canonical form: numerator and denominator are coprime
 term in ascending graded-lexicographic order has a positive coefficient.
 Equality and zero tests are therefore structural and exact.
 
+Most values have an integer denominator.  When both operands of `+ - *`
+have one, and for `/` when the dividend's denominator and the divisor's
+numerator are integers, the result is formed on numerators alone: equal
+denominators add as they are, unequal ones are scaled to their lcm, and no
+two denominator polynomials are multiplied.  `_over_int` then reduces
+num/c by gcd(c, content(num)) with the sign of c.  For an integer c that
+is the polynomial gcd of num and c, so the pair is the canonical form the
+cross-multiplied formulas would reach through `_make`.
+
 Scalar text is read by a recursive-descent parser over flat tokens:
 `tokenize` makes one `(kind, value, col)` tuple per token, and the cursor
 keeps the line, so no object is built per token.  The form grammar in
@@ -70,6 +79,8 @@ def _pmul(a: dict, b: dict) -> dict:
             if not any(e):
                 # a constant factor scales coefficients; no exponent sums
                 return {ep: cp * c for ep, cp in p.items()}
+            # one term shifts distinct exponents to distinct ones: none collect
+            return {tuple(map(add, ep, e)): cp * c for ep, cp in p.items()}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -97,7 +108,20 @@ def _psign_norm(p: dict) -> dict:
 
 
 def _pcontent_int(p: dict) -> int:
-    return reduce(gcd, (abs(c) for c in p.values()), 0)
+    return gcd(*p.values())
+
+
+def _int_den(p: dict) -> int | None:
+    """The integer c if p is the constant polynomial c, else None."""
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        if not any(e):
+            return c
+    return None
+
+
+def _pscale(p: dict, m: int) -> dict:
+    return {e: c * m for e, c in p.items()}
 
 
 def _pdiv_exact(a: dict, b: dict) -> dict:
@@ -246,25 +270,19 @@ class ParamScalar:
     def _make(symbols: tuple[str, ...], num: dict, den: dict) -> "ParamScalar":
         """The canonical form of num/den.
 
-        A constant denominator c needs no polynomial gcd: gcd(num, c) is the
-        integer gcd(content(num), c), taken with the sign of c so that the
-        reduced denominator is positive.
+        A constant denominator c needs no polynomial gcd and goes to
+        `_over_int`, the one integer canonicaliser, which the arithmetic's
+        integer-denominator route calls too.  Any other denominator is
+        reduced by the polynomial gcd `_pgcd`.
         """
         if not den:
             raise DivisionByZero("scalar division by zero")
+        c = _int_den(den)
+        if c is not None:
+            return _over_int(symbols, num, c)
         nvars = len(symbols)
         if not num:
             return ParamScalar(symbols, {}, _pconst(nvars, 1))
-        if len(den) == 1:
-            ((e, c),) = den.items()
-            if not any(e):
-                g = gcd(_pcontent_int(num), c)
-                if c < 0:
-                    g = -g
-                if g != 1:
-                    num = {ea: ca // g for ea, ca in num.items()}
-                    den = {e: c // g}
-                return ParamScalar(symbols, num, den)
         g = _pgcd(num, den)
         if g != _pconst(nvars, 1):
             num = _pdiv_exact(num, g)
@@ -302,12 +320,23 @@ class ParamScalar:
 
     # arithmetic -------------------------------------------------------------
 
+    def _combine(self, o: "ParamScalar", op: Callable) -> "ParamScalar":
+        """self + o or self - o, for op `_padd` or `_psub`."""
+        c, e = _int_den(self.den), _int_den(o.den)
+        if c is None or e is None:
+            num = op(_pmul(self.num, o.den), _pmul(o.num, self.den))
+            return ParamScalar._make(self.symbols, num, _pmul(self.den, o.den))
+        if c == e:
+            return _over_int(self.symbols, op(self.num, o.num), c)
+        m = lcm(c, e)
+        num = op(_pscale(self.num, m // c), _pscale(o.num, m // e))
+        return _over_int(self.symbols, num, m)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return ParamScalar._make(self.symbols, num, _pmul(self.den, o.den))
+        return self._combine(o, _padd)
 
     __radd__ = __add__
 
@@ -315,8 +344,7 @@ class ParamScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _psub(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return ParamScalar._make(self.symbols, num, _pmul(self.den, o.den))
+        return self._combine(o, _psub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -324,13 +352,18 @@ class ParamScalar:
             return NotImplemented
         return o - self
 
+    def _times(self, num: dict, den: dict) -> "ParamScalar":
+        """self * (num/den): o for `*`, and o inverted for `/`."""
+        c, e = _int_den(self.den), _int_den(den)
+        if c is not None and e is not None:
+            return _over_int(self.symbols, _pmul(self.num, num), c * e)
+        return ParamScalar._make(self.symbols, _pmul(self.num, num), _pmul(self.den, den))
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ParamScalar._make(
-            self.symbols, _pmul(self.num, o.num), _pmul(self.den, o.den)
-        )
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -340,9 +373,7 @@ class ParamScalar:
             return NotImplemented
         if not o.num:
             raise DivisionByZero("scalar division by zero")
-        return ParamScalar._make(
-            self.symbols, _pmul(self.num, o.den), _pmul(self.den, o.num)
-        )
+        return self._times(o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -404,6 +435,23 @@ class ParamScalar:
 
     def __str__(self):
         return scalar_str(self)
+
+
+def _over_int(symbols: tuple[str, ...], num: dict, c: int) -> ParamScalar:
+    """The canonical form of num/c for a nonzero integer c.
+
+    gcd(num, c) is the integer gcd(c, content(num)), taken with the sign of
+    c so that the reduced denominator is positive.
+    """
+    if not num:
+        return ParamScalar(symbols, {}, _pconst(len(symbols), 1))
+    g = gcd(c, *num.values())
+    if c < 0:
+        g = -g
+    if g != 1:
+        num = {e: x // g for e, x in num.items()}
+        c //= g
+    return ParamScalar(symbols, num, _pconst(len(symbols), c))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ from lcscalc.errors import ExprSyntaxError
 from lcscalc.exterior import Basis, Form, VectorField, frame_field
 from lcscalc.scalar import (
     MAX_DIGITS,
+    ParamScalar,
     _coeffs_in,
     _deg_in,
     _grlex,
+    _padd,
     _pmul,
     _prem,
     _psign_norm,
@@ -182,6 +184,25 @@ def oracle_brackets(alg: Algebra):
             coeffs[i][j][k] = -a
             coeffs[j][i][k] = a
     return [[VectorField(alg.basis, tuple(coeffs[i][j])) for j in range(n)] for i in range(n)]
+
+
+def jacobi_by_fields(alg: Algebra):
+    """(triple, residual) of the first frame triple i < j < k whose cyclic
+    Jacobi sum is nonzero, or None.
+
+    Each double bracket [X_a, [X_b, X_c]] is summed as vector fields, one
+    `oracle_brackets` field per coefficient of the inner bracket.
+    """
+    brackets = oracle_brackets(alg)
+    n = alg.dim
+    for i, j, k in combinations(range(n), 3):
+        total = V(alg, *([0] * n))
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in enumerate(brackets[b][c].coeffs):
+                total = total + x * brackets[a][m]
+        if not total.is_zero():
+            return (i, j, k), total
+    return None
 
 
 def koszul_d_value(alg: Algebra, brackets, theta: Form, slots) -> Fraction:
@@ -407,6 +428,43 @@ def invert_matrix(rows):
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         r += 1
     return [row[n:] for row in work]
+
+
+# ---------------------------------------------------------------------------
+# ParamScalar arithmetic by cross-multiplication
+# ---------------------------------------------------------------------------
+
+
+def term_loop_pmul(a: dict, b: dict) -> dict:
+    """Polynomial product summed over every pair of terms, no one-term shortcut."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def cross_multiplied(a: ParamScalar, op: str, b) -> ParamScalar:
+    """a op b for op in "+-*/", on cross-multiplied numerators and
+    denominators (every denominator product formed), made canonical by `_make`."""
+    b = a._coerce(b)
+    if op in "+-":
+        combine = _padd if op == "+" else _psub
+        num = combine(term_loop_pmul(a.num, b.den), term_loop_pmul(b.num, a.den))
+        den = term_loop_pmul(a.den, b.den)
+    elif op == "*":
+        num, den = term_loop_pmul(a.num, b.num), term_loop_pmul(a.den, b.den)
+    else:
+        num, den = term_loop_pmul(a.num, b.den), term_loop_pmul(a.den, b.num)
+    return ParamScalar._make(a.symbols, num, den)
+
+
+def is_canonical(x: ParamScalar) -> bool:
+    """Numerator and denominator coprime by the PRS gcd, lowest denominator term positive."""
+    one = {(0,) * len(x.symbols): 1}
+    coprime = x.den == one if not x.num else prs_gcd(x.num, x.den) == one
+    return coprime and x.den[min(x.den, key=_grlex)] > 0
 
 
 # ---------------------------------------------------------------------------

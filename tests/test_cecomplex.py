@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import F, V, random_good_algebra, perturb_algebra
+from helpers import F, V, jacobi_by_fields, random_good_algebra, perturb_algebra
 from lcscalc.cecomplex import (
     Algebra,
     brackets_from_d,
@@ -90,6 +90,32 @@ def test_jacobi(acfm111, torus4):
     bad = jacobi_check(so3_perturbed().brackets())
     assert not bad.ok
     assert bad.triple is not None
+
+
+def test_jacobi_sums_match_the_vector_field_route():
+    # the first failing triple and its residual, in both scalar modes
+    rng = random.Random(20261020)
+    algebras = [
+        acfm_symbolic(),
+        so3_perturbed(),
+        parse_algebra_text(
+            "params t\ngenerators e1 e2 e3\n"
+            "d e1 = 1 e2^e3\nd e2 = -1 e1^e3\nd e3 = 1 e1^e2 + t e1^e3\n"
+        ),
+    ]
+    for _ in range(40):
+        alg = random_good_algebra(rng, rng.randint(3, 5))
+        algebras.append(perturb_algebra(rng, alg) if rng.random() < 0.5 else alg)
+    failures = 0
+    for alg in algebras:
+        result = jacobi_check(brackets_from_d(alg))
+        expected = jacobi_by_fields(alg)
+        if expected is None:
+            assert result.ok and result.triple is None
+        else:
+            failures += 1
+            assert not result.ok and (result.triple, result.residual) == expected
+    assert failures >= 10
 
 
 def test_d_omega_examples(acfm111):

@@ -676,20 +676,44 @@ def test_acfm_preset_reports(capsys):
 
 def test_acfm_theorem1_reuses_its_pfaffians(capsys, monkeypatch):
     calls = []
-    pfaffian = presets.family_pfaffian
+    pfaffians = presets.family_pfaffians
 
-    def counted(family, params=None):
-        calls.append(family)
-        return pfaffian(family, params)
+    def counted(families, params=None):
+        calls.append(tuple(families))
+        return pfaffians(families, params)
 
-    monkeypatch.setattr(presets, "family_pfaffian", counted)
+    monkeypatch.setattr(presets, "family_pfaffians", counted)
     argv = ["acfm", "--n", "1", "--k", "-2", "--lambda", "1", "--theorem1"]
     assert main(argv + ["--pfaffian-t", "--pfaffian-s"]) == 0
     out = capsys.readouterr().out
-    assert sorted(calls) == ["s", "t"]
+    assert calls == [("t", "s")]
     assert "pfaffian t: 2*(t1*t2 + 2*t3^2)\n" in out
     assert "pfaffian s: -2*(s1*s2 + 2*s3^2)\n" in out
     assert "family t pfaffian: 2*(t1*t2 + 2*t3^2)\n" in out
+
+
+def test_acfm_reports_build_one_parameter_mode_preset(capsys, monkeypatch):
+    # both family Pfaffians are read off one parameter-mode preset
+    builds = []
+    acfm = presets.acfm
+
+    def counted(params, mode=None):
+        builds.append("params" if mode is not None and mode.is_param else "rational")
+        return acfm(params, mode)
+
+    monkeypatch.setattr(presets, "acfm", counted)
+    assert main(["acfm", "--param-mode", "--pfaffian-t", "--pfaffian-s"]) == 0
+    assert builds == ["params"]
+    builds.clear()
+    argv = ["acfm", "--n", "1", "--k", "-2", "--lambda", "1", "--pfaffian-t", "--pfaffian-s"]
+    assert main(argv) == 0
+    assert builds == ["params", "rational"]
+    builds.clear()
+    assert main(argv + ["--theorem1"]) == 0
+    assert builds == ["rational", "params", "rational"]
+    out = capsys.readouterr().out
+    assert "pfaffian t: 2*(t1*t2 + 2*t3^2)\n" in out
+    assert "pfaffian s: -2*(s1*s2 + 2*s3^2)\n" in out
 
 
 @pytest.mark.parametrize("option", ["--n", "--k", "--lambda"])

@@ -27,7 +27,14 @@ from lcscalc.scalar import (
     tokenize,
 )
 
-from helpers import char_loop_tokenize, general_pdiv_exact, prs_gcd
+from helpers import (
+    char_loop_tokenize,
+    cross_multiplied,
+    general_pdiv_exact,
+    is_canonical,
+    prs_gcd,
+    term_loop_pmul,
+)
 
 RATIONAL = ScalarMode.rational()
 PMODE = ScalarMode.params("n", "k", "lambda", "t1", "t2", "t3")
@@ -119,13 +126,26 @@ def test_constant_denominators_run_no_polynomial_gcd(monkeypatch):
 
         return wrapper
 
+    def integer(p):
+        return len(p) == 1 and not any(next(iter(p)))
+
+    def checked_pmul(a, b):
+        # the integer-denominator route never multiplies two denominators
+        if integer(a) and integer(b):
+            calls.append(("_pmul", a, b))
+        return _pmul(a, b)
+
     monkeypatch.setattr(scalar, "_pgcd", counted(_pgcd))
     monkeypatch.setattr(scalar, "_pdiv_exact", counted(_pdiv_exact))
+    monkeypatch.setattr(scalar, "_pmul", checked_pmul)
     k = sym("k")
     assert 2 * k == k + k
     half = Fraction(1, 3) * k + Fraction(1, 6) * k
     assert scalar_str(half) == "(k)/(2)"
     assert scalar_str(Fraction(-4, 6) * (k + 1)) == "(-2 - 2*k)/(3)"
+    assert scalar_str(k / 3 - k / 2) == "(-k)/(6)"
+    assert scalar_str((k + 1) / Fraction(-2, 3)) == "(-3 - 3*k)/(2)"
+    assert scalar_str(k / 4 * (k / 6)) == "(k^2)/(24)"
     assert calls == []
 
 
@@ -302,6 +322,114 @@ def test_one_term_division_raises_when_inexact():
         _pdiv_exact({(1, 0, 0): 3}, {(0, 1, 0): 1})
     with pytest.raises(ArithmeticError):
         _pdiv_exact({(1, 0, 0): 3, (0, 0, 0): 1}, _constant(3))
+
+
+@given(polys, st.one_of(monomials, nonzero.map(_constant)))
+def test_one_term_product_matches_the_term_loop(p, m):
+    expected = term_loop_pmul(p, m)
+    for product in (_pmul(p, m), _pmul(m, p)):
+        assert product == expected
+        assert product is not p and product is not m
+
+
+# ---------------------------------------------------------------------------
+# the integer-denominator route against the cross-multiplied formulas
+# ---------------------------------------------------------------------------
+
+SYMS = ("x", "y", "z")
+int_dens = st.sampled_from([1, 2, 3, 4, 6, 12, -4, -9]).map(_constant)
+# numerators of degree at most 2 and denominators of degree at most 1 in
+# each symbol, so that the polynomial gcds of the products stay small
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * NV), nonzero, min_size=1, max_size=4
+)
+linear_dens = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * NV), nonzero, min_size=1, max_size=3
+)
+
+
+@st.composite
+def quotients(draw):
+    num = draw(st.one_of(st.just({}), small_polys))
+    den = draw(st.one_of(int_dens, int_dens, linear_dens))
+    return ParamScalar._make(SYMS, num, den)
+
+
+@st.composite
+def operand_pairs(draw):
+    a = draw(quotients())
+    b = draw(
+        st.one_of(
+            quotients(),
+            # the same denominator, reduced or not
+            small_polys.map(lambda p: ParamScalar._make(SYMS, p, a.den)),
+            # sums and differences that cancel to zero, or reduce after the lcm
+            st.sampled_from([a, -a]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(lambda q: a * q),
+            st.integers(min_value=-6, max_value=6),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        )
+    )
+    return a, b
+
+
+OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+@given(operand_pairs())
+def test_arithmetic_matches_the_cross_multiplied_formulas(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        for op, fn in OPS.items():
+            if op == "/" and not y:
+                continue
+            got = fn(x, y)
+            want = cross_multiplied(a._coerce(x), op, y)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert hash(got) == hash(want)
+            assert is_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "a, b, total",
+    [
+        ("x/6", "x/3", "(x)/(2)"),
+        ("(x + y)/4", "-(x + y)/12", "(x + y)/(6)"),
+        ("x/10", "2*x/15", "(7*x)/(30)"),
+        ("x/6", "5*x/6", "x"),
+        ("y/4", "-y/4", "0"),
+    ],
+)
+def test_sums_over_integer_denominators_reduce_after_the_lcm(a, b, total):
+    mode = ScalarMode.params(*SYMS)
+    a, b = parse_scalar(a, mode), parse_scalar(b, mode)
+    for value, oracle in ((a + b, cross_multiplied(a, "+", b)), (a - -b, cross_multiplied(a, "-", -b))):
+        assert scalar_str(value) == total
+        assert (value.num, value.den) == (oracle.num, oracle.den)
+        assert is_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "text, divisor, expected",
+    [
+        ("x", -2, "(-x)/(2)"),
+        ("x/3 + 1/3", Fraction(-1, 3), "-1 - x"),
+        ("(2*x - 4*y)/6", -4, "(-x + 2*y)/(12)"),
+        ("6*x*y", -3, "-2*x*y"),
+        ("x/(y + 1)", -2, "(-x)/(2 + 2*y)"),
+        ("(y + 1)/x", Fraction(-2, 5), "(-5 - 5*y)/(2*x)"),
+    ],
+)
+def test_division_by_a_negative_constant_keeps_the_denominator_positive(text, divisor, expected):
+    mode = ScalarMode.params(*SYMS)
+    value = parse_scalar(text, mode) / divisor
+    assert scalar_str(value) == expected
+    assert is_canonical(value)
 
 
 @st.composite
