@@ -26,7 +26,7 @@ from .errors import (
     ParamModeUnsupported, StructureError,
 )
 from .exterior import (
-    Basis, Form, VectorField, integer_terms, interior, mask_index,
+    Basis, Form, VectorField, interior, mask_index,
 )
 from .scalar import ParamScalar, Scalar, ScalarMode
 
@@ -113,11 +113,10 @@ class Algebra:
         self._weights: tuple[Fraction, ...] | None = None
         self._trace: Form | None = None
         # rational structure data as integer numerators over one denominator
-        scaled = [integer_terms(f.terms) for f in dgen]
-        den = self.d_den = None if None in scaled else lcm(*[s[0] for s in scaled])
+        den = self.d_den = lcm(*[f.den for f in dgen]) if all(f.den for f in dgen) else None
         self._heads = [
-            [(h, c * (den // s[0])) for h, c in s[1]] if den else f.terms.items()
-            for f, s in zip(dgen, scaled)
+            [(h, c * (den // f.den)) for h, c in f.nums.items()] if den else f.terms.items()
+            for f in dgen
         ]
         self._d_rows: dict[int, list[list]] = {}
         self._d_columns: dict[int, dict] = {}
@@ -164,7 +163,7 @@ class Algebra:
             raise DegreeMismatch("twist must be a 1-form")
         if omega in self._twisted:
             return
-        if not self.mode.is_param and integer_terms(omega.terms) is None:
+        if not self.mode.is_param and not omega.den:
             raise MixedModes("a twist with symbolic coefficients needs a parameter-mode algebra")
         dw = d(self, omega)
         if not dw.is_zero():
@@ -215,9 +214,11 @@ class Algebra:
                         traces[b] += c
                     elif b == k:
                         traces[a] -= c
-            den = self.d_den
-            terms = {(i,): Fraction(t, den) if den else t for i, t in enumerate(traces) if t}
-            self._trace = Form.canonical(self.basis, 1, terms)
+            terms = {(i,): t for i, t in enumerate(traces) if t}
+            if self.d_den:
+                self._trace = Form.over(self.basis, 1, self.d_den, terms)
+            else:
+                self._trace = Form.canonical(self.basis, 1, terms)
         return self._trace
 
     def d_matrix(self, degree: int) -> list[list]:
@@ -279,26 +280,26 @@ def d(alg: Algebra, a: Form) -> Form:
     """Exterior differential: D_l times the coefficients of a, read by column.
 
     Each term c e_I of a adds c times the nonzero entries of column I
-    (`Algebra.d_columns`).  A rational form over integer D_l is scaled to
-    integer numerators over m, the lcm of its denominators; the products
-    are summed as ints and each result term is one Fraction(sum, m * D).
-    Other coefficients keep their own arithmetic.
+    (`Algebra.d_columns`).  A rational form's integer numerators over its
+    den meet integer D_l over D as ints, and the result is their sums over
+    den * D.  Other coefficients keep their own arithmetic.
     """
     if a.basis != alg.basis:
         raise BasisMismatch("form over a different basis")
     if a.degree == 0 or a.is_zero() or a.degree >= alg.dim:
         return alg.basis.zero(min(a.degree + 1, alg.dim))
     columns, den = alg.d_columns(a.degree), alg.d_den
-    scaled = integer_terms(a.terms) if den else None
-    pairs = scaled[1] if scaled else [(i, c / den if den else c) for i, c in a.terms.items()]
+    rational = den and a.den
+    pairs = a.nums.items() if rational else [(i, c / den if den else c) for i, c in a.terms.items()]
     out: dict = {}
     for idx, c in pairs:
         for r, t in columns[idx]:
             prev = out.get(r)
             out[r] = c * t if prev is None else prev + c * t
     keys = alg.basis.monomials(a.degree + 1)
-    den = scaled[0] * den if scaled else None
-    terms = {keys[r]: Fraction(v, den) if den else v for r, v in out.items() if v}
+    terms = {keys[r]: v for r, v in out.items() if v}
+    if rational:
+        return Form.over(alg.basis, a.degree + 1, a.den * den, terms)
     return Form.canonical(alg.basis, a.degree + 1, terms)
 
 

@@ -278,7 +278,9 @@ def cmd_acfm(args) -> int:
         text = " ".join(f"{name}={value}" for name, value in shown.items())
         report.add("params", shown, [f"params: {text}"])
     wanted = [f for f, flag in (("t", args.pfaffian_t), ("s", args.pfaffian_s)) if flag]
-    theorem1 = presets.theorem1(args.n, args.k, args.lam) if args.theorem1 else ()
+    # the rational preset serves theorem 1 and the structure report
+    preset = presets.acfm(params) if args.theorem1 else None
+    theorem1 = presets._theorem1(preset, params) if preset else ()
     if theorem1:
         # reuse the family Pfaffians that theorem 1 has computed
         pfaffians = {result.family: result.pfaffian for result in theorem1}
@@ -289,7 +291,7 @@ def cmd_acfm(args) -> int:
     if args.param_mode:
         report.emit(args.json)
         return 0
-    structure, code = _structure_report(presets.acfm(params), "(preset)")
+    structure, code = _structure_report(preset or presets.acfm(params), "(preset)")
     report.add("structure", structure.payload(), structure.lines()[1:])
     if theorem1:
         _add_theorem1(report, theorem1)

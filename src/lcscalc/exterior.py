@@ -1,12 +1,22 @@
 """Graded exterior algebra over an ordered basis of degree-1 generators.
 
-Forms are stored as maps from strictly ascending index tuples to nonzero
-coefficients, so equality is a dictionary comparison.  Only raw input is
-sorted and signed, by the `Form` constructor.  An exterior product of two
-ascending tuples is signed by merging them (`merge_sign`), and the sums of
-`wedge`, `+` and `interior` go straight into canonical terms.  `wedge` of
-two rational forms multiplies integer numerators over one denominator and
-makes one `Fraction` per result term.
+Forms are keyed by strictly ascending index tuples with nonzero
+coefficients.  A rational form holds integer numerators over one
+denominator: `nums` maps each monomial to a nonzero int and `den` is an
+int > 0 with gcd(den, content(nums)) = 1.  That pair is unique for a
+value: if nums / den = nums' / den' in lowest terms, then
+den' * nums = den * nums' forces den | den' and den' | den, so den = den'
+and nums = nums'.  Equality is therefore a comparison of the pairs, and
+`d`, `wedge`, `+`, `interior` and `form_str` run on ints, reducing each
+result by one gcd (`Form.over`).  The map `terms` of Fractions is built
+from the pair only when code reads it.  A form with a symbolic
+(`ParamScalar`) coefficient has den None, and nums is its `terms` map of
+scalars.
+
+Only raw input is sorted and signed, by the `Form` constructor.  An
+exterior product of two ascending tuples is signed by merging them
+(`merge_sign`), and the sums of `wedge`, `+` and `interior` go straight
+into canonical keys.
 """
 
 from __future__ import annotations
@@ -16,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import BasisMismatch, DegreeMismatch
-from .scalar import Scalar, needs_parens, scalar_str
+from .scalar import Scalar, _int_str, needs_parens, scalar_str
 
 MAX_GENERATORS = 16
 
@@ -101,13 +112,14 @@ def _coerce_coeff(c):
     return c
 
 
-def integer_terms(terms: dict) -> tuple[int, list[tuple]] | None:
-    """(m, numerators over m), m the lcm of the denominators; None unless all are rational."""
-    try:  # a ParamScalar has no denominator
-        m = lcm(*[c.denominator for c in terms.values()])
-    except AttributeError:
-        return None
-    return m, [(idx, c.numerator * (m // c.denominator)) for idx, c in terms.items()]
+def _common_den(coeffs) -> int | None:
+    """The lcm of the denominators of int and Fraction coefficients; None if one is symbolic.
+
+    A ParamScalar has no denominator; `getattr` with a default finds that
+    without raising, which matters on the parameter-mode route.
+    """
+    dens = [getattr(c, "denominator", None) for c in coeffs]
+    return None if None in dens else lcm(*dens)
 
 
 def merge_sign(ia: tuple, ib: tuple) -> tuple[tuple[int, ...], int]:
@@ -118,15 +130,23 @@ def merge_sign(ia: tuple, ib: tuple) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(ia + ib)), odd & 1
 
 
-def add_terms(pairs, den: int | None = None) -> dict:
-    """Sum `(ascending tuple, coefficient)` pairs, drop zeros; with den, each sum is over den."""
+def add_terms(pairs) -> dict:
+    """Sum `(ascending tuple, coefficient)` pairs and drop zeros."""
     out: dict = {}
     for key, c in pairs:
         prev = out.get(key)
         out[key] = c if prev is None else prev + c
-    if den is None:
-        return {key: c for key, c in out.items() if c}
-    return {key: Fraction(c, den) for key, c in out.items() if c}
+    return {key: c for key, c in out.items() if c}
+
+
+def _lowest(den: int, nums: dict) -> tuple[int, dict]:
+    """nums / den as (den, nums) in lowest terms: den > 0 and gcd(den, content(nums)) = 1."""
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, nums
+    return den // g, {key: n // g for key, n in nums.items()}
 
 
 def _products(a, b):
@@ -140,16 +160,35 @@ def _products(a, b):
                 yield key, -c if odd else c
 
 
+def _contractions(terms, coeffs):
+    """Signed `(key, c * v_i)` pairs of i(v) on `(ascending tuple, c)` terms, coeffs v."""
+    for idx, c in terms:
+        for m, i in enumerate(idx):
+            if vi := coeffs[i]:
+                yield idx[:m] + idx[m + 1 :], -(c * vi) if m % 2 else c * vi
+
+
 class Form:
-    """Homogeneous exterior form; the zero form matches any degree."""
+    """Homogeneous exterior form; the zero form matches any degree.
 
-    __slots__ = ("basis", "degree", "terms")
+    A rational form is `nums` / `den`: ints keyed by ascending tuples over
+    one int den > 0, in lowest terms, so the pair is unique for the value.
+    Its `terms`, the map of reduced Fractions, is built when first read.  A
+    form with a symbolic coefficient has den None and `nums` is its `terms`
+    map.  `terms` is a property over a slot rather than a `__getattr__`
+    fallback, which would slow every attribute read of a Form.
+    """
 
-    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple]):
+    __slots__ = ("basis", "degree", "den", "nums", "_terms")
+
+    def __init__(self, basis: Basis, degree: int, terms: dict | Iterable[tuple], den: int = 1):
         """Canonical terms from raw input: a dict or any `(index tuple, coefficient)` pairs.
 
         Pairs with a zero coefficient or a repeated index are dropped; the
-        others are sorted, signed and summed, dropping zero sums.
+        others are sorted, signed and summed, dropping zero sums.  Int and
+        Fraction coefficients stand for themselves over `den`, a positive
+        int, so integer numerators over a common denominator make no
+        Fraction; symbolic coefficients take den 1.
         """
         if not 0 <= degree <= basis.dim:
             raise ValueError(f"degree {degree} out of range for dim {basis.dim}")
@@ -161,21 +200,58 @@ class Form:
             if len(key) != degree:
                 raise ValueError(f"index tuple {key} has wrong length for degree {degree}")
             if sign:
-                c = _coerce_coeff(c)
                 pairs.append((key, c if sign > 0 else -c))
-        self.basis, self.degree, self.terms = basis, degree, add_terms(pairs)
+        self.basis, self.degree = basis, degree
+        m = _common_den(map(itemgetter(1), pairs))
+        if m is None:
+            self.den = None
+            self.nums = self._terms = add_terms([(key, _coerce_coeff(c)) for key, c in pairs])
+            return
+        nums = add_terms((key, c.numerator * (m // c.denominator)) for key, c in pairs)
+        self.den, self.nums = _lowest(den * m, nums)
+        self._terms = None
+
+    @classmethod
+    def over(cls, basis: Basis, degree: int, den: int, nums: dict) -> "Form":
+        """The rational form nums / den: ascending keys, nonzero int numerators, any int den != 0.
+
+        The pair is reduced by one gcd and its sign moved to the numerators.
+        """
+        form = object.__new__(cls)
+        form.basis, form.degree, form._terms = basis, degree, None
+        form.den, form.nums = _lowest(den, nums)
+        return form
 
     @classmethod
     def canonical(cls, basis: Basis, degree: int, terms: dict) -> "Form":
-        """A Form over terms that are canonical already: ascending tuples, no zeros."""
+        """A Form over terms that are canonical already: ascending tuples, no zeros.
+
+        Reduced Fractions (or ints) over their lcm m are in lowest terms
+        already: a prime power dividing m exactly divides some denominator
+        exactly, and that term's numerator over m is prime to it.
+        """
         form = object.__new__(cls)
-        form.basis, form.degree, form.terms = basis, degree, terms
+        form.basis, form.degree, form._terms = basis, degree, terms
+        m = form.den = _common_den(terms.values())
+        if m is None:
+            form.nums = terms
+        else:
+            form.nums = {key: c.numerator * (m // c.denominator) for key, c in terms.items()}
         return form
+
+    @property
+    def terms(self) -> dict:
+        """Coefficients by ascending tuple: a rational form's reduced Fractions, built once."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = self._terms = {key: Fraction(n, den) for key, n in self.nums.items()}
+        return terms
 
     # predicates -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, indices: tuple[int, ...]):
         """Stored coefficient of an ascending index tuple (0 if absent)."""
@@ -201,6 +277,18 @@ class Form:
             raise DegreeMismatch(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
+        a, b = self.den, other.den
+        if a and b:  # both over lcm(a, b)
+            m = lcm(a, b)
+            sa, sb = m // a, m // b
+            out = {i: n * sa for i, n in self.nums.items()} if sa > 1 else dict(self.nums)
+            for i, n in other.nums.items():
+                v = out.get(i, 0) + n * sb
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+            return Form.over(self.basis, self.degree, m, out)
         terms = add_terms([*self.terms.items(), *other.terms.items()])
         return Form.canonical(self.basis, self.degree, terms)
 
@@ -210,12 +298,21 @@ class Form:
         return self + (-other)
 
     def __neg__(self):
-        return Form.canonical(self.basis, self.degree, {i: -c for i, c in self.terms.items()})
+        negated = {i: -c for i, c in self.nums.items()}
+        if self.den:
+            return Form.over(self.basis, self.degree, self.den, negated)
+        return Form.canonical(self.basis, self.degree, negated)
 
     def __rmul__(self, c):
-        c = _coerce_coeff(c)
         if not c:
             return Form(self.basis, self.degree, {})
+        if self.den and isinstance(c, (int, Fraction)):
+            p = c.numerator
+            return Form.over(
+                self.basis, self.degree, self.den * c.denominator,
+                {i: p * n for i, n in self.nums.items()},
+            )
+        c = _coerce_coeff(c)
         # a product of nonzero scalars is nonzero, so the terms stay canonical
         return Form.canonical(self.basis, self.degree, {i: c * v for i, v in self.terms.items()})
 
@@ -226,12 +323,11 @@ class Form:
         self._check_basis(other)
         deg = self.degree + other.degree
         if deg > self.basis.dim:
-            return Form.canonical(self.basis, self.basis.dim, {})
-        a, b = integer_terms(self.terms), integer_terms(other.terms)
-        if a is None or b is None:
-            terms = add_terms(_products(self.terms.items(), other.terms.items()))
-        else:
-            terms = add_terms(_products(a[1], b[1]), den=a[0] * b[0])
+            return Form.over(self.basis, self.basis.dim, 1, {})
+        if self.den and other.den:
+            nums = add_terms(_products(self.nums.items(), other.nums.items()))
+            return Form.over(self.basis, deg, self.den * other.den, nums)
+        terms = add_terms(_products(self.terms.items(), other.terms.items()))
         return Form.canonical(self.basis, deg, terms)
 
     # comparison -------------------------------------------------------------
@@ -243,9 +339,14 @@ class Form:
             return False
         if self.is_zero() and other.is_zero():
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        if self.degree != other.degree:
+            return False
+        if self.den and other.den:
+            return self.den == other.den and self.nums == other.nums
+        return self.terms == other.terms
 
     def __hash__(self):
+        # by the Fraction values, which hash like the equal constant ParamScalars
         if self.is_zero():
             return hash((self.basis.names, "zero"))
         return hash((self.basis.names, self.degree, frozenset(self.terms.items())))
@@ -318,14 +419,14 @@ def interior(v: VectorField, a: Form) -> Form:
     if v.basis != a.basis:
         raise BasisMismatch("vector field and form over different bases")
     if a.degree == 0:
-        return Form.canonical(a.basis, 0, {})
-    pairs = (
-        (idx[:m] + idx[m + 1 :], c * vi if m % 2 == 0 else -(c * vi))
-        for idx, c in a.terms.items()
-        for m, i in enumerate(idx)
-        if (vi := v.coeffs[i])
-    )
-    return Form.canonical(a.basis, a.degree - 1, add_terms(pairs))
+        return Form.over(a.basis, 0, 1, {})
+    m = a.den and _common_den(v.coeffs)
+    if m:
+        coeffs = [c.numerator * (m // c.denominator) for c in v.coeffs]
+        nums = add_terms(_contractions(a.nums.items(), coeffs))
+        return Form.over(a.basis, a.degree - 1, a.den * m, nums)
+    terms = add_terms(_contractions(a.terms.items(), v.coeffs))
+    return Form.canonical(a.basis, a.degree - 1, terms)
 
 
 def evaluate_one_form(theta: Form, v: VectorField) -> Scalar:
@@ -346,14 +447,23 @@ def evaluate_one_form(theta: Form, v: VectorField) -> Scalar:
 
 
 def form_str(a: Form) -> str:
-    """Canonical text: `coeff gen^gen^...` terms in ascending tuple order."""
+    """Canonical text: `coeff gen^gen^...` terms in ascending tuple order.
+
+    A rational term n / den prints as `scalar_str` prints the reduced
+    Fraction: n and den divided by their gcd, without a denominator of 1.
+    """
     if a.is_zero():
         return "0"
-    parts = []
-    for idx in sorted(a.terms):
-        c = scalar_str(a.terms[idx])
-        if needs_parens(c):
-            c = f"({c})"
+    parts, den = [], a.den
+    for idx in sorted(a.nums):
+        if den:
+            n = a.nums[idx]
+            g = gcd(n, den)
+            c = _int_str(n // g) if g == den else f"{_int_str(n // g)}/{_int_str(den // g)}"
+        else:
+            c = scalar_str(a.nums[idx])
+            if needs_parens(c):
+                c = f"({c})"
         mono = "^".join(a.basis.names[i] for i in idx)
         body = f"{c} {mono}" if mono else c
         if not parts:

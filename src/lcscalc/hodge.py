@@ -63,7 +63,7 @@ from math import comb, gcd, lcm, prod
 
 from .cecomplex import Algebra, d, d_omega
 from .errors import BasisMismatch, CrossCheckError, DegreeMismatch
-from .exterior import Form, integer_terms, mask_index
+from .exterior import Form, mask_index
 from .linalg import IntegerRows, echelon_mod, nullspace, rank, solve
 from .scalar import Scalar, _fraction_row
 
@@ -128,9 +128,9 @@ def inner(alg: Algebra, rho: Form, nu: Form) -> Scalar:
         raise DegreeMismatch(
             f"inner product needs equal degrees, got {rho.degree} and {nu.degree}"
         )
-    total = alg.zero_scalar()
+    total, others = alg.zero_scalar(), nu.terms
     for idx, c in rho.terms.items():
-        other = nu.terms.get(idx)
+        other = others.get(idx)
         if other is None:
             continue
         term = c * other
@@ -168,9 +168,9 @@ def _assemble(alg: Algebra, omega: Form, degree: int):
         return IntegerRows(), None, None
     den = alg.d_den
     if den:  # `Algebra.require_closed` gives a rational algebra a rational twist
-        m, twist = integer_terms(omega.terms)
+        m = omega.den
         scale = lcm(den, m)
-        twist = [(i, c * (scale // m)) for (i,), c in twist]
+        twist = [(i, c * (scale // m)) for (i,), c in omega.nums.items()]
     else:
         scale, twist = None, [(i, c) for (i,), c in omega.terms.items()]
     dscale = scale // den if scale else 1
@@ -403,8 +403,8 @@ class TwistedComplex:
                     for i in s:
                         vec[i] += cj * k[i]
             last = next(x for x in reversed(vec) if x)
-            terms = {m: Fraction(x, last) for m, x in zip(monos, vec) if x}
-            basis_forms.append(Form.canonical(self.alg.basis, degree, terms))
+            nums = {m: x for m, x in zip(monos, vec) if x}
+            basis_forms.append(Form.over(self.alg.basis, degree, last, nums))
         return HarmonicSpace(degree, tuple(basis_forms), self.omega)
 
     def decomposition(self, degree: int) -> tuple[int, int, int]:

@@ -34,7 +34,7 @@ from .errors import (
     MixedModes, NoSolution, NotAutomorphism, OddDimension, ZeroForm,
 )
 from .exterior import (
-    Form, VectorField, evaluate_one_form, frame_field, integer_terms, interior,
+    Form, VectorField, evaluate_one_form, frame_field, interior,
 )
 from .linalg import nullspace, rank
 from .scalar import Scalar
@@ -67,7 +67,7 @@ def _pfaffians(alg: Algebra, omega2: Form) -> tuple[Callable, int]:
     Pfaffian of A on an ascending index tuple S, expanded along its first
     row and memoized on S: Pf(S) = sum_j (-1)^(j-1) A_{s_0 s_j} Pf(S - {s_0, s_j}).
     For a rational algebra and form it expands on Omega's integer numerators
-    over m, the lcm of its denominators; Pf is homogeneous of degree |S|/2,
+    over m, its denominator; Pf is homogeneous of degree |S|/2,
     so the Pfaffian of A on S is pf(S) / m^(|S|/2).  Otherwise m is 1 and pf
     expands on the scalars.
     """
@@ -77,11 +77,10 @@ def _pfaffians(alg: Algebra, omega2: Form) -> tuple[Callable, int]:
         raise BasisMismatch("form over a different basis")
     if not omega2.is_zero() and omega2.degree != 2:
         raise DegreeMismatch("top power needs a 2-form")
-    scaled = None if alg.mode.is_param else integer_terms(omega2.terms)
-    if scaled is None:
+    if alg.mode.is_param or not omega2.den:
         a, m, zero, one = omega2.terms, 1, alg.zero_scalar(), alg.one_scalar()
     else:
-        a, m, zero, one = dict(scaled[1]), scaled[0], 0, 1
+        a, m, zero, one = omega2.nums, omega2.den, 0, 1
     memo = {(): one, **a}  # Pf(i, j) = A_ij
 
     def pf(rest: tuple[int, ...]) -> Scalar:
@@ -135,8 +134,8 @@ def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread) -> tu
     adjugate of A over det(A) = Pf(A)^2, read off the memo of `pf`
     (`_pfaffians`), on whose numerators Pf(A - {b, c}) / Pf(A) carries one
     factor m.  Entry a sums B_bc * t over the (a, b, c) that `spread(idx)`
-    yields for each term t at idx of `form`.  Rational terms enter as
-    integer numerators over their lcm; the numerators returned are the
+    yields for each term t at idx of `form`.  A rational form enters as its
+    integer numerators over its den; the numerators returned are the
     nonzero ones, ints for rational data.
     """
     full = tuple(range(alg.dim))
@@ -147,8 +146,7 @@ def _inverse_image(alg: Algebra, pf: Callable, m: int, form: Form, spread) -> tu
         value = pf(full[:b] + full[b + 1 : c] + full[c + 1 :])
         return -value if (b + c) % 2 else value
 
-    scaled = integer_terms(form.terms)
-    den, terms = scaled if scaled is not None else (1, form.terms.items())
+    den, terms = (form.den, form.nums.items()) if form.den else (1, form.terms.items())
     sums: dict = {}
     for idx, t in terms:
         for a, b, c in spread(idx):
@@ -167,12 +165,12 @@ def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]
     coefficients (`Algebra.d_matrix`); with Omega as integer numerators a
     over m and D_l over D, every entry is an integer numerator over L = m * D.
     """
-    scaled, den = integer_terms(omega2.terms), alg.d_den
-    if scaled is None or den is None:
+    m, den = omega2.den, alg.d_den
+    if m is None or den is None:
         raise MixedModes(
             "a form or structure data with symbolic coefficients needs a parameter-mode algebra"
         )
-    a, n, monomials = dict(scaled[1]), alg.dim, alg.basis.monomials
+    a, n, monomials = omega2.nums, alg.dim, alg.basis.monomials
     contraction = [[0] * n for _ in range(n)]  # row i: i(e_i) Omega
     for (i, j), c in a.items():
         contraction[i][j], contraction[j][i] = c, -c
@@ -186,7 +184,7 @@ def _automorphism_rows(alg: Algebra, omega2: Form) -> tuple[int, list[list[int]]
             row_of[p, q][r] += c
     for key, row in row_of.items():
         row.append(-a.get(key, 0) * den)
-    return scaled[0] * den, rows
+    return m * den, rows
 
 
 def _lee_spread(idx: tuple[int, ...]) -> tuple:
@@ -206,7 +204,8 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     1-form solves the system and w = 0.  w ^ Omega = -d(Omega) decides
     whether a solution exists at all, and d(w) = 0 whether it is closed.
     The first check runs on w's numerators over their common denominator, so
-    in parameter mode no sum in it takes a polynomial gcd with the Pfaffian.
+    in parameter mode no sum in it takes a polynomial gcd with the Pfaffian;
+    for rational data the Lee form is those int numerators over it.
     """
     pf, m = _pfaffians(alg, omega2)
     volume = _volume(alg, pf, m)
@@ -216,10 +215,14 @@ def is_lcs(alg: Algebra, omega2: Form) -> LcsForm:
     d_omega2 = d(alg, omega2)
     numerators, den = _inverse_image(alg, pf, m, d_omega2, _lee_spread)
     den = (alg.dim // 2 - 1) * den  # w = numerators / den
-    scaled = Form(alg.basis, 1, {(a,): s for a, s in numerators.items()})
+    keyed = {(a,): s for a, s in numerators.items()}
+    if isinstance(den, int):  # with N = 2 there are no numerators and den is 0
+        scaled, lee = Form.over(alg.basis, 1, 1, keyed), Form.over(alg.basis, 1, den or 1, keyed)
+    else:
+        scaled = Form(alg.basis, 1, keyed)
+        lee = Form(alg.basis, 1, {a: _ratio(s, den) for a, s in keyed.items()})
     if scaled.wedge(omega2) != -(den * d_omega2):
         raise NoSolution("no 1-form solves d(Omega) = -w ^ Omega")
-    lee = Form(alg.basis, 1, {(a,): _ratio(s, den) for a, s in numerators.items()})
     dlee = d(alg, lee)
     if not dlee.is_zero():
         raise LeeNotClosed(f"solution {lee} is not closed: d = {dlee}")

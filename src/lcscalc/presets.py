@@ -211,7 +211,11 @@ def theorem1(n, k, lam) -> tuple[Theorem1Family, Theorem1Family]:
     member with c1 = 0 (a zero class), raises MathError.
     """
     params = AcfmParams(Fraction(n), Fraction(k), Fraction(lam))
-    alg = acfm(params)
+    return _theorem1(acfm(params), params)
+
+
+def _theorem1(alg: Algebra, params: AcfmParams) -> tuple[Theorem1Family, Theorem1Family]:
+    """`theorem1` on `alg`, the rational preset `acfm(params)` built once by the caller."""
     data = _preset_data(alg)
     pfaffians = family_pfaffians(FAMILIES, params)
     results = []

@@ -12,13 +12,16 @@ File layout (UTF-8, '#' comments, blank lines ignored, \\r\\n tolerated)::
 A form expression is a signed sum of terms; each term is an optional
 scalar prefix (same grammar as scalars, juxtaposition multiplies) followed
 by an optional generator chain joined with '^'.  The integer literals of a
-term multiply and divide as Python ints, and one scalar of the mode is made
+term multiply and divide as Python ints.  In rational mode a form takes
+them as integer numerators over one denominator, so no Fraction is made
+for a term of literals; in parameter mode one scalar of the mode is made
 per term.  `serialize` output parses back to the same value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cecomplex import Algebra
 from .errors import DivisionByZero, ExprSyntaxError, InvalidMetric
@@ -42,8 +45,12 @@ def _ratio(mode: ScalarMode, num: int, den: int):
     return q if mode.symbols is None else mode.from_fraction(q)
 
 
-def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode, neg: bool) -> tuple[int, tuple]:
-    """One additive term, as its degree and one raw `(index tuple, coefficient)` pair.
+def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode, neg: bool) -> tuple:
+    """One additive term: its degree, a raw `(index tuple, numerator)` pair and a denominator.
+
+    In rational mode numerator and denominator are ints, the denominator
+    positive; in parameter mode the numerator is the mode scalar and the
+    denominator 1.
 
     Juxtaposition multiplies scalar factors; '*' may also join the last
     factor to the generator chain.  Integer literals without a '^' (`13/87`,
@@ -51,7 +58,7 @@ def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode, neg: bool) -> 
     parameter, '(' or a power) hands them over to the scalar grammar as one
     mode scalar, which then takes every later factor.  A chain longer than
     the dimension repeats a generator, so it is zero (as in `Form.wedge`): a
-    zero pair of degree N.  `index` maps generator names to their positions;
+    zero term of degree N.  `index` maps generator names to their positions;
     only an identifier token can match one.  The sign of a `neg` term starts
     the integer numerator, or else negates the coefficient once.
     """
@@ -105,41 +112,55 @@ def _parse_form_term(cur: _Cursor, index: dict, mode: ScalarMode, neg: bool) -> 
         i = index.get(tokens[cur.pos][1])
         if i is None:
             raise cur.error("'^' in a form term must join generator names", caret_col)
+    if coeff is None and not (literal or gens):
+        kind, value, col = tokens[cur.pos]
+        raise cur.error(
+            "expected a scalar or generator" if kind == "end" else f"unexpected {value!r}",
+            col,
+        )
+    if len(gens) > len(index):
+        return len(index), ((), 0), 1
+    if mode.symbols is None:
+        if coeff is not None:  # a Fraction of the scalar grammar
+            num, den = coeff.numerator, coeff.denominator
+            if neg and not literal:
+                num = -num
+        return len(gens), (tuple(gens), num), den
     if coeff is None:
-        if literal or gens:
-            coeff = _ratio(mode, num, den)
-        else:
-            kind, value, col = tokens[cur.pos]
-            raise cur.error(
-                "expected a scalar or generator" if kind == "end" else f"unexpected {value!r}",
-                col,
-            )
+        coeff = _ratio(mode, num, den)
     elif neg and not literal:
         coeff = -coeff
-    if len(gens) > len(index):
-        return len(index), ((), mode.zero())
-    return len(gens), (tuple(gens), coeff)
+    return len(gens), (tuple(gens), coeff), 1
+
+
+def _form(basis: Basis, degree: int, pairs: list, dens: list) -> Form:
+    """The Form of raw `(index tuple, numerator)` pairs over their denominators, over their lcm."""
+    m = lcm(*dens)
+    if m > 1:
+        pairs = [(idx, n if den == m else n * (m // den)) for (idx, n), den in zip(pairs, dens)]
+    return Form(basis, degree, pairs, m)
 
 
 def _parse_form(cur: _Cursor, basis: Basis, index: dict, mode: ScalarMode) -> Form:
     """A signed sum of terms, with the value and the errors of chained `+`.
 
-    The pairs of the terms are summed by one Form; only a term of another
-    degree meets the running sum through `+`, which allows that only if
-    either is zero.
+    The terms are summed by one Form; only a term of another degree meets
+    the running sum through `+`, which allows that only if either is zero.
     """
     op = cur.next()[0] if cur.peek()[0] in "+-" else "+"
-    degree, pairs = None, []
+    degree, pairs, dens = None, [], []
     while True:
-        term_degree, pair = _parse_form_term(cur, index, mode, op == "-")
+        term_degree, pair, den = _parse_form_term(cur, index, mode, op == "-")
         if degree is None or term_degree == degree:
             degree = term_degree
             pairs.append(pair)
+            dens.append(den)
         else:
-            total = Form(basis, degree, pairs) + Form(basis, term_degree, [pair])
-            degree, pairs = total.degree, list(total.terms.items())
+            total = _form(basis, degree, pairs, dens) + _form(basis, term_degree, [pair], [den])
+            degree, pairs = total.degree, list(total.nums.items())
+            dens = [total.den or 1] * len(pairs)
         if cur.peek()[0] not in "+-":
-            return Form(basis, degree, pairs)
+            return _form(basis, degree, pairs, dens)
         op = cur.next()[0]
 
 

@@ -14,9 +14,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from lcscalc.cecomplex import Algebra
 from lcscalc.errors import ExprSyntaxError
-from lcscalc.exterior import Basis, Form, VectorField, frame_field
+from lcscalc.exterior import Basis, Form, VectorField, form_str, frame_field
 from lcscalc.scalar import (
     MAX_DIGITS,
     ParamScalar,
@@ -28,6 +30,8 @@ from lcscalc.scalar import (
     _prem,
     _psign_norm,
     _psub,
+    needs_parens,
+    scalar_str,
 )
 from lcscalc.specfile import parse_form_expr
 
@@ -518,6 +522,112 @@ def prs_gcd(a: dict, b: dict) -> dict:
         r = _prem(f, g, v)
         f, g = g, (_prs_primitive(r, v) if r else {})
     return _psign_norm(_pmul(prs_gcd(ca, cb), _prs_primitive(f, v)))
+
+
+# ---------------------------------------------------------------------------
+# form arithmetic on Fraction dicts: maps from ascending tuples to Fractions
+# ---------------------------------------------------------------------------
+
+
+# denominators of random rational coefficients: small ones, and large coprime ones
+SMALL = (1, 2, 3, 4, 6, 12)
+HARD = (7**20, 10**30 + 1, 3**41)
+
+
+def rationals(dens) -> st.SearchStrategy:
+    """Nonzero Fractions over one or two of the given denominators."""
+    nums = st.integers(-(10**6), 10**6).filter(bool)
+    return st.builds(lambda n, a, b: Fraction(n, a * b), nums, st.sampled_from(dens),
+                     st.sampled_from((1,) + dens))
+
+
+@st.composite
+def rational_forms(draw, basis: Basis, degree: int, dens) -> Form:
+    """A rational form on some of the monomials of a degree."""
+    monomials = basis.monomials(degree)
+    picked = draw(st.lists(st.sampled_from(monomials), unique=True, max_size=len(monomials)))
+    return Form(basis, degree, {m: draw(rationals(dens)) for m in picked})
+
+
+def assert_lowest_terms(form: Form):
+    """A rational form's (den, nums) is canonical and is the value of its terms."""
+    den, nums = form.den, form.nums
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert {key: Fraction(n, den) for key, n in nums.items()} == form.terms
+
+
+def _collected(pairs) -> dict:
+    """Sum `(ascending tuple, value)` pairs as Fractions and drop the zeros."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _signed_products(a: dict, b: dict):
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            if not set(ia) & set(ib):
+                yield tuple(sorted(ia + ib)), perm_sign(ia + ib) * ca * cb
+
+
+def fraction_sum(a: dict, b: dict) -> dict:
+    return _collected([*a.items(), *b.items()])
+
+
+def fraction_scaled(c, a: dict) -> dict:
+    return _collected((key, c * x) for key, x in a.items())
+
+
+def fraction_wedge(a: dict, b: dict) -> dict:
+    return _collected(_signed_products(a, b))
+
+
+def fraction_interior(coeffs, a: dict) -> dict:
+    """i(v) e_I = sum_m (-1)^m v_{I_m} e_{I - I_m}."""
+    return _collected(
+        (idx[:m] + idx[m + 1 :], (-1) ** m * c * coeffs[i])
+        for idx, c in a.items()
+        for m, i in enumerate(idx)
+    )
+
+
+def fraction_d(alg: Algebra, a: dict) -> dict:
+    """d e_I = sum_m (-1)^m (d e_{I_m}) ^ e_{I - I_m}; a 2-form commutes with every form."""
+    pairs = []
+    for idx, c in a.items():
+        for m, i in enumerate(idx):
+            rest = {idx[:m] + idx[m + 1 :]: (-1) ** m * c}
+            pairs.extend(_signed_products(alg.dgen[i].terms, rest))
+    return _collected(pairs)
+
+
+def assert_integer_route(result: Form, expected: dict):
+    """A rational result against a Fraction-dict formula: text, terms, (den, nums) and ==."""
+    assert form_str(result) == fraction_form_str(result.basis.names, expected)
+    assert_lowest_terms(result)
+    assert result.terms == expected
+    assert result == Form.canonical(result.basis, result.degree, expected)
+
+
+def fraction_form_str(names, terms: dict) -> str:
+    """Each coefficient through `scalar_str`, signs joined as ` + ` and ` - `."""
+    parts = []
+    for idx in sorted(terms):
+        c = scalar_str(terms[idx])
+        if needs_parens(c):
+            c = f"({c})"
+        mono = "^".join(names[i] for i in idx)
+        body = f"{c} {mono}" if mono else c
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(f" - {body[1:]}")
+        else:
+            parts.append(f" + {body}")
+    return "".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -219,13 +219,13 @@ def _fractions_made(fn) -> int:
     return count
 
 
-def test_form_terms_make_one_fraction_each():
-    """A '-' term's sign goes into its integer numerator, not into a second Fraction."""
+def test_rational_form_terms_make_no_fraction():
+    """Rational terms, '-' ones included, reach the Form as integer numerators over one den."""
     alg = parse_algebra_file(str(GOLDEN / "h7xr_dense.alg"))
     for text in (GOLDEN / "h7xr_dense.forms").read_text(encoding="utf-8").splitlines():
         form = parse_form_expr(text, alg.basis, alg.mode)
-        assert " - " in text and len(form.terms) == 28
-        assert _fractions_made(lambda: parse_form_expr(text, alg.basis, alg.mode)) == 28
+        assert " - " in text and "/" in text and len(form.nums) == 28
+        assert _fractions_made(lambda: parse_form_expr(text, alg.basis, alg.mode)) == 0
 
 
 @pytest.mark.parametrize(
@@ -710,7 +710,7 @@ def test_acfm_reports_build_one_parameter_mode_preset(capsys, monkeypatch):
     assert builds == ["params", "rational"]
     builds.clear()
     assert main(argv + ["--theorem1"]) == 0
-    assert builds == ["rational", "params", "rational"]
+    assert builds == ["rational", "params"]
     out = capsys.readouterr().out
     assert "pfaffian t: 2*(t1*t2 + 2*t3^2)\n" in out
     assert "pfaffian s: -2*(s1*s2 + 2*s3^2)\n" in out

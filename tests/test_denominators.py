@@ -5,25 +5,33 @@ the shuffle formula (`helpers.shuffle_wedge_value`).  Coefficients have
 denominators 7^20, 10^30 + 1 and 3^41; the structure constants have
 denominators other than 1 (the preset with such constants, rewritten in a
 dense frame).  Every rational result coefficient must be a `Fraction` in
-lowest terms with the hash of its value.  Operands with a `ParamScalar`
-coefficient give `ParamScalar` results, equal to the oracle's.
+lowest terms with the hash of its value, and every rational result's
+(den, nums) must be in lowest terms.  Operands with a `ParamScalar`
+coefficient give `ParamScalar` results, equal to the oracle's.  On random
+forms, with small and with these denominators, d and wedge also match the
+Fraction-dict formulas of `helpers` in terms, (den, nums) and text.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import change_of_basis, koszul_d, random_invertible, shuffle_wedge_value
+from helpers import (
+    HARD, SMALL, assert_integer_route, assert_lowest_terms, change_of_basis, fraction_d,
+    fraction_wedge, koszul_d, random_invertible, rational_forms, shuffle_wedge_value,
+)
 from lcscalc.cecomplex import Algebra, d
 from lcscalc.exterior import Basis, Form
 from lcscalc.scalar import ParamScalar, ScalarMode
 
-HARD = (7**20, 10**30 + 1, 3**41)
 PARAMS = ScalarMode.params("t")
 
 
@@ -43,6 +51,7 @@ def _param(rng: random.Random):
     return rng.randint(-2, 2) * PARAMS.symbol("t") + _hard(rng)
 
 
+@cache
 def _hard_algebra(seed: int) -> Algebra:
     """Preset x R^2 with k = 3/7^20 and n*lambda = 3^41/(10^30 + 1), in a dense frame."""
     basis = Basis(tuple(f"e{i + 1}" for i in range(6)))
@@ -62,8 +71,11 @@ def _hard_algebra(seed: int) -> Algebra:
 def _assert_canonical(result: Form, expected: dict, kind):
     """Same terms as the oracle, hash included, each of the given type.
 
-    `kind` is one type, or a map from each monomial to its type.
+    `kind` is one type, or a map from each monomial to its type.  A result
+    of Fractions also has its (den, nums) in lowest terms.
     """
+    if kind is Fraction:
+        assert_lowest_terms(result)
     assert result.terms == expected
     for key, c in result.terms.items():
         assert type(c) is (kind[key] if isinstance(kind, dict) else kind)
@@ -121,3 +133,15 @@ def test_wedge_of_a_generator_and_a_param_form():
         for two, kind in ((omega, ParamScalar), (mixed, kinds)):
             _assert_canonical(gen.wedge(two), _shuffle_terms(gen, two), kind)
             _assert_canonical(two.wedge(gen), _shuffle_terms(two, gen), kind)
+
+
+@given(st.data(), st.sampled_from([SMALL, HARD]))
+def test_d_and_wedge_on_numerators_match_the_fraction_formulas(data, dens):
+    alg = _hard_algebra(1)
+    p = data.draw(st.integers(0, alg.dim))
+    q = data.draw(st.integers(0, alg.dim - p))
+    a = data.draw(rational_forms(alg.basis, p, dens))
+    b = data.draw(rational_forms(alg.basis, q, dens))
+    assert_integer_route(d(alg, a), fraction_d(alg, a.terms))
+    assert_integer_route(a.wedge(b), fraction_wedge(a.terms, b.terms))
+    assert_integer_route(b.wedge(a), fraction_wedge(b.terms, a.terms))

@@ -1,16 +1,26 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F, V, interior_oracle, perm_sign, shuffle_wedge_value
+from helpers import (
+    HARD, SMALL, F, V, assert_integer_route, fraction_form_str, fraction_interior,
+    fraction_scaled, fraction_sum, interior_oracle, perm_sign, rationals, rational_forms,
+    shuffle_wedge_value,
+)
+from lcscalc.cecomplex import d
 from lcscalc.errors import BasisMismatch, DegreeMismatch
-from lcscalc.exterior import Basis, Form, VectorField, frame_field, interior, wedge
-from lcscalc.presets import acfm_rational
+from lcscalc.exterior import Basis, Form, VectorField, form_str, frame_field, interior, wedge
+from lcscalc.presets import acfm_rational, acfm_symbolic
 from lcscalc.scalar import ScalarMode
+from lcscalc.specfile import parse_algebra_file
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ALG = acfm_rational(1, 1, 1)
 B = ALG.basis
@@ -223,3 +233,106 @@ def test_form_pairs_cancel_repeat_and_sign():
     assert Form(basis, 3, cancelling).is_zero()
     pairs = [((1, 0), 2), ((1, 0), 3), ((1, 1), 7), ((0, 1), 1), ((3, 2), 4)]
     assert Form(basis, 2, pairs).terms == {(0, 1): -4, (2, 3): -4}
+
+
+@given(st.data(), st.sampled_from([SMALL, HARD]))
+def test_arithmetic_on_numerators_matches_the_fraction_formulas(data, dens):
+    """+, -, unary -, c * Omega, interior and Form.over against Fraction dicts, cancelling too."""
+    basis = Basis(tuple(f"e{i}" for i in range(5)))
+    degree = data.draw(st.integers(0, basis.dim))
+    a = data.draw(rational_forms(basis, degree, dens))
+    drawn = data.draw(rational_forms(basis, degree, dens)).terms
+    # b cancels some of a's terms in a + b
+    cancel = data.draw(st.lists(st.sampled_from(sorted(a.terms)), unique=True)) if a.terms else []
+    b = Form(basis, degree, {**drawn, **{m: -a.terms[m] for m in cancel}})
+    scalars = st.integers(-3, 3) | rationals(dens) | st.just(Fraction(0))
+    c, q = data.draw(scalars), data.draw(scalars)
+    coeffs = tuple(data.draw(rationals(dens) | st.just(Fraction(0))) for _ in range(basis.dim))
+    v = VectorField(basis, coeffs)
+    A, B = a.terms, b.terms
+    cases = [
+        (a + b, fraction_sum(A, B)),
+        (a - b, fraction_sum(A, fraction_scaled(-1, B))),
+        (-a, fraction_scaled(-1, A)),
+        (a - a, {}),
+        (c * a, fraction_scaled(c, A)),
+        (a * q, fraction_scaled(q, A)),
+        (interior(v, a), fraction_interior(coeffs, A)),
+    ]
+    if a.terms:  # numerators over a negative den move their sign
+        den = -data.draw(st.sampled_from(dens))
+        nums = {m: data.draw(st.integers(-50, 50).filter(bool)) for m in a.terms}
+        expected = {m: Fraction(n, den) for m, n in nums.items()}
+        cases.append((Form.over(basis, degree, den, nums), expected))
+    for result, expected in cases:
+        assert_integer_route(result, expected)
+    assert (a == b) == (A == B)
+    assert (a + b == a) == (not B)
+
+
+def test_forms_compare_and_hash_alike_across_representations_and_modes():
+    """A value as numerators over den, as Form.canonical of Fractions and with constant
+    ParamScalar coefficients; a twist in one finds the store registered for another."""
+    alg, sym = acfm_rational(1, 2, 3), acfm_symbolic()
+    basis = alg.basis
+    terms = {(0,): Fraction(3, 4), (2,): Fraction(-5, 6)}
+    rational = Form(basis, 1, {(0,): 9, (2,): -10}, den=12)
+    canonical = Form.canonical(basis, 1, terms)
+    params = Form(basis, 1, {m: sym.mode.from_fraction(c) for m, c in terms.items()})
+    assert (rational.den, rational.nums) == (12, {(0,): 9, (2,): -10})
+    assert params.den is None
+    forms = (rational, canonical, params)
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y)
+    assert len(set(forms)) == 1
+    # closed twists: -k gamma of the rational preset, gamma of the symbolic one
+    twist = {(2,): Fraction(-2)}
+    given_as = (
+        Form(basis, 1, twist),
+        Form.canonical(basis, 1, twist),
+        Form(basis, 1, {m: sym.mode.from_fraction(c) for m, c in twist.items()}),
+    )
+    # a rational algebra refuses to register a symbolic twist, but finds its rational twin
+    for algebra, registered in ((alg, given_as[:2]), (sym, given_as)):
+        for first in registered:
+            algebra._twisted.clear()
+            store = algebra.twisted_complex(first)._store
+            assert all(algebra.twisted_complex(x)._store is store for x in given_as)
+
+
+def test_form_str_renders_integers_above_2000_bits():
+    """Numerators and denominators of 2,100 bits print as `scalar_str` prints each Fraction."""
+    basis = Basis(("a", "b", "c"))
+    den, num = 3**1325, 2**2100 + 1
+    form = Form.over(basis, 2, den, {(0, 1): num, (0, 2): -5 * 3**10 * num, (1, 2): 3**1325})
+    assert den.bit_length() > 2000 and num.bit_length() > 2000
+    text = form_str(form)
+    assert text == fraction_form_str(basis.names, form.terms)
+    assert str(Decimal(num)) in text and str(Decimal(3**1315)) in text
+    assert text.endswith(" + 1 b^c")
+
+
+def test_rational_route_builds_no_fraction_term_map(monkeypatch):
+    """d, wedge, +, -, interior, == and form_str on rational forms never fill `terms`."""
+    fills = []
+    terms = Form.terms.fget
+
+    def counted(self):
+        if self._terms is None:
+            fills.append(form_str(self))
+        return terms(self)
+
+    monkeypatch.setattr(Form, "terms", property(counted))
+    alg = parse_algebra_file(str(GOLDEN / "h7xr_dense.alg"))
+    a, b = (F(alg, text) for text in (GOLDEN / "h7xr_dense.forms").read_text().splitlines()[:2])
+    theta = F(alg, "1/2 e1 - 3/7 e4 + 5 e8")
+    v = V(alg, 1, Fraction(-2, 3), 0, 5, 0, 0, Fraction(1, 9), 2)
+    results = [
+        d(alg, a), d(alg, theta), a.wedge(b), theta.wedge(a), a + b, a - b, -a,
+        3 * a, Fraction(-2, 5) * a, interior(v, a), interior(v, a.wedge(theta)),
+    ]
+    assert a == a + a.basis.zero(2) and a != b and not (a - a) == b
+    assert all(form_str(r) for r in results)
+    assert fills == []
+    assert a.terms and a.terms and fills == [form_str(a)]
